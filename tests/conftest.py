@@ -108,14 +108,18 @@ def quick_campaign():
     return run_campaign(CampaignConfig.quick())
 
 
+#: The configuration of :func:`medium_campaign` (also used to
+#: regenerate ``tests/golden/evaluation_medium.json``).
+MEDIUM_CONFIG = CampaignConfig(
+    benchmarks=("ttsprk", "puwmod"),
+    soft_per_flop=1,
+    hard_per_flop=1,
+    flop_fraction=0.12,
+    max_observe=800,
+)
+
+
 @pytest.fixture(scope="session")
 def medium_campaign():
     """A slightly larger campaign for evaluation-level tests."""
-    config = CampaignConfig(
-        benchmarks=("ttsprk", "puwmod"),
-        soft_per_flop=1,
-        hard_per_flop=1,
-        flop_fraction=0.12,
-        max_observe=800,
-    )
-    return run_campaign(config)
+    return run_campaign(MEDIUM_CONFIG)

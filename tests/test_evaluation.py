@@ -1,8 +1,59 @@
-"""End-to-end evaluation orchestration tests on real mini-campaigns."""
+"""End-to-end evaluation orchestration tests on real mini-campaigns.
+
+``tests/golden/evaluation_medium.json`` pins every
+:class:`EvaluationResult` field (floats as ``float.hex()``) on the
+``medium_campaign`` fixture.  Regenerate it, only when that campaign's
+records change, with ``PYTHONPATH=src python -m tests.test_evaluation``.
+"""
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import MODEL_NAMES, evaluate_campaign, split_errors_by_benchmark, topk_sweep
+
+GOLDEN = Path(__file__).parent / "golden" / "evaluation_medium.json"
+
+
+def _golden_cases() -> dict:
+    """Case name -> (evaluation function, keyword arguments)."""
+    cases = {}
+    for fine in (False, True):
+        tax = "fine" if fine else "coarse"
+        for seed in (0, 3):
+            cases[f"{tax}-full-seed{seed}"] = (evaluate_campaign, {"fine": fine, "seed": seed})
+            cases[f"{tax}-topk-seed{seed}"] = (topk_sweep, {"fine": fine, "seed": seed})
+        cases[f"{tax}-offchip-seed0"] = (
+            evaluate_campaign, {"fine": fine, "seed": 0, "off_chip": True})
+        cases[f"{tax}-coverage0.6-seed0"] = (
+            evaluate_campaign, {"fine": fine, "seed": 0, "coverage": 0.6})
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+def _exact(value):
+    """A JSON-able image of ``value`` that compares equal only if every
+    float is bit-identical (floats become ``float.hex()`` strings)."""
+    if dataclasses.is_dataclass(value):
+        return _exact(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(key): _exact(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _golden_document(campaign) -> dict:
+    return {
+        "campaign_digest": campaign.digest(),
+        "cases": {name: _exact(fn(campaign, **kwargs))
+                  for name, (fn, kwargs) in GOLDEN_CASES.items()},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +170,34 @@ def test_split_errors_by_benchmark(medium_campaign):
     grouped = split_errors_by_benchmark(medium_campaign.records)
     assert set(grouped) <= set(medium_campaign.config.benchmarks)
     assert sum(len(v) for v in grouped.values()) == medium_campaign.n_errors
+
+
+class TestGolden:
+    """Every field of every pinned evaluation, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def golden(self, medium_campaign):
+        document = json.loads(GOLDEN.read_text())
+        digest = medium_campaign.digest()
+        if document["campaign_digest"] != digest:
+            pytest.fail(
+                f"medium_campaign's records changed (digest {digest}, golden "
+                f"{document['campaign_digest']}): the golden evaluations no "
+                f"longer apply; regenerate them with "
+                f"`PYTHONPATH=src python -m tests.test_evaluation`")
+        return document["cases"]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_matches_golden(self, case, golden, medium_campaign):
+        fn, kwargs = GOLDEN_CASES[case]
+        assert _exact(fn(medium_campaign, **kwargs)) == golden[case]
+
+
+if __name__ == "__main__":
+    from repro.faults import run_campaign
+    from tests.conftest import MEDIUM_CONFIG
+
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_golden_document(run_campaign(MEDIUM_CONFIG)),
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
