@@ -1,6 +1,7 @@
 """Evaluation pipeline: cross-validation, orchestration and reports."""
 
-from .crossval import kfold, train_test_split
+from .crossval import fold_indices, kfold, train_test_split
+from .dataset import ErrorDataset, FoldTable
 from .evaluation import (
     BASELINE_NAMES,
     MODEL_NAMES,
@@ -11,7 +12,8 @@ from .evaluation import (
 )
 
 __all__ = [
-    "kfold", "train_test_split",
+    "fold_indices", "kfold", "train_test_split",
+    "ErrorDataset", "FoldTable",
     "BASELINE_NAMES", "MODEL_NAMES", "EvaluationResult",
     "evaluate_campaign", "split_errors_by_benchmark", "topk_sweep",
 ]

@@ -14,26 +14,37 @@ import numpy as np
 T = TypeVar("T")
 
 
+def fold_indices(n: int, k: int = 5,
+                 seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(train, test)`` index arrays of each fold over ``n`` items.
+
+    The items are shuffled once and split into ``k`` folds that differ
+    in size by at most one.  Test indices keep the shuffled order;
+    train indices are ascending.
+    """
+    if k < 2:
+        raise ValueError("k-fold cross validation needs k >= 2")
+    if n < k:
+        raise ValueError(f"cannot make {k} folds from {n} items")
+    rng = np.random.default_rng(seed)
+    splits = []
+    for test in np.array_split(rng.permutation(n), k):
+        in_train = np.ones(n, dtype=bool)
+        in_train[test] = False
+        splits.append((np.flatnonzero(in_train), test))
+    return splits
+
+
 def kfold(items: Sequence[T], k: int = 5,
           seed: int = 0) -> Iterator[tuple[list[T], list[T]]]:
     """Yield ``(train, test)`` splits over shuffled ``items``.
 
     Every item appears in exactly one test fold; folds differ in size
-    by at most one.
+    by at most one.  The splits are :func:`fold_indices` applied to
+    ``items``.
     """
-    if k < 2:
-        raise ValueError("k-fold cross validation needs k >= 2")
-    n = len(items)
-    if n < k:
-        raise ValueError(f"cannot make {k} folds from {n} items")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k)
-    for i in range(k):
-        test_idx = set(int(j) for j in folds[i])
-        train = [items[j] for j in range(n) if j not in test_idx]
-        test = [items[int(j)] for j in folds[i]]
-        yield train, test
+    for train, test in fold_indices(len(items), k, seed):
+        yield [items[j] for j in train], [items[j] for j in test]
 
 
 def train_test_split(items: Sequence[T], test_fraction: float = 0.2,

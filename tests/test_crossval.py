@@ -1,10 +1,11 @@
 """Cross-validation split tests."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.analysis import kfold, train_test_split
+from repro.analysis import fold_indices, kfold, train_test_split
 
 
 class TestKfold:
@@ -51,6 +52,24 @@ class TestKfold:
         tests = [test for _, test in kfold(items, k=k, seed=seed)]
         flat = sorted(x for fold in tests for x in fold)
         assert flat == items
+
+
+class TestFoldIndices:
+    @given(n=st.integers(2, 60), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_kfold_indexes_items_by_fold_indices(self, n, k, seed):
+        assume(n >= k)
+        items = [f"item{i}" for i in range(n)]
+        assert list(kfold(items, k=k, seed=seed)) == [
+            ([items[j] for j in train], [items[j] for j in test])
+            for train, test in fold_indices(n, k, seed)]
+
+    @given(n=st.integers(2, 60), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_test_in_shuffled_order_train_ascending(self, n, k, seed):
+        assume(n >= k)
+        shuffled = np.array_split(np.random.default_rng(seed).permutation(n), k)
+        for (train, test), expected in zip(fold_indices(n, k, seed), shuffled, strict=True):
+            assert test.tolist() == expected.tolist()
+            assert train.tolist() == sorted(set(range(n)) - set(expected.tolist()))
 
 
 class TestTrainTestSplit:

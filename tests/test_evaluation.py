@@ -11,9 +11,42 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.analysis import MODEL_NAMES, evaluate_campaign, split_errors_by_benchmark, topk_sweep
+from repro.analysis import (
+    MODEL_NAMES,
+    ErrorDataset,
+    EvaluationResult,
+    evaluate_campaign,
+    fold_indices,
+    kfold,
+    split_errors_by_benchmark,
+    topk_sweep,
+)
+from repro.core import (
+    ErrorCorrelationPredictor,
+    SignatureStats,
+    default_unit_order,
+    location_accuracy,
+    train_predictor,
+    type_accuracy,
+)
+from repro.cpu import FlopRef
+from repro.cpu.units import FINE_UNITS, REGISTRY
+from repro.faults import CampaignConfig, CampaignResult, ErrorRecord, FaultKind
+from repro.reaction import (
+    PredCombined,
+    PredLocationOnly,
+    ReactionStrategy,
+    StrategyResult,
+    baseline_strategies,
+    build_context,
+    evaluate_strategy,
+    merge_results,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "evaluation_medium.json"
 
@@ -170,6 +203,181 @@ def test_split_errors_by_benchmark(medium_campaign):
     grouped = split_errors_by_benchmark(medium_campaign.records)
     assert set(grouped) <= set(medium_campaign.config.benchmarks)
     assert sum(len(v) for v in grouped.values()) == medium_campaign.n_errors
+
+
+# -- the specification: the record-at-a-time Figure 7 pipeline ------------------
+
+def oracle_evaluation(result: CampaignResult, fine: bool = False,
+                      top_k: int | None = None, k_folds: int = 5, seed: int = 0,
+                      off_chip: bool = False, coverage: float = 1.0) -> EvaluationResult:
+    """Cross-validated evaluation one error record at a time.
+
+    This is how ``evaluate_campaign`` worked before it became columnar,
+    built only from the specification functions; the columnar
+    evaluator must equal it field for field, floats included.
+    """
+    records = result.records
+    ctx = build_context(result, fine=fine, seed=seed, coverage=coverage)
+
+    per_model: dict[str, list[StrategyResult]] = {}
+    loc_parts: list[tuple[float, int]] = []
+    type_parts: list[tuple[dict[str, float], int]] = []
+    table_bytes = 0.0
+    invocations = {"pred-location-only": 0.0, "pred-comb": 0.0}
+
+    for train, test in kfold(records, k=k_folds, seed=seed):
+        predictor = train_predictor(train, fine=fine, top_k=top_k)
+        if off_chip:
+            predictor = ErrorCorrelationPredictor(
+                predictor.table.placed(off_chip=True), fine)
+        table_bytes = max(table_bytes, predictor.table.size_bytes)
+
+        models: list[ReactionStrategy] = list(baseline_strategies())
+        models.append(PredLocationOnly(predictor))
+        models.append(PredCombined(predictor))
+
+        for model in models:
+            fold_result = evaluate_strategy(model, test, ctx)
+            per_model.setdefault(model.name, []).append(fold_result)
+            if model.name in invocations:
+                invocations[model.name] += (
+                    fold_result.sbist_invocation_rate * fold_result.n_errors)
+
+        loc_parts.append((location_accuracy(predictor, test), len(test)))
+        type_parts.append((type_accuracy(predictor, test), len(test)))
+
+    n_total = sum(n for _, n in loc_parts)
+    loc_acc = sum(a * n for a, n in loc_parts) / n_total if n_total else 0.0
+    type_acc = {
+        key: sum(part[key] * n for part, n in type_parts) / n_total if n_total else 0.0
+        for key in ("soft", "hard", "overall")
+    }
+    loc_inv = invocations["pred-location-only"]
+    reduction = 1.0 - invocations["pred-comb"] / loc_inv if loc_inv else 0.0
+
+    return EvaluationResult(
+        strategies={name: merge_results(parts) for name, parts in per_model.items()},
+        location_accuracy=loc_acc,
+        type_accuracy=type_acc,
+        n_diverged_sets=len({r.diverged for r in records}),
+        table_bytes=table_bytes,
+        sbist_reduction=reduction,
+    )
+
+
+#: One register owned by each fine unit, to address synthetic faults.
+UNIT_REGISTER = {unit: next(spec.name for spec in REGISTRY if spec.unit == unit)
+                 for unit in FINE_UNITS}
+
+
+@st.composite
+def campaigns(draw) -> CampaignResult:
+    """Small synthetic campaigns over a pool of diverged SC sets.
+
+    The pool is drawn independently of the record count, so some sets
+    occur once and reach a test fold unseen in training (the catch-all
+    entry).  A third of the campaigns are all soft or all hard.
+    """
+    benchmarks = [f"bench{i}" for i in range(draw(st.integers(1, 3)))]
+    pool = draw(st.lists(st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+                         min_size=1, max_size=25, unique=True))
+    kinds = {"mixed": list(FaultKind), "soft": [FaultKind.SOFT],
+             "hard": [FaultKind.STUCK0, FaultKind.STUCK1]}[
+        draw(st.sampled_from(["mixed", "soft", "hard"]))]
+    records = []
+    for _ in range(draw(st.integers(6, 60))):
+        inject = draw(st.integers(0, 5000))
+        records.append(ErrorRecord(
+            benchmark=draw(st.sampled_from(benchmarks)),
+            flop=FlopRef(UNIT_REGISTER[draw(st.sampled_from(FINE_UNITS))], 0),
+            kind=draw(st.sampled_from(kinds)),
+            inject_cycle=inject,
+            detect_cycle=inject + draw(st.integers(1, 3000)),
+            diverged=draw(st.sampled_from(pool)),
+        ))
+    injected = {(unit, kind.value): draw(st.integers(0, 40))
+                for unit in FINE_UNITS for kind in FaultKind}
+    return CampaignResult(
+        config=CampaignConfig(benchmarks=tuple(benchmarks)),
+        records=records,
+        injected=injected,
+        golden_cycles={b: draw(st.integers(1, 200_000)) for b in benchmarks},
+        sampled_flops={},
+    )
+
+
+coverages = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestMatchesSpecification:
+    """The columnar evaluator equals the record-at-a-time pipeline."""
+
+    @given(result=campaigns(), fine=st.booleans(), data=st.data(),
+           off_chip=st.booleans(), coverage=coverages,
+           k_folds=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_campaign(self, result, fine, data, off_chip, coverage,
+                               k_folds, seed):
+        n_units = len(default_unit_order(fine))
+        top_k = data.draw(st.one_of(st.none(), st.integers(1, n_units + 1)))
+        kwargs = dict(fine=fine, top_k=top_k, k_folds=k_folds, seed=seed,
+                      off_chip=off_chip, coverage=coverage)
+        assert evaluate_campaign(result, **kwargs) == oracle_evaluation(result, **kwargs)
+
+    @given(result=campaigns(), fine=st.booleans(), data=st.data(),
+           k_folds=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_topk_sweep(self, result, fine, data, k_folds, seed):
+        n_units = len(default_unit_order(fine))
+        ks = data.draw(st.lists(st.integers(1, n_units + 1), min_size=1, max_size=4))
+        sweep = topk_sweep(result, fine=fine, k_folds=k_folds, seed=seed, ks=ks)
+        assert sweep == {k: oracle_evaluation(result, fine=fine, top_k=k,
+                                              k_folds=k_folds, seed=seed)
+                         for k in ks}
+
+    @pytest.mark.parametrize("k_folds, n_records", [(1, 10), (0, 10), (5, 4)])
+    def test_same_fold_errors(self, medium_campaign, k_folds, n_records):
+        result = CampaignResult(
+            config=medium_campaign.config,
+            records=medium_campaign.records[:n_records],
+            injected=medium_campaign.injected,
+            golden_cycles=medium_campaign.golden_cycles,
+            sampled_flops=medium_campaign.sampled_flops)
+        with pytest.raises(ValueError) as expected:
+            oracle_evaluation(result, k_folds=k_folds)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            evaluate_campaign(result, k_folds=k_folds)
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_fold_tables_equal_train_predictor(self, medium_campaign, fine):
+        records = medium_campaign.records
+        data = ErrorDataset.encode(records, fine, build_context(medium_campaign).restart_cycles)
+        assert list(data.sets) == SignatureStats.from_records(records, fine).diverged_sets
+        units = default_unit_order(fine)
+        for train, _test in fold_indices(len(records), k=5, seed=0):
+            table = data.train(train)
+            train_records = [records[i] for i in train]
+            assert not table.present.all()  # some sets reach the catch-all
+            for top_k in (None, 1, 3, len(units)):
+                predictor = train_predictor(train_records, fine=fine, top_k=top_k)
+                width = len(units) if top_k is None else top_k
+                for i, key in enumerate(data.sets):
+                    entry = predictor.table.lookup(key)
+                    assert entry.units == tuple(units[u] for u in table.ranking[i][:width])
+                    assert entry.predict_hard == table.hard[i]
+                    assert table.present[i] == (
+                        predictor.table.mapper.map(key) < len(predictor.table.entries))
+
+    def test_dataset_columns(self, medium_campaign):
+        ctx = build_context(medium_campaign, fine=True)
+        data = ErrorDataset.encode(medium_campaign.records, True, ctx.restart_cycles)
+        units = default_unit_order(True)
+        assert len(data) == medium_campaign.n_errors
+        for i, r in enumerate(medium_campaign.records):
+            assert data.sets[data.set_id[i]] == r.diverged
+            assert units[data.unit_id[i]] == r.unit
+            assert data.hard[i] == r.kind.is_hard
+            assert data.latency[i] == r.latency
+            assert data.restart[i] == ctx.restart(r)
+        assert np.issubdtype(data.set_id.dtype, np.integer)
 
 
 class TestGolden:
