@@ -8,10 +8,10 @@ records change, with ``PYTHONPATH=src python -m tests.test_evaluation``.
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -343,7 +343,7 @@ class TestMatchesSpecification:
             sampled_flops=medium_campaign.sampled_flops)
         with pytest.raises(ValueError) as expected:
             oracle_evaluation(result, k_folds=k_folds)
-        with pytest.raises(ValueError, match=str(expected.value)):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             evaluate_campaign(result, k_folds=k_folds)
 
     @pytest.mark.parametrize("fine", [False, True])
@@ -377,7 +377,6 @@ class TestMatchesSpecification:
             assert data.hard[i] == r.kind.is_hard
             assert data.latency[i] == r.latency
             assert data.restart[i] == ctx.restart(r)
-        assert np.issubdtype(data.set_id.dtype, np.integer)
 
 
 class TestGolden:
