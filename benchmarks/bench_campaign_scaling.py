@@ -5,8 +5,8 @@ stratified campaign and prints the speedup table, plus the golden-trace
 ``memory_at`` reconstruction hot path (checkpoint+bisect vs the naive
 full-log replay it replaced), plus the liveness-pruning speedup
 (pruned vs un-pruned engine on the same schedule, digests asserted
-bit-identical), plus the batch-vectorised engine against the pruned
-scalar engine (a batch-size sweep and a deep-pool headline config).
+bit-identical), plus the batch engine against the pruned scalar engine
+(a batch-size sweep and a deep-pool headline config).
 
 Results are asserted bit-identical across worker counts, so these
 benches double as an integration check of the determinism contract.
@@ -180,8 +180,7 @@ def test_pruning_speedup_report(report):
 
 
 #: Batch-size sweep config: one benchmark, enough faults (~7.5k) that
-#: the vectorised kernel amortises its per-call dispatch cost, small
-#: enough that the 5-row sweep stays under a minute.
+#: lane occupancy stays high, small enough that the sweep stays short.
 BATCH_SWEEP_CONFIG = CampaignConfig(
     benchmarks=("ttsprk",),
     soft_per_flop=8,
@@ -208,17 +207,16 @@ def test_batch_speedup_report(report):
 
     Two entries: a ``batch_sweep`` over batch sizes 1/16/64/256 on a
     medium campaign (this is also the CI regression-gate baseline: the
-    gate compares the batch/scalar *ratio*, which normalises host
-    speed), and a ``batch_headline`` measurement on the deep soft-heavy
-    pool with a large lane count (interleaved numpy/cext rounds; the
-    kernel ratio is the median per-round pair ratio).  Both entries
-    carry one
-    row per kernel backend (numpy and, where the extension builds,
-    cext); digests are asserted bit-identical between every row and
-    the scalar engine.
+    gate compares the ``batch_cext``/scalar *ratio*, which normalises
+    host speed), and a ``batch_headline`` measurement on the deep
+    soft-heavy pool with a large lane count (best of 3).  Digests and
+    PruneStats are asserted identical between every row and the scalar
+    engine.  Without the compiled kernel every batch row would run the
+    scalar engine, so the bench skips.
     """
+    if not cext_available():
+        pytest.skip("compiled kernel unavailable")
     run_campaign(BATCH_SWEEP_CONFIG, workers=1)  # warm golden caches
-    kernels = ("numpy", "cext") if cext_available() else ("numpy",)
 
     def timed(cfg, **kwargs):
         start = time.perf_counter()
@@ -227,94 +225,53 @@ def test_batch_speedup_report(report):
 
     t_scalar, scalar = timed(BATCH_SWEEP_CONFIG)
     n = scalar.n_injected
-    rows = {k: {} for k in kernels}
-    for kernel in kernels:
-        for size in BATCH_SIZES:
-            t_b, batched = timed(BATCH_SWEEP_CONFIG, batch=size,
-                                 kernel=kernel)
-            assert batched.digest() == scalar.digest()
-            assert batched.meta["pruning"] == scalar.meta["pruning"]
-            rows[kernel][str(size)] = round(n / t_b, 1)
-    per_s = {"scalar": round(n / t_scalar, 1), "batch": rows["numpy"]}
-    if "cext" in rows:
-        per_s["batch_cext"] = rows["cext"]
-    sweep_entry = {
+    rows = {}
+    for size in BATCH_SIZES:
+        t_b, batched = timed(BATCH_SWEEP_CONFIG, batch=size)
+        assert batched.digest() == scalar.digest()
+        assert batched.meta["pruning"] == scalar.meta["pruning"]
+        rows[str(size)] = round(n / t_b, 1)
+    append_bench_entry("batch_sweep", {
         "config": {"benchmarks": ["ttsprk"], "soft_per_flop": 8,
                    "hard_per_flop": 1, "flop_fraction": 0.35,
                    "max_observe": 2000},
         "workers": 1,
         "injections": n,
-        "injections_per_s": per_s,
-        "best_batch_speedup": round(
-            max(rows["numpy"].values()) / (n / t_scalar), 2),
+        "injections_per_s": {"scalar": round(n / t_scalar, 1),
+                             "batch_cext": rows},
+        "best_cext_speedup": round(max(rows.values()) / (n / t_scalar), 2),
         "digest": scalar.digest(),
-    }
-    if "cext" in rows:
-        sweep_entry["best_cext_speedup"] = round(
-            max(rows["cext"].values()) / (n / t_scalar), 2)
-    append_bench_entry("batch_sweep", sweep_entry)
+    })
 
     run_campaign(BATCH_HEADLINE_CONFIG, workers=1, batch=2048)  # warm golden
     t_hs, head_scalar = timed(BATCH_HEADLINE_CONFIG)
     hn = head_scalar.n_injected
-    # Interleaved (numpy, cext) rounds: host frequency drifts over
-    # process lifetime, and a one-shot pair can swing the kernel ratio
-    # >20% depending on which run lands on the fast early slot.  Each
-    # round times both kernels back-to-back under the same host
-    # conditions; throughputs report the best round per kernel, while
-    # the kernel-vs-kernel ratio is the *median of per-round pair
-    # ratios* — pairing within a round cancels the drift that
-    # independent bests do not.
-    t_hb = t_hc = float("inf")
-    pair_ratios = []
+    t_hc = float("inf")
     for _ in range(3):
-        t_b, head_batch = timed(BATCH_HEADLINE_CONFIG, batch=2048,
-                                kernel="numpy")
-        assert head_batch.digest() == head_scalar.digest()
-        t_hb = min(t_hb, t_b)
-        if cext_available():
-            t_c, head_cext = timed(BATCH_HEADLINE_CONFIG, batch=2048,
-                                   kernel="cext")
-            assert head_cext.digest() == head_scalar.digest()
-            t_hc = min(t_hc, t_c)
-            pair_ratios.append(t_b / t_c)
-    pair_ratios.sort()
-    head_per_s = {
-        "scalar_pruned": round(hn / t_hs, 1),
-        "batch": round(hn / t_hb, 1),
-    }
-    head_entry = {
+        t_c, head_cext = timed(BATCH_HEADLINE_CONFIG, batch=2048)
+        assert head_cext.digest() == head_scalar.digest()
+        t_hc = min(t_hc, t_c)
+    append_bench_entry("batch_headline", {
         "config": {"benchmarks": ["ttsprk"], "soft_per_flop": 16,
                    "hard_per_flop": 2, "flop_fraction": 1.0,
                    "max_observe": None},
         "workers": 1,
         "batch": 2048,
         "injections": hn,
-        "injections_per_s": head_per_s,
-        "speedup": round(t_hs / t_hb, 2),
+        "injections_per_s": {"scalar_pruned": round(hn / t_hs, 1),
+                             "batch_cext": round(hn / t_hc, 1)},
+        "cext_speedup": round(t_hs / t_hc, 2),
         "digest": head_scalar.digest(),
-    }
-    if cext_available():
-        head_per_s["batch_cext"] = round(hn / t_hc, 1)
-        head_entry["cext_speedup"] = round(t_hs / t_hc, 2)
-        head_entry["cext_vs_numpy_batch"] = round(
-            pair_ratios[len(pair_ratios) // 2], 2)
-    append_bench_entry("batch_headline", head_entry)
+    })
     lines = ["Batch engine vs pruned scalar — workers=1",
              f"  sweep ({n} injections): scalar {n / t_scalar:8.0f} inj/s"]
-    for kernel in kernels:
-        lines += [f"    {kernel}:batch={s:<4d} {rows[kernel][str(s)]:8.0f} "
-                  f"inj/s  ({rows[kernel][str(s)] / (n / t_scalar):4.2f}x)"
-                  for s in BATCH_SIZES]
+    lines += [f"    batch={s:<4d} {rows[str(s)]:8.0f} inj/s  "
+              f"({rows[str(s)] / (n / t_scalar):4.2f}x)"
+              for s in BATCH_SIZES]
     lines += [f"  headline ({hn} injections, batch=2048): "
-              f"scalar {hn / t_hs:8.0f} inj/s, numpy {hn / t_hb:8.0f} inj/s "
-              f"({t_hs / t_hb:4.2f}x)"]
-    if cext_available():
-        lines += [f"    cext {hn / t_hc:8.0f} inj/s ({t_hs / t_hc:4.2f}x "
-                  f"scalar, {pair_ratios[len(pair_ratios) // 2]:4.2f}x "
-                  f"numpy batch, median of {len(pair_ratios)} "
-                  f"interleaved pairs)"]
-    lines += [f"  appended to {ROOT_BENCH_JSON.name}"]
+              f"scalar {hn / t_hs:8.0f} inj/s, batch {hn / t_hc:8.0f} "
+              f"inj/s ({t_hs / t_hc:4.2f}x, best of 3)",
+              f"  appended to {ROOT_BENCH_JSON.name}"]
     report("campaign_batch", "\n".join(lines))
 
 
@@ -337,13 +294,12 @@ def test_cstep_threads_report(report):
     if not cext_available():
         pytest.skip("compiled kernel unavailable")
     run_campaign(BATCH_SWEEP_CONFIG, workers=1, batch=256,
-                 kernel="cext", threads=1)  # warm goldens + build
+                 threads=1)  # warm goldens + build
     cores = os.cpu_count() or 1
 
     def timed(**kwargs):
         start = time.perf_counter()
-        result = run_campaign(BATCH_SWEEP_CONFIG, batch=256,
-                              kernel="cext", **kwargs)
+        result = run_campaign(BATCH_SWEEP_CONFIG, batch=256, **kwargs)
         return time.perf_counter() - start, result
 
     t_ref, ref = timed(workers=1, threads=1)

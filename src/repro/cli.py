@@ -41,8 +41,7 @@ from .analysis.reports import (
     render_table3,
     render_table4,
 )
-from .faults import (EXECUTOR_CHOICES, KERNEL_CHOICES, CampaignConfig,
-                     cached_campaign)
+from .faults import EXECUTOR_CHOICES, CampaignConfig, cached_campaign
 from .workloads import KERNELS, get_workload, run_kernel
 
 _SCALES = {
@@ -78,16 +77,11 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "are bit-identical either way — this is an "
                              "escape hatch / benchmarking baseline")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="run the vectorised injection engine with N "
-                             "fault lanes per numpy op (e.g. 256); records "
-                             "are bit-identical to the scalar engine for "
-                             "any value")
-    parser.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                        help="step backend for the vectorised engine: "
-                             "'cext' (compiled, error if unavailable), "
-                             "'numpy', or 'auto' (default: compiled when "
-                             "available); records are bit-identical for "
-                             "any backend")
+                        help="run the batch injection engine with N fault "
+                             "lanes per compiled-kernel call (e.g. 256; "
+                             "the scalar engine runs when the kernel "
+                             "cannot be built); records are bit-identical "
+                             "to the scalar engine for any value")
     parser.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None,
                         help="shard fan-out backend with --workers > 1: "
                              "'process' (default; pool of worker "
@@ -118,13 +112,11 @@ def _load_campaign(args: argparse.Namespace):
         return run_resumable_campaign(
             config, ledger_dir=args.ledger, progress=True,
             workers=args.workers, batch=getattr(args, "batch", None),
-            kernel=getattr(args, "kernel", None),
             executor=getattr(args, "executor", None),
             threads=getattr(args, "cstep_threads", None))
     return cached_campaign(config, cache_dir=args.cache,
                            progress=True, workers=args.workers,
                            batch=getattr(args, "batch", None),
-                           kernel=getattr(args, "kernel", None),
                            executor=getattr(args, "executor", None),
                            threads=getattr(args, "cstep_threads", None))
 
@@ -308,8 +300,7 @@ def cmd_work(args: argparse.Namespace) -> int:
     from .faults.service import run_worker
 
     done = run_worker(args.url, worker_id=args.worker,
-                      batch=args.batch, kernel=args.kernel,
-                      threads=args.cstep_threads,
+                      batch=args.batch, threads=args.cstep_threads,
                       ttl=args.ttl, max_shards=args.max_shards or None,
                       progress=True)
     print(f"worker {args.worker}: committed {done} shard(s)")
@@ -461,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker", default="worker", metavar="ID",
                    help="worker identity reported in leases")
     p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="vectorised-engine lane count (as in campaign)")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                   help="step backend for the vectorised engine")
+                   help="batch-engine lane count (as in campaign)")
     p.add_argument("--cstep-threads", type=int, default=None, metavar="N",
                    dest="cstep_threads",
                    help="compiled-kernel drive-loop threads (as in campaign)")

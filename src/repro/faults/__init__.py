@@ -20,11 +20,7 @@ from .golden import (
 )
 from .injector import InjectionEngine, PruneStats
 from .kernels import (
-    KERNEL_BREAKEVEN_LANES,
-    KERNEL_CHOICES,
-    KERNEL_ENV,
     THREADS_ENV,
-    breakeven_lanes,
     cext_available,
     cext_build_error,
     resolve_kernel,
@@ -34,6 +30,7 @@ from .parallel import (
     EXECUTOR_CHOICES,
     Shard,
     plan_shards,
+    resolve_batch,
     resolve_chunk,
     resolve_executor,
     resolve_workers,
@@ -61,11 +58,10 @@ __all__ = [
     "CAMPAIGN_MEM_WORDS", "GOLDEN_CACHE_ENV", "GoldenTrace", "LoggingMemory",
     "golden_cache_dir",
     "InjectionEngine", "PruneStats",
-    "KERNEL_BREAKEVEN_LANES", "KERNEL_CHOICES", "KERNEL_ENV", "THREADS_ENV",
-    "breakeven_lanes", "cext_available", "cext_build_error",
+    "THREADS_ENV", "cext_available", "cext_build_error",
     "resolve_kernel", "resolve_threads",
-    "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_chunk",
-    "resolve_executor", "resolve_workers",
+    "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_batch",
+    "resolve_chunk", "resolve_executor", "resolve_workers",
     "sampling_rng", "schedule_rng",
     "ErrorRecord", "ErrorType", "Fault", "FaultKind", "error_type_of",
     "Spread", "diverged_set_size_ratio", "manifestation_rates",

@@ -16,9 +16,10 @@ Two ways the extension can be present:
 
 Both paths are best-effort: any failure (no compiler, sandboxed
 filesystem, exotic platform) leaves :data:`MODULE` as ``None`` and
-:data:`BUILD_ERROR` holding the reason, and the engine falls back to
-the numpy kernel.  Set ``REPRO_CSTEP_BUILD=0`` to skip the auto-build
-(used by the CI fallback leg to prove the pure-Python path).
+:data:`BUILD_ERROR` holding the reason, and the campaign drivers fall
+back to the scalar injection engine (same records, scalar speed).
+Set ``REPRO_CSTEP_BUILD=0`` to skip the auto-build (used by the CI
+fallback leg to prove the pure-Python path).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ except ImportError:  # pragma: no cover - non-POSIX: fall back to racing
 
 #: The loaded extension module, or None when unavailable.
 MODULE = None
-#: Human-readable reason MODULE is None (for `--kernel cext` errors).
+#: Human-readable reason MODULE is None (shown when the batch engine
+#: cannot start).
 BUILD_ERROR: str | None = None
 
 _SOURCE = Path(__file__).with_name("_cstepmodule.c")

@@ -206,7 +206,6 @@ def run_campaign(config: CampaignConfig | None = None,
                  progress: bool = False, workers: int | None = 1,
                  chunk_flops: int | None = None,
                  batch: int | None = None,
-                 kernel: str | None = None,
                  executor: str | None = None,
                  threads: int | None = None) -> CampaignResult:
     """Execute a campaign and return its result.
@@ -219,16 +218,13 @@ def run_campaign(config: CampaignConfig | None = None,
             core.  Results are bit-identical for any value (see
             :mod:`repro.faults.parallel`).
         chunk_flops: flops per shard (default: auto, ~4 shards per
-            worker per benchmark).  Affects only scheduling granularity,
-            never results.
-        batch: lane count for the vectorised injection engine
+            worker per benchmark, or one with the batch engine).
+            Affects only scheduling granularity, never results.
+        batch: lane count for the batch injection engine
             (:mod:`repro.faults.batch`); ``None``/``0`` runs the scalar
-            engine.  Like ``workers``, an execution knob only — records
-            and pruning stats are bit-identical for any value.
-        kernel: step backend for the vectorised engine — ``"cext"``,
-            ``"numpy"`` or ``"auto"``/``None`` (compiled when
-            available; see :mod:`repro.faults.kernels`).  Also purely
-            an execution knob.
+            engine, and so does any value when the compiled kernel
+            cannot load.  Like ``workers``, an execution knob only —
+            records and pruning stats are bit-identical for any value.
         executor: shard fan-out backend — ``"process"`` (default) or
             ``"thread"`` (in-process workers sharing one golden cache;
             effective with the GIL-releasing compiled kernel).  Also
@@ -242,8 +238,7 @@ def run_campaign(config: CampaignConfig | None = None,
     config = config or CampaignConfig.default()
     return execute_campaign(config, progress=progress, workers=workers,
                             chunk_flops=chunk_flops, batch=batch,
-                            kernel=kernel, executor=executor,
-                            threads=threads)
+                            executor=executor, threads=threads)
 
 
 def _load_cached(path: Path, config: CampaignConfig) -> CampaignResult | None:
@@ -273,17 +268,16 @@ def cached_campaign(config: CampaignConfig | None = None,
                     progress: bool = False,
                     workers: int | None = 1,
                     batch: int | None = None,
-                    kernel: str | None = None,
                     executor: str | None = None,
                     threads: int | None = None) -> CampaignResult:
     """Run a campaign, or load it from the on-disk cache if present.
 
     All benchmark-harness figures share one campaign run through this
     cache, keyed by the configuration hash.  The key is independent of
-    ``workers``, ``batch``, ``kernel``, ``executor`` and ``threads`` —
-    a result computed with any worker count, engine (scalar /
-    vectorised), step backend, shard executor or thread count is
-    identical, so it is shared by all of them.
+    ``workers``, ``batch``, ``executor`` and ``threads`` — a result
+    computed with any worker count, engine (scalar / batch), shard
+    executor or thread count is identical, so it is shared by all of
+    them.
     """
     config = config or CampaignConfig.default()
     path = Path(cache_dir) / f"campaign_{config.cache_key()}.pkl"
@@ -292,7 +286,6 @@ def cached_campaign(config: CampaignConfig | None = None,
         if result is not None:
             return result
     result = run_campaign(config, progress=progress, workers=workers,
-                          batch=batch, kernel=kernel, executor=executor,
-                          threads=threads)
+                          batch=batch, executor=executor, threads=threads)
     result.save(path)
     return result

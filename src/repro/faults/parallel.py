@@ -51,6 +51,7 @@ from ..workloads.kernels import KERNELS
 from .arch import TieredGolden
 from .golden import GoldenTrace
 from .injector import InjectionEngine
+from .kernels import cext_available, resolve_threads
 from .models import ErrorRecord
 
 #: spawn_key stream tags (first element of every derived key); minted
@@ -84,7 +85,7 @@ def resolve_workers(workers: int | None) -> int:
 
 #: Shard executor backends.  ``process`` (the default) fans shards out
 #: to a ``ProcessPoolExecutor`` — fully general, required for the
-#: GIL-bound pure-Python kernels.  ``thread`` runs shard workers as
+#: GIL-bound scalar engine.  ``thread`` runs shard workers as
 #: threads in this process: with the compiled kernel's ``drive()``
 #: releasing the GIL, shard runners genuinely overlap while sharing
 #: one golden cache and one import of everything — no process spawn,
@@ -118,16 +119,43 @@ class Shard:
         return (self.bench_idx, self.flop_base)
 
 
-def resolve_chunk(n_flops: int, workers: int, chunk_flops: int | None) -> int:
+def resolve_chunk(n_flops: int, workers: int, chunk_flops: int | None,
+                  batch: int | None = None) -> int:
     """The planned flops-per-shard chunk size.
 
-    The default aims at ~4 chunks per worker per benchmark for load
-    balancing; because schedules are keyed per (benchmark, flop), the
-    chunking never affects results, only wall-clock.
+    The scalar default aims at ~4 chunks per worker per benchmark for
+    load balancing.  The batch engine (``batch`` as
+    :func:`resolve_batch` returns it) amortizes each kernel call over
+    lane occupancy, so it wants the deepest fault pool it can get: one
+    shard per worker.  Because schedules are keyed per (benchmark,
+    flop), the chunking never affects results, only wall-clock.
     """
     if chunk_flops is None:
-        chunk_flops = max(1, -(-n_flops // max(1, 4 * workers)))
+        per_worker = 1 if batch else 4
+        chunk_flops = max(1, -(-n_flops // max(1, per_worker * workers)))
     return max(1, int(chunk_flops))
+
+
+def resolve_batch(batch: int | None,
+                  threads: int | None = None) -> tuple[int | None, int | None]:
+    """Decide once whether a run uses the batch engine.
+
+    The batch engine runs when ``batch`` is non-zero and the compiled
+    kernel loaded; this then returns its lane count and drive-loop
+    thread count.  Otherwise the scalar engine runs and both are None.
+    Every driver calls this once, so the shard plan, the engine each
+    shard runs and the result meta all follow the same decision.
+    """
+    if not batch or not cext_available():
+        return None, None
+    batch = max(1, int(batch))
+    return batch, resolve_threads(threads, lanes=batch)
+
+
+def engine_meta(batch: int | None, threads: int | None) -> dict:
+    """The ``batch``/``kernel``/``threads`` meta of a resolved run."""
+    return {"batch": batch, "kernel": "cext" if batch else None,
+            "threads": threads}
 
 
 def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
@@ -186,7 +214,6 @@ def _tiered_for(benchmark: str, seed: int) -> TieredGolden:
 
 
 def run_shard(config, shard: Shard, batch: int | None = None,
-              kernel: str | None = None,
               threads: int | None = None) -> tuple[
         list[ErrorRecord], dict[tuple[str, str], int], int, dict[str, int]]:
     """Execute one shard.
@@ -198,13 +225,11 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     performance matter) — outcomes, and therefore the merged record
     list, are identical for any sharding.
 
-    ``batch`` selects the vectorised engine with that many lanes (see
-    :mod:`repro.faults.batch`); None/0 runs the scalar engine.
-    ``kernel`` picks the batch engine's step backend (see
-    :mod:`repro.faults.kernels`); records and pruning stats are
-    bit-identical for any engine/kernel.  ``threads`` sets the
-    compiled kernel's drive-loop thread count (wall-clock only, same
-    contract).  The batch path goes through
+    ``batch`` and ``threads`` are the lane and drive-loop thread counts
+    :func:`resolve_batch` decided on: a lane count runs the batch
+    engine (see :mod:`repro.faults.batch`), None runs the scalar
+    engine.  Records and pruning stats are bit-identical for either.
+    The batch path goes through
     :class:`~repro.faults.arch.TieredGolden`: scheduling uses the
     cheap ``n_cycles`` peek and the flop-accurate trace is loaded —
     architecturally cross-checked — only when the shard has faults to
@@ -231,8 +256,7 @@ def run_shard(config, shard: Shard, batch: int | None = None,
         engine = BatchInjectionEngine(
             tiered.full, max_observe=config.max_observe,
             mask_check_stride=config.mask_check_stride,
-            prune=config.prune, batch=batch, kernel=kernel,
-            threads=threads)
+            prune=config.prune, batch=batch, threads=threads)
         outcomes = engine.inject_all(faults)
         records = [r for r in outcomes if r is not None]
         return records, injected, n_cycles, engine.stats.as_dict()
@@ -259,39 +283,31 @@ def run_shard(config, shard: Shard, batch: int | None = None,
 def execute_campaign(config, progress: bool = False, workers: int | None = 1,
                      chunk_flops: int | None = None,
                      batch: int | None = None,
-                     kernel: str | None = None,
                      executor: str | None = None,
                      threads: int | None = None):
     """Run a campaign across ``workers`` shard runners; merge deterministically.
 
     This is the engine behind :func:`repro.faults.run_campaign`; see
-    that wrapper for the public contract.  ``batch``, ``kernel``,
-    ``executor`` and ``threads`` (like ``workers`` and
-    ``chunk_flops``) are execution knobs, not part of the
-    configuration: they select the vectorised engine, its step
-    backend, the shard fan-out (``process`` pool vs in-process
-    ``thread`` pool — the latter shares one golden cache and relies on
-    the compiled kernel releasing the GIL) and the drive-loop thread
-    count, without entering the cache key, because results are
-    bit-identical for any value.
+    that wrapper for the public contract.  ``batch``, ``executor`` and
+    ``threads`` (like ``workers`` and ``chunk_flops``) are execution
+    knobs, not part of the configuration: they select the batch engine,
+    the shard fan-out (``process`` pool vs in-process ``thread`` pool —
+    the latter shares one golden cache and relies on the compiled
+    kernel releasing the GIL) and the drive-loop thread count, without
+    entering the cache key, because results are bit-identical for any
+    value.
     """
     from .campaign import CampaignResult, sample_flops
-    from .kernels import resolve_kernel
 
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
+    batch, threads = resolve_batch(batch, threads)
     flops = sample_flops(config, sampling_rng(config.seed))
     sampled: dict[str, int] = {}
     for flop in flops:
         sampled[flop.unit] = sampled.get(flop.unit, 0) + 1
 
-    if batch is not None and chunk_flops is None:
-        # The vectorised engine amortizes its per-call dispatch cost
-        # over lane occupancy, so it wants the deepest fault pool it
-        # can get: one shard per worker instead of the scalar default
-        # of four (which trades pool depth for load balancing).
-        chunk_flops = max(1, -(-len(flops) // workers))
-    chunk = resolve_chunk(len(flops), workers, chunk_flops)
+    chunk = resolve_chunk(len(flops), workers, chunk_flops, batch)
     shards = plan_shards(config.benchmarks, flops, workers, chunk)
     start = time.perf_counter()
     outcomes: dict[tuple[int, int], tuple] = {}
@@ -306,26 +322,20 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
         for key, count in outcome[3].items():
             pruning[key] = pruning.get(key, 0) + count
 
-    # Resolve the kernel once on the controller: an explicit "cext"
-    # request fails fast here (with the build error) instead of inside
-    # N pool workers, and the resolved name lands in result meta.
-    resolved_kernel = resolve_kernel(kernel) if batch else None
-
     if workers == 1 or len(shards) == 1:
         for i, shard in enumerate(shards):
-            outcome = run_shard(config, shard, batch, resolved_kernel,
-                                threads)
+            outcome = run_shard(config, shard, batch, threads)
             outcomes[shard.order_key] = outcome
             _absorb(outcome)
             if progress:
-                _print_progress(i + 1, len(shards), error_count, start,
+                print_progress(i + 1, len(shards), error_count, start,
                                 pruning)
     else:
         pool_cls = (ThreadPoolExecutor if executor == "thread"
                     else ProcessPoolExecutor)
         with pool_cls(max_workers=workers) as pool:
             pending = {pool.submit(run_shard, config, shard, batch,
-                                   resolved_kernel, threads): shard
+                                   threads): shard
                        for shard in shards}
             done_count = 0
             while pending:
@@ -337,7 +347,7 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
                     _absorb(outcome)
                     done_count += 1
                     if progress:
-                        _print_progress(done_count, len(shards), error_count,
+                        print_progress(done_count, len(shards), error_count,
                                         start, pruning)
 
     records: list[ErrorRecord] = []
@@ -358,13 +368,12 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
         sampled_flops=sampled,
         wall_seconds=time.perf_counter() - start,
         meta={"workers": workers, "n_shards": len(shards),
-              "chunk_flops": chunk, "batch": batch,
-              "kernel": resolved_kernel, "executor": executor,
-              "threads": threads, "pruning": pruning},
+              "chunk_flops": chunk, **engine_meta(batch, threads),
+              "executor": executor, "pruning": pruning},
     )
 
 
-def _print_progress(done: int, n_shards: int, errors: int, start: float,
+def print_progress(done: int, n_shards: int, errors: int, start: float,
                     pruning: dict[str, int] | None = None) -> None:
     elapsed = time.perf_counter() - start
     extra = ""

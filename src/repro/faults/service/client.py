@@ -16,7 +16,7 @@ import json
 import time
 
 from ..campaign import CampaignConfig
-from ..parallel import run_shard
+from ..parallel import resolve_batch, run_shard
 from .wire import config_from_wire, outcome_to_wire, shard_from_wire
 
 
@@ -89,8 +89,7 @@ class ServiceClient:
 
 
 def run_worker(base_url: str, worker_id: str = "worker",
-               batch: int | None = None, kernel: str | None = None,
-               threads: int | None = None,
+               batch: int | None = None, threads: int | None = None,
                ttl: float | None = None, poll_seconds: float = 0.5,
                max_shards: int | None = None, progress: bool = False) -> int:
     """Lease-execute-commit loop against a campaign service.
@@ -99,11 +98,9 @@ def run_worker(base_url: str, worker_id: str = "worker",
     ``max_shards`` commits, for tests that stage partial progress).
     Returns the number of shards this worker committed.
     """
-    from ..kernels import resolve_kernel
-
     client = ServiceClient(base_url)
     config = client.config()
-    resolved_kernel = resolve_kernel(kernel) if batch else None
+    batch, threads = resolve_batch(batch, threads)
     done = 0
     while max_shards is None or done < max_shards:
         grant = client.lease(worker_id, ttl=ttl)
@@ -115,7 +112,7 @@ def run_worker(base_url: str, worker_id: str = "worker",
             time.sleep(poll_seconds)
             continue
         shard = shard_from_wire(grant["shard"])
-        outcome = run_shard(config, shard, batch, resolved_kernel, threads)
+        outcome = run_shard(config, shard, batch, threads)
         client.commit(grant["shard_id"], outcome)
         done += 1
         if progress:

@@ -98,8 +98,10 @@ class CampaignLedger:
             manifest's plan always wins).
         chunk_flops: flops per shard; fixed in the manifest at creation
             so every resume sees the identical shard plan.
-        batch: whether the plan targets the vectorised engine (deeper
-            default chunks, mirroring ``execute_campaign``).
+        batch: the batch engine's lane count as
+            :func:`~repro.faults.parallel.resolve_batch` decided it (None
+            for the scalar engine); the batch engine gets deeper default
+            chunks, as in ``execute_campaign``.
         clock: monotonic time source, injectable for lease-expiry tests.
     """
 
@@ -117,11 +119,8 @@ class CampaignLedger:
             manifest = self._load_manifest(manifest_path, len(flops))
             chunk = int(manifest["chunk_flops"])
         else:
-            if batch is not None and chunk_flops is None:
-                # Mirror execute_campaign's batch default: one deep
-                # shard per worker keeps the vectorised lanes full.
-                chunk_flops = max(1, -(-len(flops) // max(1, workers)))
-            chunk = resolve_chunk(len(flops), max(1, workers), chunk_flops)
+            chunk = resolve_chunk(len(flops), max(1, workers), chunk_flops,
+                                  batch)
             manifest = {
                 "schema": LEDGER_SCHEMA,
                 "wire_schema": WIRE_SCHEMA,

@@ -2,8 +2,8 @@
 
 ``run_resumable_campaign`` is ``execute_campaign`` with a crash seam:
 every shard is leased from the :class:`~.ledger.CampaignLedger`,
-executed through the ordinary ``run_shard`` path (scalar, batch or
-compiled kernel — all the same engines), and committed atomically.
+executed through the ordinary ``run_shard`` path (scalar or batch
+engine — the same engines), and committed atomically.
 Kill the process at *any* point — between shards, mid-shard, even
 mid-commit — and a later call with the same config resumes from the
 committed set and finishes with a :meth:`CampaignResult.digest` that
@@ -21,7 +21,8 @@ from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
 
 from ..campaign import CampaignConfig, CampaignResult
-from ..parallel import resolve_executor, resolve_workers, run_shard
+from ..parallel import (print_progress, engine_meta, resolve_batch,
+                        resolve_executor, resolve_workers, run_shard)
 from .ledger import DEFAULT_LEASE_TTL, CampaignLedger
 from .store import IncrementalResultStore, streaming_digest
 
@@ -69,7 +70,6 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
                            workers: int | None = 1,
                            chunk_flops: int | None = None,
                            batch: int | None = None,
-                           kernel: str | None = None,
                            executor: str | None = None,
                            threads: int | None = None,
                            lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -81,7 +81,7 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
             :meth:`CampaignConfig.default`).
         ledger_dir: root directory for per-campaign ledgers; the same
             directory + config always resumes the same ledger.
-        workers / chunk_flops / batch / kernel / executor / threads:
+        workers / chunk_flops / batch / executor / threads:
             execution knobs exactly as in
             :func:`repro.faults.run_campaign` — none of them affects
             results, and none is pinned by the ledger except the shard
@@ -95,15 +95,13 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
     Returns the merged result, with ``meta["resumed_shards"]`` counting
     how many shards a previous (killed) run had already committed.
     """
-    from ..kernels import resolve_kernel
-
     config = config or CampaignConfig.default()
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
+    batch, threads = resolve_batch(batch, threads)
     ledger = CampaignLedger(ledger_dir, config, workers=workers,
                             chunk_flops=chunk_flops, batch=batch)
     resumed = ledger.n_committed
-    resolved_kernel = resolve_kernel(kernel) if batch else None
     start = time.perf_counter()
     store = hydrate_store(ledger)
 
@@ -111,7 +109,8 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
         ledger.commit(shard_id, outcome)
         store.add(shard_id, ledger.shards[shard_id].benchmark, outcome)
         if progress:
-            _print_progress(ledger, store, start)
+            print_progress(ledger.n_committed, ledger.n_shards,
+                            store.n_errors, start, store.pruning)
         if on_commit is not None:
             on_commit(shard_id, ledger.n_committed)
 
@@ -120,8 +119,7 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
             grant = ledger.lease("local", ttl=lease_ttl)
             if grant is None:
                 break
-            outcome = run_shard(config, grant.shard, batch, resolved_kernel,
-                                threads)
+            outcome = run_shard(config, grant.shard, batch, threads)
             _commit(grant.shard_id, outcome)
     else:
         pool_cls = (ThreadPoolExecutor if executor == "thread"
@@ -134,7 +132,7 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
                     if grant is None:
                         return
                     future = pool.submit(run_shard, config, grant.shard,
-                                         batch, resolved_kernel, threads)
+                                         batch, threads)
                     pending[future] = grant
             _refill()
             while pending:
@@ -155,16 +153,8 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
         wall_seconds=time.perf_counter() - start,
         meta={"workers": workers, "n_shards": ledger.n_shards,
               "chunk_flops": int(ledger.manifest["chunk_flops"]),
-              "batch": batch, "kernel": resolved_kernel,
-              "executor": executor, "threads": threads,
+              **engine_meta(batch, threads), "executor": executor,
               "resumed_shards": resumed,
               "ledger": str(ledger.path)},
     )
 
-
-def _print_progress(ledger: CampaignLedger, store: IncrementalResultStore,
-                    start: float) -> None:
-    state = ledger.progress()
-    print(f"[ledger] shard {state['committed']}/{state['n_shards']} "
-          f"errors={store.n_errors} "
-          f"t={time.perf_counter() - start:.0f}s", flush=True)

@@ -1,33 +1,37 @@
-"""Kernel backend registry and compiled-kernel parity.
+"""The compiled batch kernel: resolution, per-cycle semantics, parity.
 
-Two layers of guarantee around the C extension:
+Three layers of guarantee around the C extension:
 
-* **registry semantics** — ``auto`` silently downgrades, explicit
-  ``cext`` fails loudly, ``REPRO_KERNEL`` steers defaults, and every
-  backend produces byte-identical campaign results;
-* **per-cycle state parity** — stronger than digest equality: a mirror
-  engine steps the numpy and C kernels side by side on real fault
-  workloads and holds the *entire* SoA state and memory matrices equal
-  after every cycle, so a kernel bug cannot hide behind digest
-  collisions or late masking.
+* **resolution** — ``resolve_kernel()`` names the engine a batch
+  request runs on, and the batch engine refuses to start without the
+  kernel (the campaign drivers fall back to the scalar engine instead,
+  see tests/test_parallel.py);
+* **per-cycle semantics** — the kernel's ``step`` is pinned to the
+  specification, ``Cpu.step``: after every kernel step each lane's
+  state and memory must equal a ``Cpu`` restored from that lane's
+  pre-step column and stepped once.  This runs on real workload faults
+  and on generated programs that arm traps, MPU regions, watchpoints,
+  IRQs and store-buffer bursts;
+* **engine parity** — the fused ``drive`` loop reproduces the scalar
+  engine's records and PruneStats for any batch and thread count.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu import Cpu, InputStream, Memory, assemble
+from repro.cpu.units import REG_INDEX, REGISTRY
 from repro.faults import (
     BatchInjectionEngine,
     CampaignConfig,
     InjectionEngine,
-    KERNEL_BREAKEVEN_LANES,
-    KERNEL_CHOICES,
-    breakeven_lanes,
     cext_available,
     resolve_kernel,
     resolve_threads,
@@ -36,8 +40,11 @@ from repro.faults import (
     schedule_faults,
 )
 from repro.faults import _cstep, kernels
-from repro.faults.batch import _cext_tables
+from repro.faults.batch import N_REGS, N_ROWS, ZERO_ROW, _cext_tables
 from repro.faults.parallel import sampling_rng, schedule_rng
+from repro.verify.diff import DEFAULT_MAX_CYCLES
+from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
+                                 program_strategy)
 
 QUICK = CampaignConfig.quick()
 
@@ -45,80 +52,58 @@ needs_cext = pytest.mark.skipif(
     not cext_available(),
     reason=f"compiled kernel unavailable: {kernels.cext_build_error()}")
 
+_HALTED = REG_INDEX["halted"]
 
-# -- registry ----------------------------------------------------------------
 
-def test_kernel_choices_stable():
-    assert KERNEL_CHOICES == ("auto", "cext", "numpy")
-
+# -- resolution --------------------------------------------------------------
 
 def test_resolve_auto_picks_a_backend():
-    assert resolve_kernel("auto") == (
-        "cext" if cext_available() else "numpy")
-    assert resolve_kernel(None) == resolve_kernel("auto")
+    assert resolve_kernel() == ("cext" if cext_available() else "scalar")
 
 
-def test_resolve_numpy_always_works():
-    assert resolve_kernel("numpy") == "numpy"
-
-
-def test_resolve_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown kernel"):
-        resolve_kernel("fortran")
-
-
-def test_env_var_steers_default(monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-    assert resolve_kernel(None) == "numpy"
-    # An explicit argument wins over the environment.
-    assert resolve_kernel("auto") == (
-        "cext" if cext_available() else "numpy")
-
-
-def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch):
+def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch,
+                                                     ttsprk_golden):
+    """Drivers downgrade silently; the batch engine itself, the one
+    explicit request for the kernel, fails with the build error."""
     monkeypatch.setattr(_cstep, "MODULE", None)
     monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
-    assert resolve_kernel("auto") == "numpy"  # silent downgrade
+    assert resolve_kernel() == "scalar"
     with pytest.raises(RuntimeError, match="no compiler on this host"):
-        resolve_kernel("cext")
+        BatchInjectionEngine(ttsprk_golden)
 
 
-def test_engine_records_resolved_kernel(ttsprk_golden):
-    engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy")
-    assert engine.kernel == "numpy"
-    assert engine._cext is None
-    auto = BatchInjectionEngine(ttsprk_golden)
-    assert auto.kernel == ("cext" if cext_available() else "numpy")
+# -- per-cycle semantics: the kernel against Cpu.step -------------------------
 
+def _kernel_step_matches_cpu(S, M, stim, n, cpu) -> int:
+    """One kernel step of lanes ``0..n-1``, each checked against ``cpu``.
 
-# -- per-cycle SoA parity (stronger than digest) ------------------------------
-
-class _MirrorEngine(BatchInjectionEngine):
-    """numpy-kernel engine that replays every step through the C kernel.
-
-    After each vectorized ``_step`` the C ``step`` runs on a snapshot
-    of the pre-step state; the two resulting (state, memory) matrices
-    must agree in every lane, every row, every cycle.
+    ``cpu`` is restored from the lane's pre-step column and memory and
+    stepped once with ``Cpu.step()``.  Halted lanes are outside the
+    kernel's contract and are not checked: ``Cpu.step`` freezes a
+    halted core, while ``drive()`` has no run mask and never needs one
+    (a lane that halts diverges from the golden ports, which never
+    show ``halted``, and is retired before it would be stepped).
+    Returns the number of lanes checked.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, kernel="numpy", **kwargs)
-        self._mod = kernels.cext_module()
-        self._ctables = _cext_tables()
-        self.steps_checked = 0
-
-    def _step(self, n: int) -> None:
-        S2 = self.S.copy()
-        M2 = self.M.copy()
-        super()._step(n)
-        self._mod.step(S2, M2, self._stim, self._ctables, n)
-        np.testing.assert_array_equal(
-            S2[:, :n], self.S[:, :n],
-            err_msg=f"C step diverged from numpy step ({n} lanes)")
-        np.testing.assert_array_equal(
-            M2[:n], self.M[:n],
-            err_msg=f"C step diverged from numpy step memory ({n} lanes)")
-        self.steps_checked += 1
+    pre_state = S[:N_REGS, :n].T.tolist()
+    pre_mem = M[:n].tolist()
+    kernels.cext_module().step(S, M, stim, _cext_tables(), n)
+    checked = 0
+    for i in range(n):
+        if pre_state[i][_HALTED]:
+            continue
+        cpu.restore(pre_state[i])
+        cpu.mem.words[:] = pre_mem[i]
+        cpu.step()
+        got, want = S[:N_REGS, i].tolist(), cpu.snapshot()
+        assert got == list(want), (
+            f"lane {i}: kernel differs from Cpu.step in "
+            f"{[spec.name for spec, a, b in zip(REGISTRY, got, want) if a != b]}")
+        assert S[ZERO_ROW, i] == 0, f"lane {i}: zero row written"
+        assert M[i].tolist() == cpu.mem.words, (
+            f"lane {i}: kernel memory differs from Cpu.step")
+        checked += 1
+    return checked
 
 
 def _shard_faults(golden, flop_idxs, cfg):
@@ -134,19 +119,123 @@ def _shard_faults(golden, flop_idxs, cfg):
 @needs_cext
 @pytest.mark.parametrize("trial,batch", ((0, 8), (1, 32)))
 def test_per_cycle_state_parity(ttsprk_golden, trial, batch):
-    """Full SoA matrix equality between kernels, every cycle, on a
-    random shard of real faults (tail_lanes=0: no scalar drain)."""
+    """Lanes seeded from a random shard of real faults, forces applied
+    every cycle as ``drive()`` applies them, equal ``Cpu.step`` after
+    every kernel step for 256 cycles."""
     cfg = QUICK
     n_flops = len(sample_flops(cfg, sampling_rng(cfg.seed)))
     rnd = random.Random(5150 + trial)
-    idxs = sorted(rnd.sample(range(n_flops), k=min(8, n_flops)))
+    idxs = sorted(rnd.sample(range(n_flops), k=min(24, n_flops)))
     faults = _shard_faults(ttsprk_golden, idxs, cfg)
-    assert faults
-    engine = _MirrorEngine(ttsprk_golden, max_observe=cfg.max_observe,
-                           mask_check_stride=cfg.mask_check_stride,
-                           batch=batch, tail_lanes=0)
-    engine.inject_all(faults)
-    assert engine.steps_checked > 0  # the mirror actually ran
+    engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
+                                  mask_check_stride=cfg.mask_check_stride,
+                                  batch=batch)
+    engine._outcomes = [None] * len(faults)
+    engine._seed_many(deque(engine._triage(faults)))
+    n = engine._n
+    assert n > 0
+    lanes = np.arange(n)
+    rows = engine.force_row[:n]
+    cpu = Cpu(Memory(ttsprk_golden.mem_words), ttsprk_golden.stimulus)
+    checked = 0
+    for _ in range(256):
+        S = engine.S
+        S[rows, lanes] = (S[rows, lanes] & engine.force_and[:n]) \
+            | engine.force_or[:n]
+        checked += _kernel_step_matches_cpu(S, engine.M, engine._stim, n, cpu)
+    assert checked > 0
+
+
+@needs_cext
+@settings(max_examples=40, deadline=None)
+@given(prog=program_strategy(),
+       lane_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_step_matches_cpu_step_on_generated_programs(prog, lane_seed):
+    """Property: on ``verify.progen`` programs, which arm traps, MPU
+    regions, watchpoints, IRQs and store-buffer bursts, the kernel
+    equals ``Cpu.step`` for up to 64 cycles from a random pre-halt
+    cycle, with a random flop bit flipped in half the lanes."""
+    program = assemble(prog.source())
+    stimulus = InputStream(prog.stimulus)
+
+    def boot() -> Cpu:
+        return Cpu(Memory.from_program(program, size_words=FUZZ_MEM_WORDS),
+                   stimulus, entry=program.entry)
+
+    n_cycles = boot().run(DEFAULT_MAX_CYCLES)
+    rnd = random.Random(lane_seed)
+    lanes = 8
+    starts = sorted(rnd.randrange(n_cycles) for _ in range(lanes))
+    S = np.zeros((N_ROWS, lanes), dtype=np.uint32)
+    M = np.zeros((lanes, FUZZ_MEM_WORDS), dtype=np.uint32)
+    golden = boot()
+    t = 0
+    for i, start in enumerate(starts):
+        for _ in range(start - t):
+            golden.step()
+        t = start
+        S[:N_REGS, i] = golden.snapshot()
+        M[i] = golden.mem.words
+        if i % 2:
+            spec = rnd.choice(REGISTRY)
+            S[REG_INDEX[spec.name], i] ^= 1 << rnd.randrange(spec.width)
+    stim = np.array(stimulus.values, dtype=np.uint32)
+    oracle = boot()
+    for _ in range(64):
+        if not _kernel_step_matches_cpu(S, M, stim, lanes, oracle):
+            break
+
+
+#: Directed corners the generated programs do not reach: a load from
+#: the other word of a pending store's 8-byte block (no drain) next to
+#: same-word drains, and stores exactly at and just below an MPU limit.
+_CORNER_PROGRAMS = {
+    "sb_neighbour_word": """
+    addi r14, r0, 4096
+    addi r1, r0, 7
+    st   r1, 0(r14)
+    ld   r2, 4(r14)
+    stb  r1, 5(r14)
+    ldb  r3, 4(r14)
+    st   r2, 8(r14)
+    ld   r3, 8(r14)
+    stb  r3, 13(r14)
+    ld   r4, 12(r14)
+""",
+    "mpu_limit": """
+    addi r14, r0, 4096
+    addi r1, r0, 4096
+    csrw r1, 14
+    addi r1, r0, 4112
+    csrw r1, 18
+    addi r1, r0, 3
+    csrw r1, 22
+    st   r1, 16(r14)
+    ld   r2, 16(r14)
+    st   r1, 12(r14)
+""",
+}
+
+
+@needs_cext
+@pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
+def test_step_matches_cpu_step_on_corner_programs(name):
+    """Every cycle of a directed program, one lane per cycle, equals
+    ``Cpu.step`` after one kernel step."""
+    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
+    program = assemble(source)
+    cpu = Cpu(Memory.from_program(program, size_words=FUZZ_MEM_WORDS),
+              InputStream([0]), entry=program.entry)
+    states, memories = [], []
+    while not cpu.halted:
+        states.append(cpu.snapshot())
+        memories.append(list(cpu.mem.words))
+        cpu.step()
+    S = np.zeros((N_ROWS, len(states)), dtype=np.uint32)
+    S[:N_REGS] = np.array(states, dtype=np.uint32).T
+    M = np.array(memories, dtype=np.uint32)
+    assert _kernel_step_matches_cpu(S, M, np.zeros(1, dtype=np.uint32),
+                                    len(states), cpu) == len(states)
 
 
 # -- engine-level parity through the fused drive loop ------------------------
@@ -158,7 +247,7 @@ def _assert_cext_parity(golden, faults, cfg, prune=True, **batch_kwargs):
     expected = [scalar.inject(f) for f in faults]
     engine = BatchInjectionEngine(golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  prune=prune, kernel="cext", **batch_kwargs)
+                                  prune=prune, **batch_kwargs)
     assert engine.inject_all(faults) == expected
     assert engine.stats.as_dict() == scalar.stats.as_dict()
 
@@ -177,15 +266,6 @@ def test_cext_random_shard_parity(ttsprk_golden, trial, batch):
 
 
 @needs_cext
-def test_cext_with_scalar_drain_parity(ttsprk_golden):
-    """A nonzero tail_lanes hands stragglers to the scalar drain even
-    under the C kernel; the handoff must stay digest-neutral."""
-    cfg = QUICK
-    faults = _shard_faults(ttsprk_golden, range(10), cfg)
-    _assert_cext_parity(ttsprk_golden, faults, cfg, batch=16, tail_lanes=8)
-
-
-@needs_cext
 def test_cext_unpruned_parity(ttsprk_golden):
     cfg = QUICK
     faults = _shard_faults(ttsprk_golden, range(6), cfg)
@@ -196,47 +276,16 @@ def test_cext_unpruned_parity(ttsprk_golden):
 
 @needs_cext
 def test_campaign_kernel_digest_parity(quick_campaign):
-    """digest() + pruning stats identical for both kernel backends."""
-    for kernel in ("cext", "numpy"):
-        result = run_campaign(QUICK, workers=1, batch=64, kernel=kernel)
-        assert result.digest() == quick_campaign.digest()
-        assert result.meta["pruning"] == quick_campaign.meta["pruning"]
-        assert result.meta["kernel"] == kernel
+    """digest() + pruning stats of the compiled kernel equal scalar."""
+    result = run_campaign(QUICK, workers=1, batch=64)
+    assert result.digest() == quick_campaign.digest()
+    assert result.meta["pruning"] == quick_campaign.meta["pruning"]
+    assert result.meta["kernel"] == "cext"
 
 
 def test_campaign_meta_kernel_none_for_scalar(quick_campaign):
     """The scalar engine has no step kernel; meta records that."""
     assert quick_campaign.meta.get("kernel") is None
-
-
-# -- per-kernel scalar-drain breakeven ----------------------------------------
-
-def test_breakeven_is_per_kernel():
-    """The numpy constant must not leak onto the cext path: the
-    compiled kernel's only fixed cost is one C call, so its breakeven
-    is a handful of lanes, not ~192."""
-    assert KERNEL_BREAKEVEN_LANES["numpy"] == 192
-    assert KERNEL_BREAKEVEN_LANES["cext"] <= 16
-    assert breakeven_lanes("numpy") == 192
-    assert breakeven_lanes("cext") == KERNEL_BREAKEVEN_LANES["cext"]
-    with pytest.raises(ValueError, match="unknown kernel"):
-        breakeven_lanes("auto")  # only concrete backends have one
-
-
-def test_engine_tail_lanes_kernel_aware(ttsprk_golden):
-    numpy_engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                        batch=256)
-    assert numpy_engine._tail_lanes == 192
-    # Narrow batches cap at the batch size (whole run drains scalar).
-    assert BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                batch=64)._tail_lanes == 64
-    if cext_available():
-        cext_engine = BatchInjectionEngine(ttsprk_golden, kernel="cext",
-                                           batch=256)
-        assert cext_engine._tail_lanes == breakeven_lanes("cext")
-    # An explicit tail_lanes always wins.
-    assert BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                tail_lanes=7)._tail_lanes == 7
 
 
 # -- drive-loop thread resolution ---------------------------------------------
@@ -263,12 +312,12 @@ def test_resolve_threads_autosize(monkeypatch):
     assert resolve_threads(None, lanes=8) == 1
 
 
+@needs_cext
 def test_engine_records_threads(ttsprk_golden, monkeypatch):
     monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
-    engine = BatchInjectionEngine(ttsprk_golden, kernel="numpy",
-                                  batch=64, threads=5)
+    engine = BatchInjectionEngine(ttsprk_golden, batch=64, threads=5)
     assert engine.threads == 5
-    auto = BatchInjectionEngine(ttsprk_golden, kernel="numpy", batch=32)
+    auto = BatchInjectionEngine(ttsprk_golden, batch=32)
     assert auto.threads >= 1
 
 
@@ -276,7 +325,7 @@ def test_engine_records_threads(ttsprk_golden, monkeypatch):
 
 @needs_cext
 @pytest.mark.parametrize("threads,batch", (
-    (1, 32),    # single-thread path: bit-identical to the PR 7 loop
+    (1, 32),    # single-thread path
     (4, 17),    # odd remainder: slices of 5/4/4/4 lanes
     (4, 3),     # threads > lanes: clamps to one slice per lane
     (8, 64),
@@ -299,8 +348,7 @@ def test_cext_pool_spawns_workers(ttsprk_golden):
     faults = _shard_faults(ttsprk_golden, range(6), cfg)
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  kernel="cext", batch=32, threads=3,
-                                  tail_lanes=0)
+                                  batch=32, threads=3)
     engine.inject_all(faults)
     assert kernels.cext_module().pool_size() >= 2
 
@@ -330,6 +378,6 @@ def test_any_threads_batch_reproduces_serial(ttsprk_golden, threads, batch):
     faults, records, stats = _serial_reference(ttsprk_golden, cfg)
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  kernel="cext", batch=batch, threads=threads)
+                                  batch=batch, threads=threads)
     assert engine.inject_all(faults) == records
     assert engine.stats.as_dict() == stats

@@ -6,12 +6,14 @@ import pytest
 
 from repro.faults import (
     EXECUTOR_CHOICES,
+    THREADS_ENV,
     CampaignConfig,
     CampaignResult,
     cached_campaign,
     cext_available,
     plan_shards,
     resolve_executor,
+    resolve_threads,
     resolve_workers,
     run_campaign,
     sample_flops,
@@ -19,6 +21,20 @@ from repro.faults import (
     schedule_faults,
     schedule_rng,
 )
+from repro.faults import _cstep
+from repro.faults.service import run_resumable_campaign
+
+#: A campaign small enough to run several times per test.
+SMALL = CampaignConfig(benchmarks=("ttsprk",), soft_per_flop=1,
+                       hard_per_flop=1, flop_fraction=0.02, max_observe=300)
+
+#: Meta keys that describe how a run executed, not what it found.
+PLAN_KEYS = ("workers", "n_shards", "chunk_flops", "batch", "kernel",
+             "threads", "executor")
+
+
+def _plan(result) -> dict:
+    return {key: result.meta[key] for key in PLAN_KEYS}
 
 
 class TestSeeding:
@@ -129,7 +145,7 @@ class TestDeterminism:
         the full fan-out still reproduces the serial digest."""
         threaded = run_campaign(CampaignConfig.quick(), workers=2,
                                 chunk_flops=3, executor="thread",
-                                batch=32, kernel="cext", threads=2)
+                                batch=32, threads=2)
         assert threaded.digest() == quick_campaign.digest()
         assert threaded.meta["pruning"] == quick_campaign.meta["pruning"]
 
@@ -140,6 +156,46 @@ class TestDeterminism:
                               chunk_flops=1000)
         assert result.meta["chunk_flops"] == 1000
         assert result.meta["n_shards"] == len(CampaignConfig.quick().benchmarks)
+
+
+class TestEngineResolution:
+    """Each driver decides once whether the batch engine runs; the shard
+    plan, the engine and the meta all follow that decision."""
+
+    @pytest.mark.parametrize("driver", ("execute", "ledger"))
+    def test_batch_zero_plans_like_scalar(self, tmp_path, driver):
+        def run(batch):
+            if driver == "execute":
+                return run_campaign(SMALL, workers=2, batch=batch,
+                                    executor="thread")
+            return run_resumable_campaign(
+                SMALL, ledger_dir=str(tmp_path / str(batch)), workers=2,
+                batch=batch, executor="thread")
+
+        zero, scalar = run(0), run(None)
+        assert _plan(zero) == _plan(scalar)
+        assert zero.meta["batch"] is zero.meta["kernel"] is None
+        assert zero.meta["threads"] is None
+        assert zero.records == scalar.records
+
+    def test_no_compiler_falls_back_to_scalar(self, monkeypatch):
+        scalar = run_campaign(SMALL)
+        monkeypatch.setattr(_cstep, "MODULE", None)
+        monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
+        fallback = run_campaign(SMALL, batch=64)
+        assert fallback.digest() == scalar.digest()
+        assert fallback.meta["pruning"] == scalar.meta["pruning"]
+        assert _plan(fallback) == _plan(scalar)
+        assert fallback.meta["kernel"] is None
+
+    @pytest.mark.skipif(not cext_available(),
+                        reason="compiled kernel unavailable")
+    def test_meta_records_threads_that_ran(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        result = run_campaign(SMALL, batch=64)
+        assert result.meta["kernel"] == "cext"
+        assert result.meta["batch"] == 64
+        assert result.meta["threads"] == resolve_threads(None, lanes=64)
 
 
 class TestCacheHardening:

@@ -115,12 +115,11 @@ def test_kill_mid_lease(tmp_path, reference, n_shards, monkeypatch, batch):
         real_run_shard = run_shard
         state = {"executed": 0}
 
-        def exploding_run_shard(config, shard, batch=None, kernel=None,
-                                threads=None):
+        def exploding_run_shard(config, shard, batch=None, threads=None):
             if state["executed"] == die_at:
                 raise Killed(f"killed mid-lease in shard {shard.flop_base}")
             state["executed"] += 1
-            return real_run_shard(config, shard, batch, kernel, threads)
+            return real_run_shard(config, shard, batch, threads)
 
         monkeypatch.setattr(runner_module, "run_shard", exploding_run_shard)
         with pytest.raises(Killed):
@@ -182,6 +181,18 @@ def test_uninterrupted_matches_monolithic_and_pruning(tmp_path, reference):
     assert ledgered.records == mono.records
     assert ledgered.meta["pruning"] == mono.meta["pruning"]
     assert ledgered.sampled_flops == mono.sampled_flops
+
+
+def test_drivers_print_the_same_final_progress_line(tmp_path, capsys):
+    """One progress printer: the monolithic and the ledger driver end on
+    the same line (errors, pruned, equiv, saved) apart from the time."""
+    config = CampaignConfig.quick()
+    execute_campaign(config, progress=True)
+    mono = capsys.readouterr().out.splitlines()[-1]
+    run_resumable_campaign(config, ledger_dir=str(tmp_path), progress=True)
+    ledgered = capsys.readouterr().out.splitlines()[-1]
+    assert " pruned=" in mono and " equiv=" in mono and " saved=" in mono
+    assert mono.rsplit(" t=", 1)[0] == ledgered.rsplit(" t=", 1)[0]
 
 
 def test_commit_durability_is_atomic(tmp_path):
