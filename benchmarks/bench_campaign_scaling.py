@@ -117,17 +117,18 @@ def test_pruning_speedup_report(report):
 
     workers=1 so the number is pure engine throughput, best-of-3 with
     the golden traces pre-warmed so neither side pays simulation or
-    cache-load cost.
+    cache-load cost.  The scalar engine (``batch=0``), as in every
+    earlier entry of the trajectory.
     """
     config = CampaignConfig.quick()
     config_off = dataclasses.replace(config, prune=False)
-    run_campaign(config, workers=1)  # warm the in-process golden cache
+    run_campaign(config, workers=1, batch=0)  # warm the golden cache
 
     def best_of(cfg, rounds=3):
         times, result = [], None
         for _ in range(rounds):
             start = time.perf_counter()
-            result = run_campaign(cfg, workers=1)
+            result = run_campaign(cfg, workers=1, batch=0)
             times.append(time.perf_counter() - start)
         return min(times), result
 
@@ -164,7 +165,8 @@ def test_pruning_speedup_report(report):
     }
     append_bench_entry("pruning", payload)
     report("campaign_pruning", "\n".join([
-        "Liveness pruning — quick campaign, workers=1 (best of 3)",
+        "Liveness pruning — quick campaign, scalar engine, workers=1 "
+        "(best of 3)",
         f"  unpruned  wall={t_off:6.3f}s  {n / t_off:8.0f} inj/s",
         f"  pruned    wall={t_on:6.3f}s  {n / t_on:8.0f} inj/s  "
         f"speedup={t_off / t_on:4.2f}x",
@@ -223,7 +225,7 @@ def test_batch_speedup_report(report):
         result = run_campaign(cfg, workers=1, **kwargs)
         return time.perf_counter() - start, result
 
-    t_scalar, scalar = timed(BATCH_SWEEP_CONFIG)
+    t_scalar, scalar = timed(BATCH_SWEEP_CONFIG, batch=0)
     n = scalar.n_injected
     rows = {}
     for size in BATCH_SIZES:
@@ -244,7 +246,7 @@ def test_batch_speedup_report(report):
     })
 
     run_campaign(BATCH_HEADLINE_CONFIG, workers=1, batch=2048)  # warm golden
-    t_hs, head_scalar = timed(BATCH_HEADLINE_CONFIG)
+    t_hs, head_scalar = timed(BATCH_HEADLINE_CONFIG, batch=0)
     hn = head_scalar.n_injected
     t_hc = float("inf")
     for _ in range(3):

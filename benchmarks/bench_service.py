@@ -51,7 +51,9 @@ LOOKUPS_PER_CLIENT = 25
 
 
 def test_service_overhead_and_lookup_latency(tmp_path, report):
-    run_campaign(SERVICE_CONFIG, workers=1)  # warm the golden cache
+    # Both campaigns run the scalar engine (batch=0), as in every
+    # earlier entry, so the ledger overhead compares like with like.
+    run_campaign(SERVICE_CONFIG, workers=1, batch=0)  # warm the golden cache
 
     def timed(fn, *args, **kwargs):
         start = time.perf_counter()
@@ -59,11 +61,11 @@ def test_service_overhead_and_lookup_latency(tmp_path, report):
         return time.perf_counter() - start, out
 
     t_mono, mono = timed(run_campaign, SERVICE_CONFIG, workers=1,
-                         chunk_flops=SERVICE_CHUNK)
+                         chunk_flops=SERVICE_CHUNK, batch=0)
     t_ledger, ledgered = timed(
         run_resumable_campaign, SERVICE_CONFIG,
         ledger_dir=tmp_path / "ledger", workers=1,
-        chunk_flops=SERVICE_CHUNK)
+        chunk_flops=SERVICE_CHUNK, batch=0)
     assert ledgered.digest() == mono.digest()  # durability is free of drift
     n = mono.n_injected
     n_shards = ledgered.meta["n_shards"]

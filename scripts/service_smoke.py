@@ -82,7 +82,9 @@ def wait_for_commits(client: ServiceClient, at_least: int) -> int:
 def main() -> int:
     config = CampaignConfig.quick()
     print(f"[smoke] serial reference for {SCALE} campaign...", flush=True)
-    reference = execute_campaign(config, workers=1)
+    # On the scalar engine (batch=0); the workers below run the default
+    # engine, which is the batch engine wherever the kernel builds.
+    reference = execute_campaign(config, workers=1, batch=0)
     print(f"[smoke] reference digest {reference.digest()[:16]}... "
           f"({reference.n_injected} injections)", flush=True)
 

@@ -41,7 +41,8 @@ from .analysis.reports import (
     render_table3,
     render_table4,
 )
-from .faults import EXECUTOR_CHOICES, CampaignConfig, cached_campaign
+from .faults import (DEFAULT_BATCH, EXECUTOR_CHOICES, CampaignConfig,
+                     cached_campaign)
 from .workloads import KERNELS, get_workload, run_kernel
 
 _SCALES = {
@@ -69,19 +70,20 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                             help="ledger root directory (with --resume)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for the injection campaign "
-                             "(0 = all cores); results are identical for "
-                             "any value")
+                             "(0 = every usable CPU); results are identical "
+                             "for any value")
     parser.add_argument("--no-prune", action="store_true",
                         help="disable liveness pruning (zero-sim masking, "
                              "deferred starts, dynamic equivalence); records "
                              "are bit-identical either way — this is an "
                              "escape hatch / benchmarking baseline")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="run the batch injection engine with N fault "
-                             "lanes per compiled-kernel call (e.g. 256; "
-                             "the scalar engine runs when the kernel "
-                             "cannot be built); records are bit-identical "
-                             "to the scalar engine for any value")
+                        help="fault lanes per compiled-kernel call of the "
+                             "batch injection engine (default: "
+                             f"{DEFAULT_BATCH}); 0 runs the scalar engine, "
+                             "which also runs when the kernel cannot be "
+                             "built; records are bit-identical for any "
+                             "value")
     parser.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None,
                         help="shard fan-out backend with --workers > 1: "
                              "'process' (default; pool of worker "
@@ -93,8 +95,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                         metavar="N", dest="cstep_threads",
                         help="threads for the compiled kernel's drive "
                              "loop (default: $REPRO_CSTEP_THREADS, else "
-                             "min(cores, lanes/16)); results are "
-                             "bit-identical for any value")
+                             "min(usable CPUs / workers, lanes/16)); "
+                             "results are bit-identical for any value")
 
 
 def _cli_config(args: argparse.Namespace) -> CampaignConfig:
@@ -452,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker", default="worker", metavar="ID",
                    help="worker identity reported in leases")
     p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help="batch-engine lane count (as in campaign)")
+                   help=f"batch-engine lane count (default: {DEFAULT_BATCH}; "
+                        "0 = scalar engine, as in campaign)")
     p.add_argument("--cstep-threads", type=int, default=None, metavar="N",
                    dest="cstep_threads",
                    help="compiled-kernel drive-loop threads (as in campaign)")

@@ -27,6 +27,7 @@ from .kernels import (
     resolve_threads,
 )
 from .parallel import (
+    DEFAULT_BATCH,
     EXECUTOR_CHOICES,
     Shard,
     plan_shards,
@@ -60,7 +61,7 @@ __all__ = [
     "InjectionEngine", "PruneStats",
     "THREADS_ENV", "cext_available", "cext_build_error",
     "resolve_kernel", "resolve_threads",
-    "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_batch",
+    "DEFAULT_BATCH", "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_batch",
     "resolve_chunk", "resolve_executor", "resolve_workers",
     "sampling_rng", "schedule_rng",
     "ErrorRecord", "ErrorType", "Fault", "FaultKind", "error_type_of",

@@ -61,7 +61,7 @@ from ..cpu.memory import InputStream, Memory
 from ..verify.refmodel import RefModel
 from ..workloads.kernels import DEFAULT_SEED, Workload
 from .campaign import CAMPAIGN_SCHEMA_VERSION
-from .golden import CAMPAIGN_MEM_WORDS, GoldenTrace, golden_cache_dir
+from .golden import CAMPAIGN_MEM_WORDS, GoldenTrace, golden_cache_path
 
 #: ``port_matrix`` column indices of the OUT port pair (see
 #: ``Cpu.step``'s return tuple): the latched OUT value and the toggle
@@ -211,12 +211,8 @@ def peek_cached_n_cycles(workload: Workload, seed: int = DEFAULT_SEED,
     :meth:`GoldenTrace._load_cached`.  Returns None when there is no
     usable cache entry — callers then fall back to building tier 2.
     """
-    directory = Path(cache_dir) if cache_dir is not None else golden_cache_dir()
-    if directory is None:
-        return None
-    path = directory / (
-        f"{workload.name}_s{seed}_m{mem_words}_v{CAMPAIGN_SCHEMA_VERSION}.npz")
-    if not path.exists():
+    path = golden_cache_path(workload, seed, mem_words, cache_dir)
+    if path is None or not path.exists():
         return None
     try:
         with np.load(path, mmap_mode="r", allow_pickle=False) as data:
@@ -274,12 +270,27 @@ class TieredGolden:
 
     @property
     def full(self) -> GoldenTrace:
-        """The flop-accurate tier, cross-checked against tier 1."""
+        """The flop-accurate tier, cross-checked against tier 1.
+
+        A cached trace that fails the cross-check is discarded and
+        simulated afresh, so a corrupt cache file costs time, never the
+        answer; a fresh trace that fails it is a pipeline regression
+        and raises.
+        """
         if self._full is None:
-            trace = GoldenTrace.cached(self.workload, self.seed,
-                                       mem_words=self.mem_words,
-                                       cache_dir=self.cache_dir)
-            if self._cross_check:
+            trace = self._load_full()
+            if self._cross_check and self.arch.cross_check(trace):
+                path = golden_cache_path(self.workload, self.seed,
+                                         self.mem_words, self.cache_dir)
+                if path is not None:
+                    warnings.warn(
+                        f"golden-trace cache {path} failed the "
+                        f"architectural cross-check; re-simulating",
+                        RuntimeWarning, stacklevel=2)
+                    # missing_ok: a concurrent worker may have removed
+                    # the same corrupt file first.
+                    path.unlink(missing_ok=True)
+                    trace = self._load_full()
                 problems = self.arch.cross_check(trace)
                 if problems:
                     raise RuntimeError(
@@ -288,6 +299,11 @@ class TieredGolden:
             self._full = trace
             self.tier_loads["full"] += 1
         return self._full
+
+    def _load_full(self) -> GoldenTrace:
+        return GoldenTrace.cached(self.workload, self.seed,
+                                  mem_words=self.mem_words,
+                                  cache_dir=self.cache_dir)
 
     @property
     def n_cycles(self) -> int:

@@ -56,9 +56,10 @@ Equivalence with the scalar engine (digest parity) is by construction:
   state to preserve, hence no run-mask in the kernel.
 
 The kernel's cycle semantics are pinned per cycle to ``Cpu.step`` by
-``tests/test_kernels.py``.  Without a C compiler the kernel cannot
-load and this engine refuses to start; the campaign drivers then run
-the scalar engine instead (:func:`repro.faults.parallel.resolve_batch`).
+``tests/test_kernels.py``.  This is the campaign drivers' default
+engine.  Without a C compiler the kernel cannot load and this engine
+refuses to start; the drivers then run the scalar engine instead
+(:func:`repro.faults.parallel.resolve_batch`).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from . import kernels as _kernels
 from .golden import GoldenTrace
 from .injector import _CONVERGE_CHECK_START, PruneStats
 from .models import ErrorRecord, Fault, FaultKind
+from .parallel import DEFAULT_BATCH
 
 #: The datapath is 32 bits wide (no REGISTRY flop exceeds 32 bits), so
 #: lane state runs in uint32: half the memory traffic of the packed
@@ -234,7 +236,7 @@ class BatchInjectionEngine:
 
     def __init__(self, golden: GoldenTrace, max_observe: int | None = None,
                  mask_check_stride: int = 4, prune: bool = True,
-                 batch: int = 256, threads: int | None = None):
+                 batch: int = DEFAULT_BATCH, threads: int | None = None):
         self._cext = _kernels.cext_module()
         if self._cext is None:
             raise RuntimeError(

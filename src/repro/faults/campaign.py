@@ -215,23 +215,27 @@ def run_campaign(config: CampaignConfig | None = None,
         progress: print per-shard progress lines.
         workers: worker processes for the sharded engine; ``1`` runs the
             shards inline in this process, ``None``/``0`` uses every
-            core.  Results are bit-identical for any value (see
-            :mod:`repro.faults.parallel`).
-        chunk_flops: flops per shard (default: auto, ~4 shards per
-            worker per benchmark, or one with the batch engine).
-            Affects only scheduling granularity, never results.
+            CPU the process may run on.  Results are bit-identical for
+            any value (see :mod:`repro.faults.parallel`).
+        chunk_flops: flops per shard (default: auto, one shard per
+            worker per benchmark with the batch engine, ~4 with the
+            scalar one).  Affects only scheduling granularity, never
+            results.
         batch: lane count for the batch injection engine
-            (:mod:`repro.faults.batch`); ``None``/``0`` runs the scalar
-            engine, and so does any value when the compiled kernel
-            cannot load.  Like ``workers``, an execution knob only —
-            records and pruning stats are bit-identical for any value.
+            (:mod:`repro.faults.batch`); ``None`` (the default) means
+            :data:`~repro.faults.parallel.DEFAULT_BATCH` lanes and
+            ``0`` runs the scalar engine, as does any value when the
+            compiled kernel cannot load (``meta["kernel"]`` is then
+            None).  Like ``workers``, an execution knob only — records
+            and pruning stats are bit-identical for any value.
         executor: shard fan-out backend — ``"process"`` (default) or
             ``"thread"`` (in-process workers sharing one golden cache;
             effective with the GIL-releasing compiled kernel).  Also
             purely an execution knob.
         threads: compiled kernel drive-loop thread count (``None``
-            auto-sizes; see :func:`repro.faults.kernels.resolve_threads`).
-            Also purely an execution knob.
+            auto-sizes from the usable CPUs shared among the workers;
+            see :func:`repro.faults.kernels.resolve_threads`).  Also
+            purely an execution knob.
     """
     from .parallel import execute_campaign
 
@@ -273,11 +277,13 @@ def cached_campaign(config: CampaignConfig | None = None,
     """Run a campaign, or load it from the on-disk cache if present.
 
     All benchmark-harness figures share one campaign run through this
-    cache, keyed by the configuration hash.  The key is independent of
-    ``workers``, ``batch``, ``executor`` and ``threads`` — a result
-    computed with any worker count, engine (scalar / batch), shard
-    executor or thread count is identical, so it is shared by all of
-    them.
+    cache, keyed by the configuration hash.  The execution knobs mean
+    what they mean in :func:`run_campaign` (``batch=None``: the batch
+    engine when the compiled kernel loads; ``batch=0``: scalar).  The
+    key is independent of ``workers``, ``batch``, ``executor`` and
+    ``threads`` — a result computed with any worker count, engine
+    (scalar / batch), shard executor or thread count is identical, so
+    it is shared by all of them.
     """
     config = config or CampaignConfig.default()
     path = Path(cache_dir) / f"campaign_{config.cache_key()}.pkl"

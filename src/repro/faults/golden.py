@@ -84,6 +84,19 @@ def golden_cache_dir() -> Path | None:
     return Path(value)
 
 
+def golden_cache_path(workload: Workload, seed: int, mem_words: int,
+                      cache_dir: Path | str | None = None) -> Path | None:
+    """The cache file of one trace (None when caching is off).
+
+    ``cache_dir=None`` uses :func:`golden_cache_dir`.
+    """
+    directory = Path(cache_dir) if cache_dir is not None else golden_cache_dir()
+    if directory is None:
+        return None
+    return directory / (
+        f"{workload.name}_s{seed}_m{mem_words}_v{CAMPAIGN_SCHEMA_VERSION}.npz")
+
+
 class LoggingMemory(Memory):
     """Memory that logs committed word values with their cycle stamp."""
 
@@ -271,11 +284,9 @@ class GoldenTrace:
         mismatching cache files are discarded with a warning and the
         trace is re-simulated (and the file rewritten).
         """
-        directory = Path(cache_dir) if cache_dir is not None else golden_cache_dir()
-        if directory is None:
+        path = golden_cache_path(workload, seed, mem_words, cache_dir)
+        if path is None:
             return cls(workload, seed, max_cycles, mem_words)
-        path = directory / (
-            f"{workload.name}_s{seed}_m{mem_words}_v{CAMPAIGN_SCHEMA_VERSION}.npz")
         if path.exists():
             trace = cls._load_cached(path, workload, seed, mem_words)
             if trace is not None:

@@ -7,9 +7,10 @@ step for many cycles, returning to Python only on rare-path events,
 see DESIGN §5.15).  It is the only batch kernel: tests/test_kernels.py
 pins it per cycle to the specification, ``Cpu.step``.
 
-When the extension cannot load (no C compiler, a sandboxed cache
-directory, ``REPRO_CSTEP_BUILD=0``), the campaign drivers run the
-scalar :class:`~repro.faults.injector.InjectionEngine` instead
+It is the default engine of every campaign driver.  When the
+extension cannot load (no C compiler, a sandboxed cache directory,
+``REPRO_CSTEP_BUILD=0``), the drivers run the scalar
+:class:`~repro.faults.injector.InjectionEngine` instead
 (:func:`repro.faults.parallel.resolve_batch`): identical records and
 PruneStats, at scalar speed.  The engine never enters campaign cache
 keys.
@@ -22,12 +23,25 @@ import os
 THREADS_ENV = "REPRO_CSTEP_THREADS"
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask, not ``os.cpu_count()``: a process pinned to one
+    CPU of a larger host gets one.  Falls back to ``os.cpu_count()``
+    where the platform has no affinity call.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(threads: int | None = None,
-                    lanes: int | None = None) -> int:
+                    lanes: int | None = None, workers: int = 1) -> int:
     """Resolve a drive-loop thread-count request to a concrete count.
 
     ``None`` falls back to ``$REPRO_CSTEP_THREADS``, then to the
-    auto-size ``min(cores, lanes // 16)`` — one thread per core, but
+    auto-size ``min(cpus // workers, lanes // 16)``: the usable CPUs
+    shared among the ``workers`` shard runners that drive at once, but
     never slicing below 16 lanes/thread (a slice narrower than that is
     dominated by dispatch, see DESIGN §5.17).  Always >= 1.  The
     result only affects wall-clock: lane slices are merged in lane
@@ -38,8 +52,8 @@ def resolve_threads(threads: int | None = None,
         if env:
             threads = int(env)
     if threads is None:
-        cores = os.cpu_count() or 1
-        threads = min(cores, (lanes or 0) // 16) if lanes else cores
+        cpus = max(1, usable_cpus() // max(1, workers))
+        threads = min(cpus, lanes // 16) if lanes else cpus
     if threads < 1:
         threads = 1
     return threads

@@ -4,9 +4,11 @@ The paper's ~10M-experiment campaign ran on a server cluster; this
 module reproduces that fan-out on one machine by sharding the
 (benchmark × flop-chunk) work grid across a ``ProcessPoolExecutor``.
 Each worker process builds its benchmark's :class:`GoldenTrace` once
-(per-process cache) and runs its shard through a private
-:class:`InjectionEngine`, so the only cross-process traffic is the
-shard descriptions going out and the (records, counts) coming back.
+(per-process cache) and runs its shard through a private injection
+engine — the batch engine on the compiled kernel by default, the
+scalar :class:`InjectionEngine` without a compiler or with
+``batch=0`` — so the only cross-process traffic is the shard
+descriptions going out and the (records, counts) coming back.
 
 Determinism
 -----------
@@ -37,7 +39,6 @@ The serial path (``workers=1``) runs the very same shards inline, so
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
@@ -49,9 +50,8 @@ import numpy as np
 from ..cpu.units import FlopRef
 from ..workloads.kernels import KERNELS
 from .arch import TieredGolden
-from .golden import GoldenTrace
 from .injector import InjectionEngine
-from .kernels import cext_available, resolve_threads
+from .kernels import cext_available, resolve_threads, usable_cpus
 from .models import ErrorRecord
 
 #: spawn_key stream tags (first element of every derived key); minted
@@ -77,9 +77,9 @@ def schedule_rng(seed: int, bench_idx: int, flop_idx: int) -> np.random.Generato
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Normalise a worker-count request (``None``/``0`` = all cores)."""
+    """Normalise a worker-count request (``None``/``0`` = every usable CPU)."""
     if not workers:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return max(1, int(workers))
 
 
@@ -136,20 +136,32 @@ def resolve_chunk(n_flops: int, workers: int, chunk_flops: int | None,
     return max(1, int(chunk_flops))
 
 
-def resolve_batch(batch: int | None,
-                  threads: int | None = None) -> tuple[int | None, int | None]:
+#: Lane count of the batch engine when a caller names none.  64 lanes
+#: ran inject-deep's campaign as fast as 256 on one CPU with less
+#: memory (DESIGN §5.15).
+DEFAULT_BATCH = 64
+
+
+def resolve_batch(batch: int | None, threads: int | None = None,
+                  workers: int = 1) -> tuple[int | None, int | None]:
     """Decide once whether a run uses the batch engine.
 
-    The batch engine runs when ``batch`` is non-zero and the compiled
-    kernel loaded; this then returns its lane count and drive-loop
-    thread count.  Otherwise the scalar engine runs and both are None.
-    Every driver calls this once, so the shard plan, the engine each
-    shard runs and the result meta all follow the same decision.
+    ``None`` asks for the default, :data:`DEFAULT_BATCH` lanes; ``0``
+    asks for the scalar engine.  The batch engine runs when the
+    resolved lane count is non-zero and the compiled kernel loaded;
+    this then returns that lane count and the drive-loop thread count
+    (the usable CPUs shared among ``workers`` concurrent shard
+    runners, see :func:`~repro.faults.kernels.resolve_threads`).
+    Otherwise the scalar engine runs and both are None.  Every driver
+    calls this once, so the shard plan, the engine each shard runs and
+    the result meta all follow the same decision.
     """
+    if batch is None:
+        batch = DEFAULT_BATCH
     if not batch or not cext_available():
         return None, None
     batch = max(1, int(batch))
-    return batch, resolve_threads(threads, lanes=batch)
+    return batch, resolve_threads(threads, lanes=batch, workers=workers)
 
 
 def engine_meta(batch: int | None, threads: int | None) -> dict:
@@ -171,34 +183,15 @@ def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-process GoldenTrace cache: (benchmark, seed) -> trace.  Worker
-#: processes are reused across shards, so each benchmark's golden run
-#: is simulated at most once per process.  Under the thread executor
-#: *all* shard runners share these dicts, which is the point — one
-#: golden per process, not one per worker; the lock only serialises
-#: construction (a miss), never a hit.
-_GOLDEN_CACHE: dict[tuple[str, int], GoldenTrace] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _golden_for(benchmark: str, seed: int) -> GoldenTrace:
-    key = (benchmark, seed)
-    golden = _GOLDEN_CACHE.get(key)
-    if golden is None:
-        with _CACHE_LOCK:
-            golden = _GOLDEN_CACHE.get(key)
-            if golden is None:
-                # The on-disk cache (see repro.faults.golden) makes a
-                # worker's first shard a trace *load*, not a simulation.
-                golden = GoldenTrace.cached(KERNELS[benchmark], seed=seed)
-                _GOLDEN_CACHE[key] = golden
-    return golden
-
-
-#: Per-process TieredGolden cache (batch path): (benchmark, seed) ->
-#: handle.  Kept separate from _GOLDEN_CACHE so the tiers' lazy-load
-#: bookkeeping survives across shards.
+#: Per-process golden-trace cache: (benchmark, seed) -> two-tier handle.
+#: Worker processes are reused across shards, so each benchmark's
+#: golden run is simulated (or loaded and cross-checked) at most once
+#: per process, for either engine.  Under the thread executor *all*
+#: shard runners share this dict, which is the point — one golden per
+#: process, not one per worker; the lock only serialises construction
+#: (a miss), never a hit.
 _TIERED_CACHE: dict[tuple[str, int], TieredGolden] = {}
+_CACHE_LOCK = threading.Lock()
 
 
 def _tiered_for(benchmark: str, seed: int) -> TieredGolden:
@@ -229,53 +222,55 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     :func:`resolve_batch` decided on: a lane count runs the batch
     engine (see :mod:`repro.faults.batch`), None runs the scalar
     engine.  Records and pruning stats are bit-identical for either.
-    The batch path goes through
+    Both engines go through the same
     :class:`~repro.faults.arch.TieredGolden`: scheduling uses the
     cheap ``n_cycles`` peek and the flop-accurate trace is loaded —
     architecturally cross-checked — only when the shard has faults to
     simulate.
     """
-    from .campaign import schedule_faults
-
+    tiered = _tiered_for(shard.benchmark, config.seed)
+    n_cycles = tiered.n_cycles
+    faults, injected = _schedule_shard(config, shard, n_cycles)
+    if not faults:
+        return [], injected, n_cycles, {}
+    golden = tiered.full
+    if golden.n_cycles != n_cycles:
+        # The trace cache's header disagreed with its trace, which
+        # ``full`` then rebuilt: schedule on the real length, so a
+        # corrupt cache never changes the answer.
+        n_cycles = golden.n_cycles
+        faults, injected = _schedule_shard(config, shard, n_cycles)
+    options = dict(max_observe=config.max_observe,
+                   mask_check_stride=config.mask_check_stride,
+                   prune=config.prune)
     if batch:
         from .batch import BatchInjectionEngine
 
-        tiered = _tiered_for(shard.benchmark, config.seed)
-        n_cycles = tiered.n_cycles
-        faults = []
-        injected: dict[tuple[str, str], int] = {}
-        for offset, flop in enumerate(shard.flops):
-            rng = schedule_rng(config.seed, shard.bench_idx,
-                               shard.flop_base + offset)
-            for fault in schedule_faults(flop, n_cycles, config, rng):
-                key = (flop.unit, fault.kind.value)
-                injected[key] = injected.get(key, 0) + 1
-                faults.append(fault)
-        if not faults:
-            return [], injected, n_cycles, {}
-        engine = BatchInjectionEngine(
-            tiered.full, max_observe=config.max_observe,
-            mask_check_stride=config.mask_check_stride,
-            prune=config.prune, batch=batch, threads=threads)
+        engine = BatchInjectionEngine(golden, batch=batch, threads=threads,
+                                      **options)
         outcomes = engine.inject_all(faults)
-        records = [r for r in outcomes if r is not None]
-        return records, injected, n_cycles, engine.stats.as_dict()
+    else:
+        engine = InjectionEngine(golden, **options)
+        outcomes = map(engine.inject, faults)
+    records = [r for r in outcomes if r is not None]
+    return records, injected, n_cycles, engine.stats.as_dict()
 
-    golden = _golden_for(shard.benchmark, config.seed)
-    engine = InjectionEngine(golden, max_observe=config.max_observe,
-                             mask_check_stride=config.mask_check_stride,
-                             prune=config.prune)
-    records: list[ErrorRecord] = []
-    injected = {}
+
+def _schedule_shard(config, shard: Shard, n_cycles: int) -> tuple[
+        list, dict[tuple[str, str], int]]:
+    """The shard's faults in (flop, schedule) order, and their counts."""
+    from .campaign import schedule_faults
+
+    faults = []
+    injected: dict[tuple[str, str], int] = {}
     for offset, flop in enumerate(shard.flops):
-        rng = schedule_rng(config.seed, shard.bench_idx, shard.flop_base + offset)
-        for fault in schedule_faults(flop, golden.n_cycles, config, rng):
+        rng = schedule_rng(config.seed, shard.bench_idx,
+                           shard.flop_base + offset)
+        for fault in schedule_faults(flop, n_cycles, config, rng):
             key = (flop.unit, fault.kind.value)
             injected[key] = injected.get(key, 0) + 1
-            record = engine.inject(fault)
-            if record is not None:
-                records.append(record)
-    return records, injected, golden.n_cycles, engine.stats.as_dict()
+            faults.append(fault)
+    return faults, injected
 
 
 # -- controller side ---------------------------------------------------------
@@ -290,10 +285,12 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
     This is the engine behind :func:`repro.faults.run_campaign`; see
     that wrapper for the public contract.  ``batch``, ``executor`` and
     ``threads`` (like ``workers`` and ``chunk_flops``) are execution
-    knobs, not part of the configuration: they select the batch engine,
-    the shard fan-out (``process`` pool vs in-process ``thread`` pool —
-    the latter shares one golden cache and relies on the compiled
-    kernel releasing the GIL) and the drive-loop thread count, without
+    knobs, not part of the configuration: they select the engine
+    (``None``: the batch engine with :data:`DEFAULT_BATCH` lanes when
+    the compiled kernel loads, else scalar; ``0``: scalar), the shard
+    fan-out (``process`` pool vs in-process ``thread`` pool — the
+    latter shares one golden cache and relies on the compiled kernel
+    releasing the GIL) and the drive-loop thread count, without
     entering the cache key, because results are bit-identical for any
     value.
     """
@@ -301,7 +298,7 @@ def execute_campaign(config, progress: bool = False, workers: int | None = 1,
 
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
-    batch, threads = resolve_batch(batch, threads)
+    batch, threads = resolve_batch(batch, threads, workers)
     flops = sample_flops(config, sampling_rng(config.seed))
     sampled: dict[str, int] = {}
     for flop in flops:

@@ -96,7 +96,11 @@ def run_worker(base_url: str, worker_id: str = "worker",
 
     Runs until the server reports the campaign complete (or until
     ``max_shards`` commits, for tests that stage partial progress).
-    Returns the number of shards this worker committed.
+    ``batch`` and ``threads`` choose the engine as in
+    :func:`repro.faults.run_campaign`: ``None`` runs the batch engine at
+    its default lane count when the compiled kernel loads, ``0`` the
+    scalar engine; either commits identical outcomes.  Returns the
+    number of shards this worker committed.
     """
     client = ServiceClient(base_url)
     config = client.config()

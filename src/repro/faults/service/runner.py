@@ -2,8 +2,9 @@
 
 ``run_resumable_campaign`` is ``execute_campaign`` with a crash seam:
 every shard is leased from the :class:`~.ledger.CampaignLedger`,
-executed through the ordinary ``run_shard`` path (scalar or batch
-engine — the same engines), and committed atomically.
+executed through the ordinary ``run_shard`` path (the batch engine by
+default, the scalar one with ``batch=0`` or without the compiled
+kernel — the same engines), and committed atomically.
 Kill the process at *any* point — between shards, mid-shard, even
 mid-commit — and a later call with the same config resumes from the
 committed set and finishes with a :meth:`CampaignResult.digest` that
@@ -83,10 +84,12 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
             directory + config always resumes the same ledger.
         workers / chunk_flops / batch / executor / threads:
             execution knobs exactly as in
-            :func:`repro.faults.run_campaign` — none of them affects
-            results, and none is pinned by the ledger except the shard
-            chunking (fixed in the manifest at creation so every
-            resume sees one shard plan).
+            :func:`repro.faults.run_campaign` (``batch=None`` runs the
+            batch engine at its default lane count when the compiled
+            kernel loads, ``batch=0`` the scalar engine) — none of them
+            affects results, and none is pinned by the ledger except
+            the shard chunking (fixed in the manifest at creation so
+            every resume sees one shard plan).
         lease_ttl: seconds before an uncommitted lease is reclaimed.
         on_commit: optional ``callback(shard_id, n_committed)`` fired
             after each durable commit — the crash-recovery tests use it
@@ -98,7 +101,7 @@ def run_resumable_campaign(config: CampaignConfig | None = None,
     config = config or CampaignConfig.default()
     workers = resolve_workers(workers)
     executor = resolve_executor(executor)
-    batch, threads = resolve_batch(batch, threads)
+    batch, threads = resolve_batch(batch, threads, workers)
     ledger = CampaignLedger(ledger_dir, config, workers=workers,
                             chunk_flops=chunk_flops, batch=batch)
     resumed = ledger.n_committed

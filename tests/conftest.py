@@ -16,7 +16,9 @@ Also owns the test-harness policy knobs:
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -82,6 +84,24 @@ loop:
 """
 
 
+def corrupt_golden_cache(path: Path, kind: str = "out") -> None:
+    """Damage a cached golden trace in place, every shape left valid.
+
+    ``"out"`` flips one OUT value, which only the architectural
+    cross-check catches; ``"header"`` lengthens the cycle count in the
+    header, which the shard scheduler peeks.
+    """
+    with np.load(path) as data:
+        arrays = dict(data)
+    if kind == "out":
+        pm = arrays["port_matrix"]
+        toggle = int(np.nonzero(pm[1:, 11] != pm[:-1, 11])[0][0]) + 1
+        pm[toggle, 10] ^= 2
+    else:
+        arrays["meta"][1] += 7
+    np.savez(path, **arrays)
+
+
 def make_cpu(source: str, stimulus: list[int] | None = None,
              mem_words: int = 2048) -> Cpu:
     """Assemble a program and wrap it in a ready-to-run core."""
@@ -104,8 +124,12 @@ def ttsprk_golden() -> GoldenTrace:
 
 @pytest.fixture(scope="session")
 def quick_campaign():
-    """A seconds-scale fault-injection campaign (session-cached)."""
-    return run_campaign(CampaignConfig.quick())
+    """A seconds-scale fault-injection campaign (session-cached).
+
+    On the scalar engine (``batch=0``): it is the reference the batch
+    engine's parity tests compare against.
+    """
+    return run_campaign(CampaignConfig.quick(), batch=0)
 
 
 #: The configuration of :func:`medium_campaign` (also used to
@@ -121,5 +145,6 @@ MEDIUM_CONFIG = CampaignConfig(
 
 @pytest.fixture(scope="session")
 def medium_campaign():
-    """A slightly larger campaign for evaluation-level tests."""
-    return run_campaign(MEDIUM_CONFIG)
+    """A slightly larger campaign for evaluation-level tests (scalar
+    engine, like :func:`quick_campaign`)."""
+    return run_campaign(MEDIUM_CONFIG, batch=0)

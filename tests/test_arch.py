@@ -11,6 +11,7 @@ from repro.faults import GoldenTrace
 from repro.faults.arch import ArchTrace, TieredGolden, peek_cached_n_cycles
 from repro.workloads import KERNELS
 from repro.workloads.kernels import DEFAULT_SEED
+from tests.conftest import corrupt_golden_cache
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,22 @@ def test_tiered_rejects_corrupt_trace(tmp_path, monkeypatch):
     tiered = TieredGolden(workload, cache_dir=tmp_path)
     with pytest.raises(RuntimeError, match="cross-check"):
         tiered.full
+
+
+def test_tiered_resimulates_cache_failing_cross_check(tmp_path):
+    """A corrupt cache file costs a re-simulation, never the answer."""
+    workload = KERNELS["ttsprk"]
+    good = GoldenTrace.cached(workload, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("*.npz")
+    corrupt_golden_cache(path)
+    tiered = TieredGolden(workload, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match="cross-check"):
+        trace = tiered.full
+    assert np.array_equal(trace.port_matrix, good.port_matrix)
+    assert np.array_equal(trace.state_matrix, good.state_matrix)
+    # The rewritten cache file is clean again.
+    fresh = TieredGolden(workload, cache_dir=tmp_path)
+    assert np.array_equal(fresh.full.port_matrix, good.port_matrix)
 
 
 def test_peek_cached_n_cycles(tmp_path):

@@ -13,26 +13,32 @@ Three layers of guarantee around the C extension:
   and on generated programs that arm traps, MPU regions, watchpoints,
   IRQs and store-buffer bursts;
 * **engine parity** — the fused ``drive`` loop reproduces the scalar
-  engine's records and PruneStats for any batch and thread count.
+  engine's records and PruneStats for any batch and thread count, on
+  the workloads and on golden traces of generated and directed corner
+  programs.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
-from repro.cpu.units import REG_INDEX, REGISTRY
+from repro.cpu.units import REG_INDEX, REGISTRY, all_flops
 from repro.faults import (
+    DEFAULT_BATCH,
     BatchInjectionEngine,
     CampaignConfig,
+    GoldenTrace,
     InjectionEngine,
     cext_available,
+    resolve_batch,
     resolve_kernel,
     resolve_threads,
     run_campaign,
@@ -45,6 +51,7 @@ from repro.faults.parallel import sampling_rng, schedule_rng
 from repro.verify.diff import DEFAULT_MAX_CYCLES
 from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
                                  program_strategy)
+from repro.workloads.kernels import Workload
 
 QUICK = CampaignConfig.quick()
 
@@ -272,6 +279,62 @@ def test_cext_unpruned_parity(ttsprk_golden):
     _assert_cext_parity(ttsprk_golden, faults, cfg, prune=False, batch=8)
 
 
+# -- engine-differential fuzzing on generated and corner programs ------------
+
+#: Fault mix of the engine-differential checks: ``CampaignConfig.default()``'s
+#: (2 soft, 1 stuck-at per polarity per flop).
+_DIFF_CFG = CampaignConfig(soft_per_flop=2, hard_per_flop=1, max_observe=600)
+
+
+def _program_golden(source: str, stimulus: list[int]) -> GoldenTrace | None:
+    """Golden trace of a test program, or None when it does not halt."""
+    workload = Workload(name="engine_diff", description="test program",
+                        source=source, stimulus=lambda seed: list(stimulus),
+                        reference=lambda values: [])
+    try:
+        return GoldenTrace(workload, max_cycles=DEFAULT_MAX_CYCLES,
+                           mem_words=FUZZ_MEM_WORDS)
+    except RuntimeError:  # no HALT within the cycle budget
+        return None
+
+
+def _random_faults(golden: GoldenTrace, seed: int, n_flops: int) -> list:
+    """``schedule_faults`` on ``n_flops`` random flops of the core."""
+    rnd = random.Random(seed)
+    faults = []
+    for i, flop in enumerate(rnd.sample(all_flops(), n_flops)):
+        faults.extend(schedule_faults(flop, golden.n_cycles, _DIFF_CFG,
+                                      np.random.default_rng([seed, i])))
+    return faults
+
+
+@needs_cext
+@settings(max_examples=40, deadline=None)
+@given(prog=program_strategy(),
+       fault_seed=st.integers(min_value=0, max_value=2**32 - 1),
+       batch=st.sampled_from((1, 7, 64)), prune=st.booleans())
+def test_engines_agree_on_generated_programs(prog, fault_seed, batch, prune):
+    """Property: on golden traces of ``verify.progen`` programs (traps,
+    MPU, watchpoints, IRQs, store-buffer bursts), the batch engine's
+    ``drive()`` loop gives the scalar engine's records and PruneStats
+    for faults scheduled on random flops."""
+    golden = _program_golden(prog.source(), prog.stimulus)
+    assume(golden is not None)
+    faults = _random_faults(golden, fault_seed, n_flops=16)
+    _assert_cext_parity(golden, faults, _DIFF_CFG, prune=prune, batch=batch)
+
+
+@needs_cext
+@pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
+def test_engines_agree_on_corner_programs(name):
+    """The same records/PruneStats parity on the directed corners."""
+    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
+    golden = _program_golden(source, [0])
+    assert golden is not None
+    faults = _random_faults(golden, seed=1701, n_flops=256)
+    _assert_cext_parity(golden, faults, _DIFF_CFG, batch=16)
+
+
 # -- campaign-level wiring ----------------------------------------------------
 
 @needs_cext
@@ -284,7 +347,9 @@ def test_campaign_kernel_digest_parity(quick_campaign):
 
 
 def test_campaign_meta_kernel_none_for_scalar(quick_campaign):
-    """The scalar engine has no step kernel; meta records that."""
+    """The scalar engine (``batch=0``, as the fixture runs it) has no
+    step kernel; meta records that."""
+    assert quick_campaign.meta["batch"] is None
     assert quick_campaign.meta.get("kernel") is None
 
 
@@ -303,13 +368,51 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads(2) == 2  # explicit beats env
 
 
+def _pin_cpus(monkeypatch, n: int) -> None:
+    """Pretend this process may run on ``n`` CPUs (of a larger host)."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4 * n)
+
+
 def test_resolve_threads_autosize(monkeypatch):
     monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
-    cores = __import__("os").cpu_count() or 1
-    # One thread per core, but never slices below 16 lanes/thread.
-    assert resolve_threads(None, lanes=256) == max(1, min(cores, 16))
+    _pin_cpus(monkeypatch, 8)
+    # One thread per usable CPU, but never slices below 16 lanes/thread.
+    assert resolve_threads(None, lanes=256) == 8
+    assert resolve_threads(None, lanes=64) == 4
     assert resolve_threads(None, lanes=16) == 1
     assert resolve_threads(None, lanes=8) == 1
+
+
+def test_resolve_threads_counts_affinity_not_host(monkeypatch):
+    """A process pinned to one CPU of a bigger host drives one thread."""
+    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
+    _pin_cpus(monkeypatch, 1)
+    assert kernels.usable_cpus() == 1
+    assert resolve_threads(None, lanes=256) == 1
+    assert resolve_threads(None) == 1
+
+
+def test_resolve_threads_divides_cpus_among_workers(monkeypatch):
+    """``workers`` shard runners share the usable CPUs, so the automatic
+    count never oversubscribes them; an explicit count is kept."""
+    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
+    _pin_cpus(monkeypatch, 8)
+    assert resolve_threads(None, lanes=256, workers=2) == 4
+    assert resolve_threads(None, lanes=256, workers=8) == 1
+    assert resolve_threads(None, lanes=256, workers=16) == 1
+    assert resolve_threads(3, lanes=256, workers=8) == 3
+    assert resolve_batch(None, workers=4) == (
+        (DEFAULT_BATCH, 2) if cext_available() else (None, None))
+
+
+def test_usable_cpus_without_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert kernels.usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert kernels.usable_cpus() == 1
 
 
 @needs_cext

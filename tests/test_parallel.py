@@ -1,10 +1,12 @@
 """Parallel campaign engine tests: sharding, seeding, determinism."""
 
+import os
 import pickle
 
 import pytest
 
 from repro.faults import (
+    DEFAULT_BATCH,
     EXECUTOR_CHOICES,
     THREADS_ENV,
     CampaignConfig,
@@ -12,6 +14,7 @@ from repro.faults import (
     cached_campaign,
     cext_available,
     plan_shards,
+    resolve_chunk,
     resolve_executor,
     resolve_threads,
     resolve_workers,
@@ -21,8 +24,9 @@ from repro.faults import (
     schedule_faults,
     schedule_rng,
 )
-from repro.faults import _cstep
+from repro.faults import GOLDEN_CACHE_ENV, _cstep, parallel
 from repro.faults.service import run_resumable_campaign
+from tests.conftest import corrupt_golden_cache
 
 #: A campaign small enough to run several times per test.
 SMALL = CampaignConfig(benchmarks=("ttsprk",), soft_per_flop=1,
@@ -98,6 +102,15 @@ class TestSharding:
         assert resolve_workers(None) >= 1
         assert resolve_workers(0) >= 1
 
+    def test_all_workers_means_usable_cpus(self, monkeypatch):
+        """``0``/``None`` count the CPUs this process may run on, not
+        the host's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert resolve_workers(0) == 2
+        assert resolve_workers(None) == 2
+
     def test_resolve_executor(self):
         assert EXECUTOR_CHOICES == ("process", "thread")
         assert resolve_executor(None) == "process"
@@ -164,6 +177,8 @@ class TestEngineResolution:
 
     @pytest.mark.parametrize("driver", ("execute", "ledger"))
     def test_batch_zero_plans_like_scalar(self, tmp_path, driver):
+        """``batch=0`` is the scalar plan; ``None`` is the default batch
+        plan when the kernel loads (else the same scalar plan)."""
         def run(batch):
             if driver == "execute":
                 return run_campaign(SMALL, workers=2, batch=batch,
@@ -172,14 +187,22 @@ class TestEngineResolution:
                 SMALL, ledger_dir=str(tmp_path / str(batch)), workers=2,
                 batch=batch, executor="thread")
 
-        zero, scalar = run(0), run(None)
-        assert _plan(zero) == _plan(scalar)
+        zero, default = run(0), run(None)
+        n_flops = len(sample_flops(SMALL, sampling_rng(SMALL.seed)))
         assert zero.meta["batch"] is zero.meta["kernel"] is None
         assert zero.meta["threads"] is None
-        assert zero.records == scalar.records
+        assert zero.meta["chunk_flops"] == resolve_chunk(n_flops, 2, None)
+        if cext_available():
+            assert default.meta["batch"] == DEFAULT_BATCH
+            assert default.meta["kernel"] == "cext"
+            assert default.meta["chunk_flops"] == resolve_chunk(
+                n_flops, 2, None, DEFAULT_BATCH)
+        else:
+            assert _plan(default) == _plan(zero)
+        assert zero.records == default.records
 
     def test_no_compiler_falls_back_to_scalar(self, monkeypatch):
-        scalar = run_campaign(SMALL)
+        scalar = run_campaign(SMALL, batch=0)
         monkeypatch.setattr(_cstep, "MODULE", None)
         monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
         fallback = run_campaign(SMALL, batch=64)
@@ -187,6 +210,26 @@ class TestEngineResolution:
         assert fallback.meta["pruning"] == scalar.meta["pruning"]
         assert _plan(fallback) == _plan(scalar)
         assert fallback.meta["kernel"] is None
+
+    def test_default_run_equals_scalar_run(self, quick_campaign):
+        """The default engine — the compiled kernel at ``DEFAULT_BATCH``
+        lanes wherever it loads — reproduces the ``batch=0`` run."""
+        default = run_campaign(CampaignConfig.quick())
+        assert default.digest() == quick_campaign.digest()
+        assert default.meta["pruning"] == quick_campaign.meta["pruning"]
+        assert default.injected == quick_campaign.injected
+        if cext_available():
+            assert default.meta["kernel"] == "cext"
+            assert default.meta["batch"] == DEFAULT_BATCH
+
+    def test_default_without_compiler_is_the_scalar_run(self, monkeypatch):
+        scalar = run_campaign(SMALL, batch=0)
+        monkeypatch.setattr(_cstep, "MODULE", None)
+        monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
+        default = run_campaign(SMALL)
+        assert _plan(default) == _plan(scalar)
+        assert default.meta["pruning"] == scalar.meta["pruning"]
+        assert default.digest() == scalar.digest()
 
     @pytest.mark.skipif(not cext_available(),
                         reason="compiled kernel unavailable")
@@ -233,6 +276,28 @@ class TestCacheHardening:
         with pytest.warns(RuntimeWarning, match="unreadable"):
             result = cached_campaign(cfg, cache_dir=tmp_path)
         assert isinstance(result, CampaignResult)
+
+
+class TestGoldenCacheCorruption:
+    """Both engines read one cross-checked trace per process, so a
+    corrupt golden cache gives the same answer, only slower."""
+
+    @pytest.mark.parametrize("kind", ("out", "header"))
+    @pytest.mark.parametrize("batch", (0, None), ids=("scalar", "default"))
+    def test_same_answer(self, tmp_path, monkeypatch, quick_campaign,
+                         kind, batch):
+        monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
+        run_campaign(SMALL, batch=batch)  # populates the cache
+        for path in tmp_path.glob("*.npz"):
+            corrupt_golden_cache(path, kind)
+        monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
+        with pytest.warns(RuntimeWarning):
+            result = run_campaign(CampaignConfig.quick(), batch=batch)
+        assert result.digest() == quick_campaign.digest()
+        assert result.meta["pruning"] == quick_campaign.meta["pruning"]
+        assert result.injected == quick_campaign.injected
+        assert result.golden_cycles == quick_campaign.golden_cycles
 
 
 class TestCli:

@@ -65,8 +65,9 @@ class Killed(Exception):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The uninterrupted monolithic result the ledger path must match."""
-    return execute_campaign(CRASH_CONFIG, workers=1)
+    """The uninterrupted monolithic result the ledger path must match,
+    on the scalar engine."""
+    return execute_campaign(CRASH_CONFIG, workers=1, batch=0)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def n_shards():
 
 # -- crash recovery ----------------------------------------------------------
 
-@pytest.mark.parametrize("workers,batch", [(1, None), (2, None),
+@pytest.mark.parametrize("workers,batch", [(1, 0), (2, 0),
                                            (1, 8), (2, 8)],
                          ids=["w1-scalar", "w2-scalar", "w1-batch", "w2-batch"])
 def test_kill_at_every_shard_boundary(tmp_path, reference, n_shards,
@@ -107,7 +108,7 @@ def test_kill_at_every_shard_boundary(tmp_path, reference, n_shards,
         assert resumed.golden_cycles == reference.golden_cycles
 
 
-@pytest.mark.parametrize("batch", [None, 8], ids=["scalar", "batch"])
+@pytest.mark.parametrize("batch", [0, 8], ids=["scalar", "batch"])
 def test_kill_mid_lease(tmp_path, reference, n_shards, monkeypatch, batch):
     """Die *inside* a leased shard (no commit); resume re-runs it exactly."""
     for die_at in (0, n_shards // 2):
