@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", type=int, default=3, metavar="K",
                    help="faults injected per program (with --inject)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="worker processes for --inject (0 = all cores); "
-                        "digest is identical for any value")
+                   help="worker processes for --inject (0 = every usable "
+                        "CPU); digest is identical for any value")
     p.add_argument("--cores", type=int, default=2, choices=(2, 3),
                    help="redundant group size for --inject: 2 = DMR pair, "
                         "3 = voted TMR triple through the VotingChecker "

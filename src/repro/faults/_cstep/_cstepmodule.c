@@ -8,7 +8,9 @@
  * resolution, stuck-at fast-forward, divergence record construction),
  * which repro/faults/batch.py handles.  `step()` advances lanes one
  * cycle with no driver logic, so tests can compare the C state
- * transition against the specification.
+ * transition against the specification.  `schedule()` draws a shard's
+ * fault cycles exactly as numpy draws them in
+ * repro.faults.campaign.schedule_faults (see its section below).
  *
  * Semantics are a statement-by-statement mirror of `Cpu.step` in
  * repro/cpu/core.py; tests/test_kernels.py holds every lane equal to
@@ -1118,6 +1120,280 @@ static PyObject *py_pool_size(PyObject *self, PyObject *args)
     return PyLong_FromLong((long)pool.spawned);
 }
 
+/* -- schedule(): the campaign's fault cycles, bit-identical to numpy ------- */
+
+/* repro.faults.campaign.schedule_faults (the specification) draws the
+ * fault cycles of one (benchmark b, flop f) cell from
+ *     default_rng(SeedSequence(seed, spawn_key=(stream, b, f)))
+ * as choice(n_intervals, k, replace=False), then integers(lengths) of
+ * the chosen intervals, for the soft faults and then for each stuck-at
+ * polarity.  schedule() replays those draws with numpy's algorithms:
+ *   SeedSequence  the pool mix of the entropy words and
+ *                 generate_state(4, uint64);
+ *   PCG64         seeding, XSL-RR output, 32-bit draws served from the
+ *                 halves of one 64-bit output, low half first;
+ *   choice        Floyd's algorithm, then a Fisher-Yates shuffle (the
+ *                 path numpy takes for populations of at most 10,000);
+ *   integers      one bounded draw per element;
+ * every bounded draw by Lemire's 32-bit method.  It needs 128-bit
+ * integers; without them the module has no schedule() and the caller
+ * schedules with numpy. */
+#if defined(__SIZEOF_INT128__)
+#define HAVE_SCHEDULE 1
+
+typedef unsigned __int128 u128;
+
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+/* numpy's choice() switches from Floyd to a tail shuffle above this. */
+#define SCHED_MAX_INTERVALS 10000
+#define PCG_MULT ((((u128)2549297995355413924ULL) << 64) \
+                  | 4865540595714422341ULL)
+
+typedef struct {
+    u32 pool[SS_POOL];
+    u32 hash;
+} SeedPool;
+
+static u32 ss_hashmix(u32 value, u32 *hash)
+{
+    value ^= *hash;
+    *hash *= SS_MULT_A;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static u32 ss_mix(u32 x, u32 y)
+{
+    u32 r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* Mix one entropy word that lies past the first SS_POOL. */
+static void ss_absorb(SeedPool *s, u32 word)
+{
+    int d;
+    for (d = 0; d < SS_POOL; d++)
+        s->pool[d] = ss_mix(s->pool[d], ss_hashmix(word, &s->hash));
+}
+
+/* Mix in the run entropy (the seed's words, low first).  numpy pads it
+ * with zeros to the pool size when a spawn key follows, so the spawn
+ * words always lie past the pool and can be absorbed per cell. */
+static void ss_seed(SeedPool *s, const u32 *words, Py_ssize_t n)
+{
+    int i, src, dst;
+    s->hash = SS_INIT_A;
+    for (i = 0; i < SS_POOL; i++)
+        s->pool[i] = ss_hashmix(i < n ? words[i] : 0, &s->hash);
+    for (src = 0; src < SS_POOL; src++)
+        for (dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                s->pool[dst] = ss_mix(s->pool[dst],
+                                      ss_hashmix(s->pool[src], &s->hash));
+    for (i = SS_POOL; i < n; i++)
+        ss_absorb(s, words[i]);
+}
+
+/* One spawn-key integer: its 32-bit words, low first; 0 is one word. */
+static void ss_absorb_int(SeedPool *s, uint64_t v)
+{
+    do {
+        ss_absorb(s, (u32)v);
+        v >>= 32;
+    } while (v);
+}
+
+typedef struct {
+    u128 state, inc;
+    int has32;
+    u32 buf32;
+} Pcg;
+
+/* SeedSequence.generate_state(4, uint64) seeding PCG64. */
+static void pcg_seed(Pcg *g, const SeedPool *s)
+{
+    u32 w[2 * SS_POOL], hash = SS_INIT_B;
+    uint64_t v[SS_POOL];
+    int i;
+    for (i = 0; i < 2 * SS_POOL; i++) {
+        u32 x = s->pool[i % SS_POOL] ^ hash;
+        hash *= SS_MULT_B;
+        x *= hash;
+        w[i] = x ^ (x >> 16);
+    }
+    for (i = 0; i < SS_POOL; i++)
+        v[i] = (uint64_t)w[2 * i] | ((uint64_t)w[2 * i + 1] << 32);
+    g->inc = ((((u128)v[2]) << 64 | v[3]) << 1) | 1u;
+    g->state = g->inc;                      /* 0 * mult + inc */
+    g->state += ((u128)v[0]) << 64 | v[1];
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has32 = 0;
+    g->buf32 = 0;
+}
+
+static u32 pcg_next32(Pcg *g)
+{
+    uint64_t out;
+    unsigned rot;
+    if (g->has32) {
+        g->has32 = 0;
+        return g->buf32;
+    }
+    g->state = g->state * PCG_MULT + g->inc;
+    out = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    out = (out >> rot) | (out << ((-rot) & 63));
+    g->has32 = 1;
+    g->buf32 = (u32)(out >> 32);
+    return (u32)out;
+}
+
+/* Uniform on [0, hi], hi < 2^32: numpy's random_bounded_uint64. */
+static uint64_t bounded(Pcg *g, uint64_t hi)
+{
+    u32 excl, leftover;
+    uint64_t m;
+    if (hi == 0)
+        return 0;
+    if (hi == 0xFFFFFFFFu)
+        return pcg_next32(g);
+    excl = (u32)hi + 1;
+    m = (uint64_t)pcg_next32(g) * excl;
+    leftover = (u32)m;
+    if (leftover < excl) {
+        u32 threshold = (UINT32_MAX - (u32)hi) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg_next32(g) * excl;
+            leftover = (u32)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* `count` fault cycles in distinct intervals: choice() into out, then
+ * a uniform cycle within each chosen interval.  `seen` is all zero on
+ * entry and on return. */
+static void draw_cycles(Pcg *g, int64_t n_intervals, int64_t base,
+                        int64_t extra, int64_t count, int64_t *out,
+                        uint8_t *seen)
+{
+    int64_t j, k;
+    for (j = n_intervals - count; j < n_intervals; j++) {
+        int64_t val = (int64_t)bounded(g, (uint64_t)j);
+        if (seen[val])
+            val = j;  /* every earlier pick is below j */
+        seen[val] = 1;
+        out[j - n_intervals + count] = val;
+    }
+    for (j = count - 1; j >= 1; j--) {
+        int64_t other = (int64_t)bounded(g, (uint64_t)j), tmp = out[j];
+        out[j] = out[other];
+        out[other] = tmp;
+    }
+    for (k = 0; k < count; k++)
+        seen[out[k]] = 0;
+    for (k = 0; k < count; k++) {
+        int64_t iv = out[k], len = iv < extra ? base + 1 : base;
+        out[k] = iv * base + (iv < extra ? iv : extra)
+                 + (int64_t)bounded(g, (uint64_t)(len - 1));
+    }
+}
+
+static PyObject *py_schedule(PyObject *self, PyObject *args)
+{
+    PyObject *out_obj, *seed_obj;
+    Py_ssize_t stream, bench, flop_base, n_intervals, n_soft, n_hard;
+    long long n_cycles;
+    Py_buffer ov = {0}, sv = {0};
+    static const BufSpec out_spec = {"out", 1, 8}, seed_spec = {"seed", 0, 4};
+    uint8_t *seen;
+    int64_t base, extra, per_flop, n_flops, k;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOnnnLnnn", &out_obj, &seed_obj, &stream,
+                          &bench, &flop_base, &n_cycles, &n_intervals,
+                          &n_soft, &n_hard))
+        return NULL;
+    if (stream < 0 || bench < 0 || flop_base < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "spawn-key entries must be non-negative");
+        return NULL;
+    }
+    if (n_intervals < 1 || n_intervals > SCHED_MAX_INTERVALS
+            || n_intervals > n_cycles) {
+        PyErr_Format(PyExc_ValueError,
+                     "n_intervals must be in [1, min(%d, n_cycles)], got %zd",
+                     SCHED_MAX_INTERVALS, n_intervals);
+        return NULL;
+    }
+    base = n_cycles / n_intervals;
+    extra = n_cycles % n_intervals;
+    if (base + (extra > 0) > ((int64_t)1 << 32)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "intervals longer than 2**32 cycles");
+        return NULL;
+    }
+    if (n_soft < 0 || n_soft > n_intervals || n_hard < 0
+            || n_hard > n_intervals) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fault counts must be in [0, n_intervals]");
+        return NULL;
+    }
+    if (get_buf(out_obj, &ov, &out_spec) < 0)
+        return NULL;
+    if (get_buf(seed_obj, &sv, &seed_spec) < 0) {
+        PyBuffer_Release(&ov);
+        return NULL;
+    }
+    per_flop = n_soft + 2 * n_hard;
+    n_flops = per_flop ? (ov.len / 8) / per_flop : 0;
+    if (n_flops * per_flop != ov.len / 8) {
+        PyErr_SetString(PyExc_ValueError,
+                        "out must hold n_soft + 2 * n_hard cycles per flop");
+        goto fail;
+    }
+    seen = PyMem_Calloc((size_t)n_intervals, 1);
+    if (seen == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    {
+        SeedPool root;
+        ss_seed(&root, (const u32 *)sv.buf, sv.len / 4);
+        for (k = 0; k < n_flops; k++) {
+            SeedPool cell = root;
+            Pcg g;
+            int64_t *row = (int64_t *)ov.buf + k * per_flop;
+            ss_absorb_int(&cell, (uint64_t)stream);
+            ss_absorb_int(&cell, (uint64_t)bench);
+            ss_absorb_int(&cell, (uint64_t)flop_base + (uint64_t)k);
+            pcg_seed(&g, &cell);
+            draw_cycles(&g, n_intervals, base, extra, n_soft, row, seen);
+            draw_cycles(&g, n_intervals, base, extra, n_hard, row + n_soft,
+                        seen);
+            draw_cycles(&g, n_intervals, base, extra, n_hard,
+                        row + n_soft + n_hard, seen);
+        }
+    }
+    Py_END_ALLOW_THREADS
+    PyMem_Free(seen);
+    PyBuffer_Release(&sv);
+    PyBuffer_Release(&ov);
+    Py_RETURN_NONE;
+
+fail:
+    PyBuffer_Release(&sv);
+    PyBuffer_Release(&ov);
+    return NULL;
+}
+#endif
+
 static PyMethodDef methods[] = {
     {"step", py_step, METH_VARARGS,
      "step(S, M, stim, tables, n): advance lanes 0..n-1 one cycle."},
@@ -1129,6 +1405,15 @@ static PyMethodDef methods[] = {
      "released) when n_threads > 1."},
     {"pool_size", py_pool_size, METH_NOARGS,
      "pool_size() -> worker threads alive in this process's pool."},
+#ifdef HAVE_SCHEDULE
+    {"schedule", py_schedule, METH_VARARGS,
+     "schedule(out, seed, stream, bench, flop_base, n_cycles, n_intervals, "
+     "n_soft, n_hard): write the fault cycles of flops flop_base, "
+     "flop_base+1, ... into the int64 array out, n_soft + 2 * n_hard per "
+     "flop in schedule_faults order, drawn exactly as numpy draws them "
+     "from SeedSequence(seed, spawn_key=(stream, bench, flop)); seed is "
+     "the seed's 32-bit words as a uint32 array, low word first."},
+#endif
     {NULL, NULL, 0, NULL},
 };
 

@@ -181,6 +181,12 @@ def schedule_faults(flop: FlopRef, n_cycles: int, config: CampaignConfig,
     one-per-interval over the leading intervals, so every interval is
     within one cycle of the same length and late intervals carry the
     same injection probability as early ones.
+
+    This is the specification of a campaign's fault schedule.  The
+    batch engine's shards are scheduled by the compiled kernel's
+    ``schedule``, which replays these numpy draws for a whole shard in
+    one call (DESIGN §5.20); tests and a first-use check in every
+    process hold it to this function.
     """
     n_intervals = max(1, min(config.intervals, n_cycles))
     base, extra = divmod(n_cycles, n_intervals)

@@ -27,7 +27,9 @@ or shard completion order**.  Two mechanisms guarantee this:
     where ``b`` is the benchmark index and ``f`` the global index of
     the flop in the sampled list.  A flop's fault schedule therefore
     depends only on *which* flop it is, never on which worker runs it
-    or what ran before it.
+    or what ran before it.  With the batch engine the compiled kernel
+    draws a whole shard's schedules in one call, bit-identical to
+    these numpy streams (:func:`compiled_schedule`).
 
 2.  *Deterministic merge.*  Shards may complete in any order, but the
     merge walks them in (benchmark index, flop base) order, so the
@@ -39,8 +41,10 @@ The serial path (``workers=1``) runs the very same shards inline, so
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
+import warnings
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
 from dataclasses import dataclass
@@ -51,8 +55,8 @@ from ..cpu.units import FlopRef
 from ..workloads.kernels import KERNELS
 from .arch import TieredGolden
 from .injector import InjectionEngine
-from .kernels import cext_available, resolve_threads, usable_cpus
-from .models import ErrorRecord
+from .kernels import cext_available, cext_module, resolve_threads, usable_cpus
+from .models import ErrorRecord, Fault, FaultKind
 
 #: spawn_key stream tags (first element of every derived key); minted
 #: centrally in :mod:`repro.faults.streams`, re-exported here for the
@@ -230,7 +234,7 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     """
     tiered = _tiered_for(shard.benchmark, config.seed)
     n_cycles = tiered.n_cycles
-    faults, injected = _schedule_shard(config, shard, n_cycles)
+    faults, injected = _schedule_shard(config, shard, n_cycles, batch)
     if not faults:
         return [], injected, n_cycles, {}
     golden = tiered.full
@@ -239,7 +243,7 @@ def run_shard(config, shard: Shard, batch: int | None = None,
         # ``full`` then rebuilt: schedule on the real length, so a
         # corrupt cache never changes the answer.
         n_cycles = golden.n_cycles
-        faults, injected = _schedule_shard(config, shard, n_cycles)
+        faults, injected = _schedule_shard(config, shard, n_cycles, batch)
     options = dict(max_observe=config.max_observe,
                    mask_check_stride=config.mask_check_stride,
                    prune=config.prune)
@@ -256,9 +260,28 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     return records, injected, n_cycles, engine.stats.as_dict()
 
 
-def _schedule_shard(config, shard: Shard, n_cycles: int) -> tuple[
+def _schedule_shard(config, shard: Shard, n_cycles: int,
+                    batch: int | None = None) -> tuple[
         list, dict[tuple[str, str], int]]:
-    """The shard's faults in (flop, schedule) order, and their counts."""
+    """The shard's faults in (flop, schedule) order, and their counts.
+
+    With the batch engine (``batch`` set) the compiled scheduler draws
+    them, when it passed its first-use check (:func:`compiled_schedule`)
+    and the interval grid is within its range; otherwise
+    :func:`~repro.faults.campaign.schedule_faults`, the specification,
+    draws each flop's from its keyed stream.  Both give the same
+    faults.
+    """
+    schedule = compiled_schedule() if batch else None
+    if schedule is not None:
+        scheduled = _schedule_compiled(schedule, config, shard, n_cycles)
+        if scheduled is not None:
+            return scheduled
+    return _schedule_numpy(config, shard, n_cycles)
+
+
+def _schedule_numpy(config, shard: Shard, n_cycles: int) -> tuple[
+        list, dict[tuple[str, str], int]]:
     from .campaign import schedule_faults
 
     faults = []
@@ -271,6 +294,123 @@ def _schedule_shard(config, shard: Shard, n_cycles: int) -> tuple[
             injected[key] = injected.get(key, 0) + 1
             faults.append(fault)
     return faults, injected
+
+
+#: The compiled scheduler's range.  It mirrors numpy's
+#: ``Generator.choice`` only on the Floyd path, which numpy takes for
+#: populations of at most this many intervals, and draws 32-bit
+#: bounded integers only, so intervals of at most ``2**32`` cycles.
+COMPILED_MAX_INTERVALS = 10_000
+COMPILED_MAX_INTERVAL_CYCLES = 2**32
+
+
+def _schedule_compiled(schedule, config, shard: Shard, n_cycles: int):
+    """:func:`_schedule_numpy`'s result from one call of ``schedule``
+    (the compiled kernel's), or None outside its range."""
+    n_intervals = max(1, min(config.intervals, n_cycles))
+    longest = -(-n_cycles // n_intervals)
+    if (n_intervals > COMPILED_MAX_INTERVALS
+            or not 0 < longest <= COMPILED_MAX_INTERVAL_CYCLES):
+        return None
+    counts = ((FaultKind.SOFT, min(config.soft_per_flop, n_intervals)),
+              (FaultKind.STUCK0, min(config.hard_per_flop, n_intervals)),
+              (FaultKind.STUCK1, min(config.hard_per_flop, n_intervals)))
+    kinds = [kind for kind, count in counts for _ in range(count)]
+    cycles = np.empty(len(shard.flops) * len(kinds), dtype=np.int64)
+    schedule(cycles, _entropy_words(config.seed), SCHEDULE_STREAM,
+             shard.bench_idx, shard.flop_base, n_cycles, n_intervals,
+             counts[0][1], counts[1][1])
+    cells = ((flop, kind) for flop in shard.flops for kind in kinds)
+    faults = [Fault(flop, kind, cycle)
+              for (flop, kind), cycle in zip(cells, cycles.tolist())]
+    injected: dict[tuple[str, str], int] = {}
+    for flop in shard.flops:
+        for kind, count in counts:
+            if count:
+                key = (flop.unit, kind.value)
+                injected[key] = injected.get(key, 0) + count
+    return faults, injected
+
+
+def _entropy_words(value: int) -> np.ndarray:
+    """``value`` split as ``SeedSequence`` splits an int entropy: its
+    32-bit words, low first (``0`` is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+#: Cells the compiled scheduler must reproduce before a process uses
+#: it: (seed, ``CampaignConfig`` fields, golden length), each on the
+#: flops of :data:`_PROBE_SHARD`.  Between them they take one-, two-
+#: and three-word seeds and flop indices of one and two words, Floyd
+#: collisions (counts near the interval count), counts above it, fewer
+#: cycles than intervals, Lemire rejections (one interval of
+#: ``2**31 + 1`` cycles) and unbounded 32-bit draws (intervals of
+#: exactly ``2**32`` cycles).
+_SCHEDULE_PROBES = (
+    (20180615, {}, 13_519),
+    (2**40 + 7, {"soft_per_flop": 60, "hard_per_flop": 70}, 6_400),
+    (2**70 + 5, {"soft_per_flop": 8}, 50),
+    (1, {"intervals": 1}, 2**31 + 1),
+    (3, {"intervals": 2}, 2**33),
+)
+_PROBE_SHARD = Shard(3, "probe", 2**32 - 2,
+                     (FlopRef("pc", 0), FlopRef("flags", 1),
+                      FlopRef("pc", 31), FlopRef("flags", 2)))
+
+#: :func:`compiled_schedule`'s verdict in this process; the sentinel
+#: until its first call.
+_UNCHECKED = object()
+_SCHEDULE = _UNCHECKED
+_SCHEDULE_LOCK = threading.Lock()
+
+
+def compiled_schedule():
+    """The compiled kernel's ``schedule``, or None to schedule with numpy.
+
+    numpy does not promise that ``Generator`` methods draw the same
+    values across releases, so the first call in a process checks the
+    compiled scheduler against ``schedule_faults`` on
+    :data:`_SCHEDULE_PROBES`.  On a mismatch it warns once and returns
+    None for the rest of the process: a host with a compiler then
+    still gives the digests of a host without one.
+    """
+    global _SCHEDULE
+    if _SCHEDULE is _UNCHECKED:
+        with _SCHEDULE_LOCK:
+            if _SCHEDULE is _UNCHECKED:
+                _SCHEDULE = _checked_schedule()
+    return _SCHEDULE
+
+
+def _checked_schedule():
+    from .campaign import CampaignConfig
+
+    schedule = getattr(cext_module(), "schedule", None)
+    if schedule is None:
+        return None
+    for seed, fields, n_cycles in _SCHEDULE_PROBES:
+        config = CampaignConfig(seed=seed, **fields)
+        try:
+            ok = (_schedule_compiled(schedule, config, _PROBE_SHARD, n_cycles)
+                  == _schedule_numpy(config, _PROBE_SHARD, n_cycles))
+        except Exception as exc:  # noqa: BLE001 - any failure means numpy
+            ok, why = False, f"{type(exc).__name__}: {exc}"
+        else:
+            why = "different fault cycles"
+        if not ok:
+            warnings.warn(
+                f"the compiled fault scheduler disagrees with numpy "
+                f"{np.__version__} (seed {seed}, {fields}, {n_cycles} "
+                f"cycles: {why}); scheduling with numpy in this process",
+                RuntimeWarning)
+            return None
+    return schedule
 
 
 # -- controller side ---------------------------------------------------------

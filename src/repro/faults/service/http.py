@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -137,9 +138,15 @@ class CampaignService:
 
     def handle_lease(self, body: dict) -> dict:
         worker = str(body.get("worker", "anonymous"))
-        ttl = float(body.get("ttl", self.lease_ttl))
-        if ttl <= 0:
-            raise HttpError(400, f"lease ttl must be positive, got {ttl}")
+        ttl = body.get("ttl", self.lease_ttl)
+        # JSON numbers only, and finite: ``json`` parses NaN and
+        # Infinity, and a lease that never expires strands its shard
+        # when the worker dies.
+        if (isinstance(ttl, bool) or not isinstance(ttl, (int, float))
+                or not 0 < ttl <= sys.float_info.max):
+            raise HttpError(400, "lease ttl must be a positive finite "
+                            f"number of seconds, got {ttl!r}")
+        ttl = float(ttl)
         grant = self.ledger.lease(worker, ttl=ttl)
         if grant is None:
             return {"shard": None, "progress": self.ledger.progress()}

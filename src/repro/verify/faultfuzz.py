@@ -564,8 +564,9 @@ def run_faultfuzz(programs: int = 200, seed: int = 0, *,
 
     ``workers > 1`` shards the program range over a process pool; the
     keyed schedules and ordered merge make results bit-identical for
-    any worker count (``workers=0`` = all cores).  ``cores=3`` runs
-    voted triples through the :class:`VotingChecker`;
+    any worker count (``workers=0`` = every CPU the process may run
+    on).  ``cores=3`` runs voted triples through the
+    :class:`VotingChecker`;
     ``lockstep_mode="dynamic"`` gates comparison on a seeded window
     schedule targeting ``duty`` (fraction of cycles compared).
     """
@@ -577,10 +578,10 @@ def run_faultfuzz(programs: int = 200, seed: int = 0, *,
                          f"got {lockstep_mode!r}")
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"duty must be in (0, 1], got {duty}")
-    if not workers:
-        import os
-        workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), max(programs, 1)))
+    # Imported here: repro.faults.arch imports this package.
+    from ..faults.parallel import resolve_workers
+
+    workers = min(resolve_workers(workers), max(programs, 1))
     chunk = max(1, -(-programs // max(1, 4 * workers)))
     shards = [(start, min(chunk, programs - start))
               for start in range(0, programs, chunk)]

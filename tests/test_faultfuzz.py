@@ -10,6 +10,8 @@ not), and the checker on the detection path is the *real* mutable one.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import repro.lockstep.checker as checker_mod
@@ -147,6 +149,18 @@ def test_digest_deterministic_across_runs_and_workers(small_session):
     # And the merge preserved global program order.
     order = [o.program for o in sharded.outcomes]
     assert order == sorted(order)
+
+
+def test_all_workers_means_usable_cpus(monkeypatch):
+    """``workers=0`` counts the CPUs this process may run on, not the
+    host's: pinned to one CPU of a 16-CPU host, the session runs
+    inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    report = run_faultfuzz(programs=2, seed=0, faults_per_program=1,
+                           workers=0)
+    assert report.meta["workers"] == 1
 
 
 def test_digest_covers_outcome_fields(small_session):

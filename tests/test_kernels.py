@@ -15,18 +15,22 @@ Three layers of guarantee around the C extension:
 * **engine parity** — the fused ``drive`` loop reproduces the scalar
   engine's records and PruneStats for any batch and thread count, on
   the workloads and on golden traces of generated and directed corner
-  programs.
+  programs;
+* **scheduling** — the kernel's ``schedule`` writes the fault cycles
+  the specification, ``schedule_faults``, draws from each cell's keyed
+  numpy stream, and a scheduler that disagrees is caught on first use.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
@@ -45,9 +49,10 @@ from repro.faults import (
     sample_flops,
     schedule_faults,
 )
-from repro.faults import _cstep, kernels
+from repro.faults import _cstep, kernels, parallel
 from repro.faults.batch import N_REGS, N_ROWS, ZERO_ROW, _cext_tables
-from repro.faults.parallel import sampling_rng, schedule_rng
+from repro.faults.parallel import Shard, sampling_rng, schedule_rng
+from repro.faults.streams import SCHEDULE_STREAM
 from repro.verify.diff import DEFAULT_MAX_CYCLES
 from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
                                  program_strategy)
@@ -484,3 +489,108 @@ def test_any_threads_batch_reproduces_serial(ttsprk_golden, threads, batch):
                                   batch=batch, threads=threads)
     assert engine.inject_all(faults) == records
     assert engine.stats.as_dict() == stats
+
+
+# -- compiled fault scheduling ------------------------------------------------
+
+_FLOPS = all_flops()
+
+
+@st.composite
+def _schedule_cells(draw):
+    """A shard of (benchmark, flop) cells and its golden length."""
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1),       # one word
+                          st.integers(2**32, 2**64 - 1),   # two
+                          st.integers(2**64, 2**96 - 1)))  # three
+    intervals = draw(st.one_of(st.integers(1, 80),
+                               st.sampled_from((10_000, 10_001))))
+    n_cycles = draw(st.one_of(
+        st.integers(1, 3 * intervals),  # often fewer cycles than intervals
+        st.just(2**31 + 1),
+        # Both sides of the 2**32-cycle interval limit.
+        st.sampled_from((intervals * 2**32, intervals * 2**32 + 1))))
+    # Up to 3 faults per kind, or more than the intervals there are.
+    count = st.one_of(st.integers(0, 3), st.just(min(intervals, 80) + 1))
+    config = CampaignConfig(seed=seed, intervals=intervals,
+                            soft_per_flop=draw(count),
+                            hard_per_flop=draw(count))
+    flops = tuple(draw(st.lists(st.sampled_from(_FLOPS), min_size=1,
+                                max_size=3)))
+    shard = Shard(draw(st.integers(0, 9)), "ttsprk",
+                  draw(st.integers(0, 2**33)), flops)
+    return config, shard, n_cycles
+
+
+@needs_cext
+@settings(max_examples=100, deadline=None)
+@example(cell=(CampaignConfig(intervals=1, soft_per_flop=1, hard_per_flop=1),
+               Shard(0, "ttsprk", 0, tuple(_FLOPS[:8])), 2**31 + 1))
+@example(cell=(CampaignConfig(intervals=10_000, soft_per_flop=10_000),
+               Shard(1, "ttsprk", 5, tuple(_FLOPS[:1])), 10_000 * 2**32))
+@example(cell=(CampaignConfig(intervals=10_001, soft_per_flop=300),
+               Shard(1, "ttsprk", 5, tuple(_FLOPS[:1])), 10_001))
+@example(cell=(CampaignConfig(intervals=3),
+               Shard(2, "ttsprk", 7, tuple(_FLOPS[:2])), 3 * 2**32 + 1))
+@given(cell=_schedule_cells())
+def test_compiled_schedule_matches_schedule_faults(cell):
+    """Property: within its range, ``_cstep.schedule`` writes exactly
+    the cycles ``schedule_faults`` draws from each cell's keyed numpy
+    stream, and refuses grids outside it; the batch engine's shard
+    schedule equals the specification on both sides of the range."""
+    config, shard, n_cycles = cell
+    want = [fault for offset, flop in enumerate(shard.flops)
+            for fault in schedule_faults(
+                flop, n_cycles, config,
+                schedule_rng(config.seed, shard.bench_idx,
+                             shard.flop_base + offset))]
+    n_intervals = max(1, min(config.intervals, n_cycles))
+    n_soft = min(config.soft_per_flop, n_intervals)
+    n_hard = min(config.hard_per_flop, n_intervals)
+    out = np.empty(len(shard.flops) * (n_soft + 2 * n_hard), dtype=np.int64)
+    args = (out, parallel._entropy_words(config.seed), SCHEDULE_STREAM,
+            shard.bench_idx, shard.flop_base, n_cycles, n_intervals,
+            n_soft, n_hard)
+    if (n_intervals <= parallel.COMPILED_MAX_INTERVALS
+            and -(-n_cycles // n_intervals)
+            <= parallel.COMPILED_MAX_INTERVAL_CYCLES):
+        kernels.cext_module().schedule(*args)
+        assert out.tolist() == [fault.cycle for fault in want]
+    else:
+        with pytest.raises(ValueError):
+            kernels.cext_module().schedule(*args)
+    faults, injected = parallel._schedule_shard(config, shard, n_cycles,
+                                                DEFAULT_BATCH)
+    assert faults == want
+    assert injected == parallel._schedule_numpy(config, shard, n_cycles)[1]
+
+
+@needs_cext
+def test_compiled_schedule_passes_first_use_check(monkeypatch):
+    monkeypatch.setattr(parallel, "_SCHEDULE", parallel._UNCHECKED)
+    assert parallel.compiled_schedule() is kernels.cext_module().schedule
+
+
+@needs_cext
+def test_compiled_schedule_mismatch_falls_back_to_numpy(monkeypatch,
+                                                        quick_campaign):
+    """A compiled scheduler that disagrees with this numpy fails the
+    first-use check: one warning, then numpy schedules every shard and
+    the digest is the ``batch=0`` one."""
+    module = kernels.cext_module()
+    compiled = module.schedule
+
+    def off_by_one(out, *args):
+        compiled(out, *args)
+        out += 1
+
+    monkeypatch.setattr(module, "schedule", off_by_one)
+    monkeypatch.setattr(parallel, "_SCHEDULE", parallel._UNCHECKED)
+    with pytest.warns(RuntimeWarning, match="scheduling with numpy"):
+        result = run_campaign(QUICK)
+    assert parallel.compiled_schedule() is None
+    assert result.meta["kernel"] == "cext"
+    assert result.digest() == quick_campaign.digest()
+    assert result.injected == quick_campaign.injected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_campaign(QUICK).digest() == quick_campaign.digest()

@@ -446,9 +446,13 @@ def test_http_error_paths(trained_service):
     with pytest.raises(ServiceError) as excinfo:
         client.request("POST", "/commit", {"shard_id": "x", "outcome": {}})
     assert excinfo.value.status == 400
-    with pytest.raises(ServiceError) as excinfo:
-        client.request("POST", "/lease", {"ttl": -5})
-    assert excinfo.value.status == 400
+    # A TTL that is not a positive finite number; NaN and Infinity are
+    # what ``json`` parses the bare tokens to, and would grant a lease
+    # that never expires.
+    for ttl in (-5, float("nan"), float("inf"), "abc"):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/lease", {"ttl": ttl})
+        assert excinfo.value.status == 400, ttl
 
 
 def test_http_concurrent_lookups_consistent(trained_service, reference):
