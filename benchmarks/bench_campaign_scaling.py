@@ -29,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import CampaignConfig, GoldenTrace, cext_available, run_campaign
+from repro.faults import (CampaignConfig, ExecPlan, GoldenTrace,
+                          cext_available, run_campaign)
 from repro.faults.golden import MEMORY_CHECKPOINT_EVERY
 from repro.workloads import KERNELS
 
@@ -66,7 +67,7 @@ WORKER_COUNTS = (1, 2, 4, 8)
 @pytest.fixture(scope="module")
 def serial_reference():
     """The workers=1 result every parallel run must reproduce."""
-    return run_campaign(SCALING_CONFIG, workers=1)
+    return run_campaign(SCALING_CONFIG)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -75,7 +76,7 @@ def test_campaign_scaling(benchmark, workers, serial_reference):
     benchmark.name = f"campaign_workers_{workers}"
     result = benchmark.pedantic(
         run_campaign, args=(SCALING_CONFIG,),
-        kwargs={"workers": workers}, rounds=1, iterations=1)
+        kwargs={"plan": ExecPlan(workers=workers)}, rounds=1, iterations=1)
     assert result.records == serial_reference.records
     assert result.injected == serial_reference.injected
 
@@ -86,7 +87,7 @@ def test_scaling_speedup_table(report):
     base = None
     for workers in WORKER_COUNTS:
         start = time.perf_counter()
-        result = run_campaign(SCALING_CONFIG, workers=workers)
+        result = run_campaign(SCALING_CONFIG, plan=ExecPlan(workers=workers))
         elapsed = time.perf_counter() - start
         if base is None:
             base = elapsed
@@ -104,9 +105,8 @@ def test_campaign_pruning(benchmark, prune, serial_reference):
     benchmark.group = "campaign-pruning"
     benchmark.name = f"campaign_{'pruned' if prune else 'unpruned'}"
     config = dataclasses.replace(SCALING_CONFIG, prune=prune)
-    result = benchmark.pedantic(
-        run_campaign, args=(config,), kwargs={"workers": 1},
-        rounds=1, iterations=1)
+    result = benchmark.pedantic(run_campaign, args=(config,), rounds=1,
+                                iterations=1)
     # pruning must be behaviour-preserving, bit for bit
     assert result.records == serial_reference.records
     assert result.injected == serial_reference.injected
@@ -122,13 +122,14 @@ def test_pruning_speedup_report(report):
     """
     config = CampaignConfig.quick()
     config_off = dataclasses.replace(config, prune=False)
-    run_campaign(config, workers=1, batch=0)  # warm the golden cache
+    scalar = ExecPlan(batch=0)
+    run_campaign(config, plan=scalar)  # warm the golden cache
 
     def best_of(cfg, rounds=3):
         times, result = [], None
         for _ in range(rounds):
             start = time.perf_counter()
-            result = run_campaign(cfg, workers=1, batch=0)
+            result = run_campaign(cfg, plan=scalar)
             times.append(time.perf_counter() - start)
         return min(times), result
 
@@ -218,11 +219,11 @@ def test_batch_speedup_report(report):
     """
     if not cext_available():
         pytest.skip("compiled kernel unavailable")
-    run_campaign(BATCH_SWEEP_CONFIG, workers=1)  # warm golden caches
+    run_campaign(BATCH_SWEEP_CONFIG)  # warm golden caches
 
-    def timed(cfg, **kwargs):
+    def timed(cfg, batch):
         start = time.perf_counter()
-        result = run_campaign(cfg, workers=1, **kwargs)
+        result = run_campaign(cfg, plan=ExecPlan(batch=batch))
         return time.perf_counter() - start, result
 
     t_scalar, scalar = timed(BATCH_SWEEP_CONFIG, batch=0)
@@ -245,7 +246,8 @@ def test_batch_speedup_report(report):
         "digest": scalar.digest(),
     })
 
-    run_campaign(BATCH_HEADLINE_CONFIG, workers=1, batch=2048)  # warm golden
+    run_campaign(BATCH_HEADLINE_CONFIG,
+                 plan=ExecPlan(batch=2048))  # warm golden
     t_hs, head_scalar = timed(BATCH_HEADLINE_CONFIG, batch=0)
     hn = head_scalar.n_injected
     t_hc = float("inf")
@@ -281,34 +283,33 @@ THREAD_COUNTS = (1, 2, 4, 8)
 
 
 def test_cstep_threads_report(report):
-    """Multithreaded drive loop + shard-executor sweep; appends a
-    ``cstep_threads`` entry to the root BENCH_campaign.json.
+    """Multithreaded drive-loop sweep; appends a ``cstep_threads`` entry
+    to the root BENCH_campaign.json.
 
     Rows: drive-loop threads 1/2/4/8 at workers=1 (pure kernel
-    scaling), then executor process-vs-thread at workers=2.  The
-    headline multithread ratio follows the PR 7 methodology —
-    interleaved (threads=1, threads=4) rounds, median of per-round
-    pair ratios — so it normalises host-frequency drift, and the host
-    core count is recorded alongside: on a single-core runner the
-    honest ratio is ~1.0 and the entry says so.  Every row's digest is
+    scaling).  The headline multithread ratio follows the PR 7
+    methodology — interleaved (threads=1, threads=4) rounds, median of
+    per-round pair ratios — so it normalises host-frequency drift, and
+    the host core count is recorded alongside: on a single-core runner
+    the honest ratio is ~1.0 and the entry says so.  Every row's digest is
     asserted identical to the single-thread run.
     """
     if not cext_available():
         pytest.skip("compiled kernel unavailable")
-    run_campaign(BATCH_SWEEP_CONFIG, workers=1, batch=256,
-                 threads=1)  # warm goldens + build
     cores = os.cpu_count() or 1
 
-    def timed(**kwargs):
+    def timed(threads):
         start = time.perf_counter()
-        result = run_campaign(BATCH_SWEEP_CONFIG, batch=256, **kwargs)
+        result = run_campaign(BATCH_SWEEP_CONFIG,
+                              plan=ExecPlan(batch=256, threads=threads))
         return time.perf_counter() - start, result
 
-    t_ref, ref = timed(workers=1, threads=1)
+    timed(1)  # warm goldens + build
+    t_ref, ref = timed(1)
     n = ref.n_injected
     thread_rows = {"1": round(n / t_ref, 1)}
     for threads in THREAD_COUNTS[1:]:
-        t_n, r = timed(workers=1, threads=threads)
+        t_n, r = timed(threads)
         assert r.digest() == ref.digest()
         assert r.meta["pruning"] == ref.meta["pruning"]
         thread_rows[str(threads)] = round(n / t_n, 1)
@@ -316,18 +317,12 @@ def test_cstep_threads_report(report):
     # Interleaved rounds for the headline threads=4 ratio.
     pair_ratios = []
     for _ in range(3):
-        t_1, r1 = timed(workers=1, threads=1)
-        t_4, r4 = timed(workers=1, threads=4)
+        t_1, r1 = timed(1)
+        t_4, r4 = timed(4)
         assert r1.digest() == ref.digest() and r4.digest() == ref.digest()
         pair_ratios.append(t_1 / t_4)
     pair_ratios.sort()
     ratio = round(pair_ratios[len(pair_ratios) // 2], 2)
-
-    executor_rows = {}
-    for executor in ("process", "thread"):
-        t_e, r = timed(workers=2, threads=2, executor=executor)
-        assert r.digest() == ref.digest()
-        executor_rows[executor] = round(n / t_e, 1)
 
     append_bench_entry("cstep_threads", {
         "config": {"benchmarks": ["ttsprk"], "soft_per_flop": 8,
@@ -336,10 +331,7 @@ def test_cstep_threads_report(report):
         "batch": 256,
         "host_cores": cores,
         "injections": n,
-        "injections_per_s": {
-            "threads": thread_rows,
-            "workers2_executor": executor_rows,
-        },
+        "injections_per_s": {"threads": thread_rows},
         "threads4_vs_threads1": ratio,
         "digest": ref.digest(),
     })
@@ -349,8 +341,6 @@ def test_cstep_threads_report(report):
               for t in THREAD_COUNTS]
     lines += [f"  threads=4 vs 1: {ratio:4.2f}x "
               f"(median of {len(pair_ratios)} interleaved pairs)"]
-    lines += [f"  workers=2 executor={e}: {v:8.0f} inj/s"
-              for e, v in executor_rows.items()]
     lines += [f"  appended to {ROOT_BENCH_JSON.name}"]
     report("campaign_cstep_threads", "\n".join(lines))
 

@@ -23,7 +23,7 @@ import statistics
 import threading
 import time
 
-from repro.faults import CampaignConfig, run_campaign
+from repro.faults import CampaignConfig, ExecPlan, run_campaign
 from repro.faults.service import (
     CampaignLedger,
     CampaignService,
@@ -53,19 +53,19 @@ LOOKUPS_PER_CLIENT = 25
 def test_service_overhead_and_lookup_latency(tmp_path, report):
     # Both campaigns run the scalar engine (batch=0), as in every
     # earlier entry, so the ledger overhead compares like with like.
-    run_campaign(SERVICE_CONFIG, workers=1, batch=0)  # warm the golden cache
+    scalar = ExecPlan(batch=0)
+    run_campaign(SERVICE_CONFIG, plan=scalar)  # warm the golden cache
 
     def timed(fn, *args, **kwargs):
         start = time.perf_counter()
         out = fn(*args, **kwargs)
         return time.perf_counter() - start, out
 
-    t_mono, mono = timed(run_campaign, SERVICE_CONFIG, workers=1,
-                         chunk_flops=SERVICE_CHUNK, batch=0)
+    plan = ExecPlan(batch=0, chunk_flops=SERVICE_CHUNK)
+    t_mono, mono = timed(run_campaign, SERVICE_CONFIG, plan=plan)
     t_ledger, ledgered = timed(
         run_resumable_campaign, SERVICE_CONFIG,
-        ledger_dir=tmp_path / "ledger", workers=1,
-        chunk_flops=SERVICE_CHUNK, batch=0)
+        ledger_dir=tmp_path / "ledger", plan=plan)
     assert ledgered.digest() == mono.digest()  # durability is free of drift
     n = mono.n_injected
     n_shards = ledgered.meta["n_shards"]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import CampaignConfig, cached_campaign
+from repro.faults import CampaignConfig, ExecPlan, cached_campaign
 
 RESULTS_DIR = Path(__file__).parent / "results"
 CACHE_DIR = Path(__file__).parent.parent / ".campaign_cache"
@@ -62,7 +62,7 @@ def campaign_workers(request) -> int:
 def campaign(campaign_workers):
     """The shared fault-injection campaign (disk-cached)."""
     return cached_campaign(_config(), cache_dir=CACHE_DIR, progress=True,
-                           workers=campaign_workers)
+                           plan=ExecPlan(workers=campaign_workers))
 
 
 @pytest.fixture(scope="session")

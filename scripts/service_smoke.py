@@ -33,7 +33,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.faults import CampaignConfig  # noqa: E402
+from repro.faults import CampaignConfig, ExecPlan  # noqa: E402
 from repro.faults.parallel import execute_campaign  # noqa: E402
 from repro.faults.service import ServiceClient  # noqa: E402
 from repro.faults.service.runner import ledger_digest  # noqa: E402
@@ -84,7 +84,7 @@ def main() -> int:
     print(f"[smoke] serial reference for {SCALE} campaign...", flush=True)
     # On the scalar engine (batch=0); the workers below run the default
     # engine, which is the batch engine wherever the kernel builds.
-    reference = execute_campaign(config, workers=1, batch=0)
+    reference = execute_campaign(config, plan=ExecPlan(batch=0))
     print(f"[smoke] reference digest {reference.digest()[:16]}... "
           f"({reference.n_injected} injections)", flush=True)
 

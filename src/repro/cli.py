@@ -41,8 +41,7 @@ from .analysis.reports import (
     render_table3,
     render_table4,
 )
-from .faults import (DEFAULT_BATCH, EXECUTOR_CHOICES, CampaignConfig,
-                     cached_campaign)
+from .faults import DEFAULT_BATCH, CampaignConfig, ExecPlan, cached_campaign
 from .workloads import KERNELS, get_workload, run_kernel
 
 _SCALES = {
@@ -84,19 +83,12 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "which also runs when the kernel cannot be "
                              "built; records are bit-identical for any "
                              "value")
-    parser.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None,
-                        help="shard fan-out backend with --workers > 1: "
-                             "'process' (default; pool of worker "
-                             "processes) or 'thread' (in-process workers "
-                             "sharing one golden cache — effective with "
-                             "the GIL-releasing compiled kernel); results "
-                             "are bit-identical for either")
     parser.add_argument("--cstep-threads", type=int, default=None,
                         metavar="N", dest="cstep_threads",
                         help="threads for the compiled kernel's drive "
-                             "loop (default: $REPRO_CSTEP_THREADS, else "
-                             "min(usable CPUs / workers, lanes/16)); "
-                             "results are bit-identical for any value")
+                             "loop (default: min(usable CPUs / workers, "
+                             "lanes/16)); results are bit-identical for "
+                             "any value")
 
 
 def _cli_config(args: argparse.Namespace) -> CampaignConfig:
@@ -106,21 +98,28 @@ def _cli_config(args: argparse.Namespace) -> CampaignConfig:
     return config
 
 
+#: ExecPlan field -> the option that sets it, on the commands that have it.
+_PLAN_OPTIONS = {"workers": "workers", "batch": "batch",
+                 "threads": "cstep_threads", "chunk_flops": "chunk_flops"}
+
+
+def _exec_plan(args: argparse.Namespace) -> ExecPlan:
+    """The command's execution options as one plan (``ValueError`` names
+    an out-of-range field)."""
+    return ExecPlan(**{field: getattr(args, option)
+                       for field, option in _PLAN_OPTIONS.items()
+                       if getattr(args, option, None) is not None})
+
+
 def _load_campaign(args: argparse.Namespace):
     config = _cli_config(args)
     if getattr(args, "resume", False):
         from .faults.service import run_resumable_campaign
 
-        return run_resumable_campaign(
-            config, ledger_dir=args.ledger, progress=True,
-            workers=args.workers, batch=getattr(args, "batch", None),
-            executor=getattr(args, "executor", None),
-            threads=getattr(args, "cstep_threads", None))
-    return cached_campaign(config, cache_dir=args.cache,
-                           progress=True, workers=args.workers,
-                           batch=getattr(args, "batch", None),
-                           executor=getattr(args, "executor", None),
-                           threads=getattr(args, "cstep_threads", None))
+        return run_resumable_campaign(config, ledger_dir=args.ledger,
+                                      progress=True, plan=args.plan)
+    return cached_campaign(config, cache_dir=args.cache, progress=True,
+                           plan=args.plan)
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -291,7 +290,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = _cli_config(args)
     ledger = CampaignLedger(args.ledger, config,
-                            chunk_flops=args.chunk_flops)
+                            chunk_flops=args.plan.chunk_flops)
     service = CampaignService(ledger, fine=args.fine, top_k=args.top_k,
                               lease_ttl=args.lease_ttl)
     serve_forever(service, args.host, args.port)
@@ -301,8 +300,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_work(args: argparse.Namespace) -> int:
     from .faults.service import run_worker
 
-    done = run_worker(args.url, worker_id=args.worker,
-                      batch=args.batch, threads=args.cstep_threads,
+    done = run_worker(args.url, worker_id=args.worker, plan=args.plan,
                       ttl=args.ttl, max_shards=args.max_shards or None,
                       progress=True)
     print(f"worker {args.worker}: committed {done} shard(s)")
@@ -476,7 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.plan = _exec_plan(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except BrokenPipeError:

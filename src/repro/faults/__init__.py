@@ -20,7 +20,6 @@ from .golden import (
 )
 from .injector import InjectionEngine, PruneStats
 from .kernels import (
-    THREADS_ENV,
     cext_available,
     cext_build_error,
     resolve_kernel,
@@ -28,13 +27,10 @@ from .kernels import (
 )
 from .parallel import (
     DEFAULT_BATCH,
-    EXECUTOR_CHOICES,
+    ExecPlan,
     Shard,
     plan_shards,
-    resolve_batch,
     resolve_chunk,
-    resolve_executor,
-    resolve_workers,
     sampling_rng,
     schedule_rng,
 )
@@ -59,10 +55,8 @@ __all__ = [
     "CAMPAIGN_MEM_WORDS", "GOLDEN_CACHE_ENV", "GoldenTrace", "LoggingMemory",
     "golden_cache_dir",
     "InjectionEngine", "PruneStats",
-    "THREADS_ENV", "cext_available", "cext_build_error",
-    "resolve_kernel", "resolve_threads",
-    "DEFAULT_BATCH", "EXECUTOR_CHOICES", "Shard", "plan_shards", "resolve_batch",
-    "resolve_chunk", "resolve_executor", "resolve_workers",
+    "cext_available", "cext_build_error", "resolve_kernel", "resolve_threads",
+    "DEFAULT_BATCH", "ExecPlan", "Shard", "plan_shards", "resolve_chunk",
     "sampling_rng", "schedule_rng",
     "ErrorRecord", "ErrorType", "Fault", "FaultKind", "error_type_of",
     "Spread", "diverged_set_size_ratio", "manifestation_rates",

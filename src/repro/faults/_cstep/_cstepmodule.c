@@ -825,7 +825,7 @@ static void run_slice(const DriveJob *d, int k, int n_slices,
  * pthread_cond_wait between jobs, so an idle pool costs nothing).  One
  * job slot: the dispatching thread holds `busy` for the whole
  * dispatch/join, and a concurrent drive() that finds the pool busy
- * (threaded shard executor running several engines at once) simply
+ * (several Python threads each running an engine) simply
  * runs its own call single-threaded inline — never blocked, never
  * deadlocked.  A fork invalidates inherited workers; the owner-pid
  * check reinitialises the (then thread-free) child's pool state from
@@ -1075,7 +1075,7 @@ static PyObject *py_drive(PyObject *self, PyObject *args)
         n_threads = n;          /* never hand a thread an empty slice */
     if (n_threads > 1) {
         /* GIL still held: serialised pool growth, then claim the job
-         * slot.  A concurrent drive() (threaded shard executor) that
+         * slot.  A concurrent drive() (another Python thread) that
          * loses the trylock runs inline single-threaded instead of
          * blocking on the pool. */
         int avail = ensure_pool((int)n_threads - 1);

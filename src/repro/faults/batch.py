@@ -59,7 +59,7 @@ The kernel's cycle semantics are pinned per cycle to ``Cpu.step`` by
 ``tests/test_kernels.py``.  This is the campaign drivers' default
 engine.  Without a C compiler the kernel cannot load and this engine
 refuses to start; the drivers then run the scalar engine instead
-(:func:`repro.faults.parallel.resolve_batch`).
+(:meth:`repro.faults.parallel.ExecPlan.resolve`).
 """
 
 from __future__ import annotations

@@ -209,46 +209,25 @@ def schedule_faults(flop: FlopRef, n_cycles: int, config: CampaignConfig,
 
 
 def run_campaign(config: CampaignConfig | None = None,
-                 progress: bool = False, workers: int | None = 1,
-                 chunk_flops: int | None = None,
-                 batch: int | None = None,
-                 executor: str | None = None,
-                 threads: int | None = None) -> CampaignResult:
+                 progress: bool = False, plan=None) -> CampaignResult:
     """Execute a campaign and return its result.
 
     Args:
         config: campaign parameters (default: :meth:`CampaignConfig.default`).
         progress: print per-shard progress lines.
-        workers: worker processes for the sharded engine; ``1`` runs the
-            shards inline in this process, ``None``/``0`` uses every
-            CPU the process may run on.  Results are bit-identical for
-            any value (see :mod:`repro.faults.parallel`).
-        chunk_flops: flops per shard (default: auto, one shard per
-            worker per benchmark with the batch engine, ~4 with the
-            scalar one).  Affects only scheduling granularity, never
-            results.
-        batch: lane count for the batch injection engine
-            (:mod:`repro.faults.batch`); ``None`` (the default) means
-            :data:`~repro.faults.parallel.DEFAULT_BATCH` lanes and
-            ``0`` runs the scalar engine, as does any value when the
-            compiled kernel cannot load (``meta["kernel"]`` is then
-            None).  Like ``workers``, an execution knob only — records
-            and pruning stats are bit-identical for any value.
-        executor: shard fan-out backend — ``"process"`` (default) or
-            ``"thread"`` (in-process workers sharing one golden cache;
-            effective with the GIL-releasing compiled kernel).  Also
-            purely an execution knob.
-        threads: compiled kernel drive-loop thread count (``None``
-            auto-sizes from the usable CPUs shared among the workers;
-            see :func:`repro.faults.kernels.resolve_threads`).  Also
-            purely an execution knob.
+        plan: how to execute it, an
+            :class:`~repro.faults.parallel.ExecPlan` (default:
+            ``ExecPlan()``: one shard runner, inline, on the batch
+            engine at :data:`~repro.faults.parallel.DEFAULT_BATCH`
+            lanes, or on the scalar engine when the compiled kernel
+            cannot load; ``meta["kernel"]`` is then None).  Records and
+            pruning stats are bit-identical for every plan (see
+            :mod:`repro.faults.parallel`), which ``meta`` records.
     """
     from .parallel import execute_campaign
 
     config = config or CampaignConfig.default()
-    return execute_campaign(config, progress=progress, workers=workers,
-                            chunk_flops=chunk_flops, batch=batch,
-                            executor=executor, threads=threads)
+    return execute_campaign(config, progress=progress, plan=plan)
 
 
 def _load_cached(path: Path, config: CampaignConfig) -> CampaignResult | None:
@@ -275,21 +254,14 @@ def _load_cached(path: Path, config: CampaignConfig) -> CampaignResult | None:
 
 def cached_campaign(config: CampaignConfig | None = None,
                     cache_dir: str | Path = ".campaign_cache",
-                    progress: bool = False,
-                    workers: int | None = 1,
-                    batch: int | None = None,
-                    executor: str | None = None,
-                    threads: int | None = None) -> CampaignResult:
+                    progress: bool = False, plan=None) -> CampaignResult:
     """Run a campaign, or load it from the on-disk cache if present.
 
     All benchmark-harness figures share one campaign run through this
-    cache, keyed by the configuration hash.  The execution knobs mean
-    what they mean in :func:`run_campaign` (``batch=None``: the batch
-    engine when the compiled kernel loads; ``batch=0``: scalar).  The
-    key is independent of ``workers``, ``batch``, ``executor`` and
-    ``threads`` — a result computed with any worker count, engine
-    (scalar / batch), shard executor or thread count is identical, so
-    it is shared by all of them.
+    cache, keyed by the configuration hash.  ``plan`` executes a run as
+    in :func:`run_campaign`.  The key is independent of the plan — a
+    result computed with any worker count, engine (scalar / batch) or
+    thread count is identical, so it is shared by all of them.
     """
     config = config or CampaignConfig.default()
     path = Path(cache_dir) / f"campaign_{config.cache_key()}.pkl"
@@ -297,7 +269,6 @@ def cached_campaign(config: CampaignConfig | None = None,
         result = _load_cached(path, config)
         if result is not None:
             return result
-    result = run_campaign(config, progress=progress, workers=workers,
-                          batch=batch, executor=executor, threads=threads)
+    result = run_campaign(config, progress=progress, plan=plan)
     result.save(path)
     return result

@@ -11,7 +11,7 @@ It is the default engine of every campaign driver.  When the
 extension cannot load (no C compiler, a sandboxed cache directory,
 ``REPRO_CSTEP_BUILD=0``), the drivers run the scalar
 :class:`~repro.faults.injector.InjectionEngine` instead
-(:func:`repro.faults.parallel.resolve_batch`): identical records and
+(:meth:`repro.faults.parallel.ExecPlan.resolve`): identical records and
 PruneStats, at scalar speed.  The engine never enters campaign cache
 keys.
 """
@@ -19,8 +19,6 @@ keys.
 from __future__ import annotations
 
 import os
-
-THREADS_ENV = "REPRO_CSTEP_THREADS"
 
 
 def usable_cpus() -> int:
@@ -39,18 +37,13 @@ def resolve_threads(threads: int | None = None,
                     lanes: int | None = None, workers: int = 1) -> int:
     """Resolve a drive-loop thread-count request to a concrete count.
 
-    ``None`` falls back to ``$REPRO_CSTEP_THREADS``, then to the
-    auto-size ``min(cpus // workers, lanes // 16)``: the usable CPUs
-    shared among the ``workers`` shard runners that drive at once, but
-    never slicing below 16 lanes/thread (a slice narrower than that is
-    dominated by dispatch, see DESIGN §5.17).  Always >= 1.  The
-    result only affects wall-clock: lane slices are merged in lane
-    order, so any value is digest-identical.
+    ``None`` auto-sizes to ``min(cpus // workers, lanes // 16)``: the
+    usable CPUs shared among the ``workers`` shard runners that drive
+    at once, but never slicing below 16 lanes/thread (a slice narrower
+    than that is dominated by dispatch, see DESIGN §5.17).  Always
+    >= 1.  The result only affects wall-clock: lane slices are merged
+    in lane order, so any value is digest-identical.
     """
-    if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            threads = int(env)
     if threads is None:
         cpus = max(1, usable_cpus() // max(1, workers))
         threads = min(cpus, lanes // 16) if lanes else cpus

@@ -32,21 +32,24 @@ or shard completion order**.  Two mechanisms guarantee this:
     these numpy streams (:func:`compiled_schedule`).
 
 2.  *Deterministic merge.*  Shards may complete in any order, but the
-    merge walks them in (benchmark index, flop base) order, so the
-    merged record list equals the serial nested-loop order exactly.
+    merge (:class:`~repro.faults.store.IncrementalResultStore`) walks
+    them in (benchmark index, flop base) order, so the merged record
+    list equals the serial nested-loop order exactly.
 
-The serial path (``workers=1``) runs the very same shards inline, so
-``run_campaign`` is one code path with the pool as the only variable.
+Every driver (:func:`execute_campaign`, the ledger runner and the
+remote worker) feeds its shards through one loop, :func:`run_shards`,
+under one resolved :class:`ExecPlan`.  The serial plan (``workers=1``)
+runs the very same shards inline, so the pool is the only variable.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
 import time
 import warnings
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,33 +83,6 @@ def schedule_rng(seed: int, bench_idx: int, flop_idx: int) -> np.random.Generato
         np.random.SeedSequence(seed, spawn_key=(SCHEDULE_STREAM, bench_idx, flop_idx)))
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a worker-count request (``None``/``0`` = every usable CPU)."""
-    if not workers:
-        return usable_cpus()
-    return max(1, int(workers))
-
-
-#: Shard executor backends.  ``process`` (the default) fans shards out
-#: to a ``ProcessPoolExecutor`` — fully general, required for the
-#: GIL-bound scalar engine.  ``thread`` runs shard workers as
-#: threads in this process: with the compiled kernel's ``drive()``
-#: releasing the GIL, shard runners genuinely overlap while sharing
-#: one golden cache and one import of everything — no process spawn,
-#: no pickling, no per-worker re-derived goldens.
-EXECUTOR_CHOICES = ("process", "thread")
-
-
-def resolve_executor(executor: str | None) -> str:
-    """Normalise an executor request (``None`` = ``process``)."""
-    resolved = executor or "process"
-    if resolved not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"unknown executor {resolved!r} "
-            f"(choose from {EXECUTOR_CHOICES})")
-    return resolved
-
-
 @dataclass(frozen=True)
 class Shard:
     """One unit of campaign work: a slice of flops on one benchmark."""
@@ -123,21 +99,18 @@ class Shard:
         return (self.bench_idx, self.flop_base)
 
 
-def resolve_chunk(n_flops: int, workers: int, chunk_flops: int | None,
-                  batch: int | None = None) -> int:
-    """The planned flops-per-shard chunk size.
+def resolve_chunk(n_flops: int, workers: int, batch: int = 0) -> int:
+    """The default flops-per-shard chunk size.
 
-    The scalar default aims at ~4 chunks per worker per benchmark for
-    load balancing.  The batch engine (``batch`` as
-    :func:`resolve_batch` returns it) amortizes each kernel call over
-    lane occupancy, so it wants the deepest fault pool it can get: one
-    shard per worker.  Because schedules are keyed per (benchmark,
-    flop), the chunking never affects results, only wall-clock.
+    The scalar engine (``batch=0``) aims at ~4 chunks per worker per
+    benchmark for load balancing.  The batch engine amortizes each
+    kernel call over lane occupancy, so it wants the deepest fault pool
+    it can get: one shard per worker.  Because schedules are keyed per
+    (benchmark, flop), the chunking never affects results, only
+    wall-clock.
     """
-    if chunk_flops is None:
-        per_worker = 1 if batch else 4
-        chunk_flops = max(1, -(-n_flops // max(1, per_worker * workers)))
-    return max(1, int(chunk_flops))
+    per_worker = 1 if batch else 4
+    return max(1, -(-n_flops // (per_worker * workers)))
 
 
 #: Lane count of the batch engine when a caller names none.  64 lanes
@@ -145,39 +118,86 @@ def resolve_chunk(n_flops: int, workers: int, chunk_flops: int | None,
 #: memory (DESIGN §5.15).
 DEFAULT_BATCH = 64
 
+#: The least value of each :class:`ExecPlan` field; None (auto) is
+#: always allowed.
+_PLAN_FLOORS = (("workers", 0), ("batch", 0), ("threads", 1),
+                ("chunk_flops", 1))
 
-def resolve_batch(batch: int | None, threads: int | None = None,
-                  workers: int = 1) -> tuple[int | None, int | None]:
-    """Decide once whether a run uses the batch engine.
 
-    ``None`` asks for the default, :data:`DEFAULT_BATCH` lanes; ``0``
-    asks for the scalar engine.  The batch engine runs when the
-    resolved lane count is non-zero and the compiled kernel loaded;
-    this then returns that lane count and the drive-loop thread count
-    (the usable CPUs shared among ``workers`` concurrent shard
-    runners, see :func:`~repro.faults.kernels.resolve_threads`).
-    Otherwise the scalar engine runs and both are None.  Every driver
-    calls this once, so the shard plan, the engine each shard runs and
-    the result meta all follow the same decision.
+@dataclass(frozen=True)
+class ExecPlan:
+    """How a campaign executes, never what it finds.
+
+    Records and pruning stats are bit-identical for every plan, so no
+    field enters a cache key.
+
+    Attributes:
+        workers: shard runners; ``1`` runs the shards inline, more run
+            them on a process pool, ``0`` one per usable CPU.
+        batch: lanes of the batch engine; None means
+            :data:`DEFAULT_BATCH`, ``0`` the scalar engine.
+        threads: drive-loop threads of the compiled kernel per shard
+            runner; None sizes them with
+            :func:`~repro.faults.kernels.resolve_threads`.
+        chunk_flops: flops per shard; None sizes them with
+            :func:`resolve_chunk`.
+
+    A value below its field's floor raises ``ValueError`` naming the
+    field.  Drivers call :meth:`resolve` once per run and hand the
+    resolved plan to every :func:`run_shard`.
     """
-    if batch is None:
-        batch = DEFAULT_BATCH
-    if not batch or not cext_available():
-        return None, None
-    batch = max(1, int(batch))
-    return batch, resolve_threads(threads, lanes=batch, workers=workers)
 
+    workers: int = 1
+    batch: int | None = None
+    threads: int | None = None
+    chunk_flops: int | None = None
 
-def engine_meta(batch: int | None, threads: int | None) -> dict:
-    """The ``batch``/``kernel``/``threads`` meta of a resolved run."""
-    return {"batch": batch, "kernel": "cext" if batch else None,
-            "threads": threads}
+    def __post_init__(self) -> None:
+        for name, floor in _PLAN_FLOORS:
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+
+    def resolve(self, n_flops: int | None = None) -> "ExecPlan":
+        """This plan with concrete values.
+
+        ``workers=0`` becomes the usable CPU count.  The batch engine
+        runs when the lane count is non-zero and the compiled kernel
+        loaded; then ``threads`` becomes the drive-loop thread count
+        (the usable CPUs shared among the workers).  Otherwise the
+        scalar engine runs: ``batch`` becomes ``0`` and ``threads``
+        None.  ``n_flops``, the run's sampled-flop count, sizes a
+        default ``chunk_flops``; a worker that plans no shards leaves
+        it out.  Resolving a resolved plan returns an equal plan.
+        """
+        workers = self.workers or usable_cpus()
+        batch = DEFAULT_BATCH if self.batch is None else self.batch
+        if batch and not cext_available():
+            batch = 0
+        threads = (resolve_threads(self.threads, lanes=batch, workers=workers)
+                   if batch else None)
+        chunk_flops = self.chunk_flops
+        if chunk_flops is None and n_flops is not None:
+            chunk_flops = resolve_chunk(n_flops, workers, batch)
+        return ExecPlan(workers, batch, threads, chunk_flops)
+
+    def meta(self) -> dict:
+        """The result meta of a run on this resolved plan.
+
+        ``batch``/``kernel``/``threads`` name the engine that ran: the
+        lane count, ``"cext"`` and the drive-loop thread count, or all
+        None for the scalar engine.
+        """
+        return {"workers": self.workers, "chunk_flops": self.chunk_flops,
+                "batch": self.batch or None,
+                "kernel": "cext" if self.batch else None,
+                "threads": self.threads}
 
 
 def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
                 workers: int, chunk_flops: int | None = None) -> list[Shard]:
     """Split the (benchmark × flop) grid into ordered shards."""
-    chunk_flops = resolve_chunk(len(flops), workers, chunk_flops)
+    chunk_flops = chunk_flops or resolve_chunk(len(flops), workers)
     return [
         Shard(b, bench, start, tuple(flops[start:start + chunk_flops]))
         for b, bench in enumerate(benchmarks)
@@ -190,10 +210,9 @@ def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
 #: Per-process golden-trace cache: (benchmark, seed) -> two-tier handle.
 #: Worker processes are reused across shards, so each benchmark's
 #: golden run is simulated (or loaded and cross-checked) at most once
-#: per process, for either engine.  Under the thread executor *all*
-#: shard runners share this dict, which is the point — one golden per
-#: process, not one per worker; the lock only serialises construction
-#: (a miss), never a hit.
+#: per process, for either engine.  Library callers may run shards
+#: from several threads of one process; the lock only serialises
+#: construction (a miss), never a hit.
 _TIERED_CACHE: dict[tuple[str, int], TieredGolden] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -210,8 +229,7 @@ def _tiered_for(benchmark: str, seed: int) -> TieredGolden:
     return tiered
 
 
-def run_shard(config, shard: Shard, batch: int | None = None,
-              threads: int | None = None) -> tuple[
+def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
         list[ErrorRecord], dict[tuple[str, str], int], int, dict[str, int]]:
     """Execute one shard.
 
@@ -222,16 +240,18 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     performance matter) — outcomes, and therefore the merged record
     list, are identical for any sharding.
 
-    ``batch`` and ``threads`` are the lane and drive-loop thread counts
-    :func:`resolve_batch` decided on: a lane count runs the batch
-    engine (see :mod:`repro.faults.batch`), None runs the scalar
-    engine.  Records and pruning stats are bit-identical for either.
-    Both engines go through the same
-    :class:`~repro.faults.arch.TieredGolden`: scheduling uses the
-    cheap ``n_cycles`` peek and the flop-accurate trace is loaded —
-    architecturally cross-checked — only when the shard has faults to
-    simulate.
+    ``plan`` is the run's resolved :class:`ExecPlan` (default: the
+    default plan, resolved): ``plan.batch`` lanes and ``plan.threads``
+    drive-loop threads run the batch engine (see
+    :mod:`repro.faults.batch`), ``batch=0`` the scalar engine.  Records
+    and pruning stats are bit-identical for either.  Both engines go
+    through the same :class:`~repro.faults.arch.TieredGolden`:
+    scheduling uses the cheap ``n_cycles`` peek and the flop-accurate
+    trace is loaded — architecturally cross-checked — only when the
+    shard has faults to simulate.
     """
+    plan = plan or ExecPlan().resolve()
+    batch = plan.batch
     tiered = _tiered_for(shard.benchmark, config.seed)
     n_cycles = tiered.n_cycles
     faults, injected = _schedule_shard(config, shard, n_cycles, batch)
@@ -250,8 +270,8 @@ def run_shard(config, shard: Shard, batch: int | None = None,
     if batch:
         from .batch import BatchInjectionEngine
 
-        engine = BatchInjectionEngine(golden, batch=batch, threads=threads,
-                                      **options)
+        engine = BatchInjectionEngine(golden, batch=batch,
+                                      threads=plan.threads, **options)
         outcomes = engine.inject_all(faults)
     else:
         engine = InjectionEngine(golden, **options)
@@ -261,7 +281,7 @@ def run_shard(config, shard: Shard, batch: int | None = None,
 
 
 def _schedule_shard(config, shard: Shard, n_cycles: int,
-                    batch: int | None = None) -> tuple[
+                    batch: int = 0) -> tuple[
         list, dict[tuple[str, str], int]]:
     """The shard's faults in (flop, schedule) order, and their counts.
 
@@ -415,99 +435,64 @@ def _checked_schedule():
 
 # -- controller side ---------------------------------------------------------
 
-def execute_campaign(config, progress: bool = False, workers: int | None = 1,
-                     chunk_flops: int | None = None,
-                     batch: int | None = None,
-                     executor: str | None = None,
-                     threads: int | None = None):
-    """Run a campaign across ``workers`` shard runners; merge deterministically.
+def run_shards(config, plan: ExecPlan, shards, commit) -> None:
+    """The one shard loop: run ``shards``, ``commit`` their outcomes.
+
+    ``shards`` yields ``(shard_id, shard)`` pairs; each outcome goes to
+    ``commit(shard_id, outcome)`` as it completes.  ``plan`` is
+    resolved: one runner runs the shards inline, more run them on a
+    process pool, never more than ``plan.workers`` at once.  A shard is
+    drawn from ``shards`` only when a runner is free, so a lazy source
+    (ledger or HTTP leases) is never drained ahead of its runners, and
+    a shard that raises stops the run once the shards in flight finish.
+    """
+    shards = iter(shards)
+    if plan.workers == 1:
+        for shard_id, shard in shards:
+            commit(shard_id, run_shard(config, shard, plan))
+        return
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        pending: dict = {}
+        while True:
+            for shard_id, shard in itertools.islice(
+                    shards, plan.workers - len(pending)):
+                pending[pool.submit(run_shard, config, shard, plan)] = shard_id
+            if not pending:
+                return
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                commit(pending.pop(future), future.result())
+
+
+def execute_campaign(config, progress: bool = False,
+                     plan: ExecPlan | None = None):
+    """Run a campaign on ``plan``'s shard runners; merge deterministically.
 
     This is the engine behind :func:`repro.faults.run_campaign`; see
-    that wrapper for the public contract.  ``batch``, ``executor`` and
-    ``threads`` (like ``workers`` and ``chunk_flops``) are execution
-    knobs, not part of the configuration: they select the engine
-    (``None``: the batch engine with :data:`DEFAULT_BATCH` lanes when
-    the compiled kernel loads, else scalar; ``0``: scalar), the shard
-    fan-out (``process`` pool vs in-process ``thread`` pool — the
-    latter shares one golden cache and relies on the compiled kernel
-    releasing the GIL) and the drive-loop thread count, without
-    entering the cache key, because results are bit-identical for any
-    value.
+    that wrapper for the public contract.  ``plan`` (default:
+    ``ExecPlan()``) is resolved once here and recorded in the result
+    meta; it never enters the cache key, because results are
+    bit-identical for every plan.
     """
-    from .campaign import CampaignResult, sample_flops
+    from .campaign import sample_flops
+    from .store import IncrementalResultStore, unit_counts
 
-    workers = resolve_workers(workers)
-    executor = resolve_executor(executor)
-    batch, threads = resolve_batch(batch, threads, workers)
     flops = sample_flops(config, sampling_rng(config.seed))
-    sampled: dict[str, int] = {}
-    for flop in flops:
-        sampled[flop.unit] = sampled.get(flop.unit, 0) + 1
-
-    chunk = resolve_chunk(len(flops), workers, chunk_flops, batch)
-    shards = plan_shards(config.benchmarks, flops, workers, chunk)
+    plan = (plan or ExecPlan()).resolve(len(flops))
+    shards = plan_shards(config.benchmarks, flops, plan.workers,
+                         plan.chunk_flops)
+    store = IncrementalResultStore(config, sampled_flops=unit_counts(flops))
     start = time.perf_counter()
-    outcomes: dict[tuple[int, int], tuple] = {}
-    # Running totals for progress lines — re-summing every shard's
-    # record list on each completion would be O(shards^2).
-    error_count = 0
-    pruning: dict[str, int] = {}
 
-    def _absorb(outcome) -> None:
-        nonlocal error_count
-        error_count += len(outcome[0])
-        for key, count in outcome[3].items():
-            pruning[key] = pruning.get(key, 0) + count
+    def commit(shard_id: int, outcome: tuple) -> None:
+        store.add(shard_id, shards[shard_id].benchmark, outcome)
+        if progress:
+            print_progress(store.n_shards_merged, len(shards),
+                           store.n_errors, start, store.pruning)
 
-    if workers == 1 or len(shards) == 1:
-        for i, shard in enumerate(shards):
-            outcome = run_shard(config, shard, batch, threads)
-            outcomes[shard.order_key] = outcome
-            _absorb(outcome)
-            if progress:
-                print_progress(i + 1, len(shards), error_count, start,
-                                pruning)
-    else:
-        pool_cls = (ThreadPoolExecutor if executor == "thread"
-                    else ProcessPoolExecutor)
-        with pool_cls(max_workers=workers) as pool:
-            pending = {pool.submit(run_shard, config, shard, batch,
-                                   threads): shard
-                       for shard in shards}
-            done_count = 0
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    shard = pending.pop(future)
-                    outcome = future.result()
-                    outcomes[shard.order_key] = outcome
-                    _absorb(outcome)
-                    done_count += 1
-                    if progress:
-                        print_progress(done_count, len(shards), error_count,
-                                        start, pruning)
-
-    records: list[ErrorRecord] = []
-    injected: dict[tuple[str, str], int] = {}
-    golden_cycles: dict[str, int] = {}
-    for shard in shards:  # already in order_key order
-        recs, inj, n_cycles = outcomes[shard.order_key][:3]
-        records.extend(recs)
-        for key, count in inj.items():
-            injected[key] = injected.get(key, 0) + count
-        golden_cycles[shard.benchmark] = n_cycles
-
-    return CampaignResult(
-        config=config,
-        records=records,
-        injected=injected,
-        golden_cycles=golden_cycles,
-        sampled_flops=sampled,
-        wall_seconds=time.perf_counter() - start,
-        meta={"workers": workers, "n_shards": len(shards),
-              "chunk_flops": chunk, **engine_meta(batch, threads),
-              "executor": executor, "pruning": pruning},
-    )
+    run_shards(config, plan, enumerate(shards), commit)
+    return store.result(wall_seconds=time.perf_counter() - start,
+                        meta={**plan.meta(), "n_shards": len(shards)})
 
 
 def print_progress(done: int, n_shards: int, errors: int, start: float,

@@ -20,11 +20,11 @@ backend:
 See DESIGN.md §5.16 for the ledger format and the lease state machine.
 """
 
+from ..store import IncrementalResultStore
 from .http import CampaignService, ServiceHandle, start_service
 from .ledger import CampaignLedger, LeaseGrant, LedgerError
 from .client import ServiceClient, run_worker
 from .runner import run_resumable_campaign
-from .store import IncrementalResultStore
 from .wire import (
     WIRE_SCHEMA,
     config_from_wire,

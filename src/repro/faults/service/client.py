@@ -16,7 +16,7 @@ import json
 import time
 
 from ..campaign import CampaignConfig
-from ..parallel import resolve_batch, run_shard
+from ..parallel import ExecPlan, run_shards
 from .wire import config_from_wire, outcome_to_wire, shard_from_wire
 
 
@@ -89,38 +89,50 @@ class ServiceClient:
 
 
 def run_worker(base_url: str, worker_id: str = "worker",
-               batch: int | None = None, threads: int | None = None,
-               ttl: float | None = None, poll_seconds: float = 0.5,
-               max_shards: int | None = None, progress: bool = False) -> int:
+               plan: ExecPlan | None = None, ttl: float | None = None,
+               poll_seconds: float = 0.5, max_shards: int | None = None,
+               progress: bool = False) -> int:
     """Lease-execute-commit loop against a campaign service.
 
     Runs until the server reports the campaign complete (or until
     ``max_shards`` commits, for tests that stage partial progress).
-    ``batch`` and ``threads`` choose the engine as in
-    :func:`repro.faults.run_campaign`: ``None`` runs the batch engine at
-    its default lane count when the compiled kernel loads, ``0`` the
-    scalar engine; either commits identical outcomes.  Returns the
-    number of shards this worker committed.
+    ``plan`` executes the leased shards as in
+    :func:`repro.faults.run_campaign` (default: one runner on the batch
+    engine, or the scalar engine without the compiled kernel); every
+    plan commits identical outcomes, and the server's ledger fixes the
+    shard sizes.  Returns the number of shards this worker committed.
     """
     client = ServiceClient(base_url)
     config = client.config()
-    batch, threads = resolve_batch(batch, threads)
-    done = 0
-    while max_shards is None or done < max_shards:
-        grant = client.lease(worker_id, ttl=ttl)
-        if grant.get("shard") is None:
-            if grant["progress"]["complete"]:
-                break
-            # Everything left is leased to someone else; wait for
-            # either their commits or their lease expiries.
-            time.sleep(poll_seconds)
-            continue
-        shard = shard_from_wire(grant["shard"])
-        outcome = run_shard(config, shard, batch, threads)
-        client.commit(grant["shard_id"], outcome)
+    plan = (plan or ExecPlan()).resolve()
+    done = leased = 0
+    complete = False
+
+    def leases():
+        nonlocal leased, complete
+        while max_shards is None or leased < max_shards:
+            grant = client.lease(worker_id, ttl=ttl)
+            if grant.get("shard") is None:
+                complete = grant["progress"]["complete"]
+                return
+            leased += 1
+            yield grant["shard_id"], shard_from_wire(grant["shard"])
+
+    def commit(shard_id: int, outcome: tuple) -> None:
+        nonlocal done
+        client.commit(shard_id, outcome)
         done += 1
         if progress:
             state = client.status()["progress"]
-            print(f"[worker {worker_id}] shard {grant['shard_id']} committed "
+            print(f"[worker {worker_id}] shard {shard_id} committed "
                   f"({state['committed']}/{state['n_shards']})", flush=True)
-    return done
+
+    while True:
+        before = done
+        run_shards(config, plan, leases(), commit)
+        if complete or (max_shards is not None and leased >= max_shards):
+            return done
+        if done == before:
+            # Everything left is leased to someone else; wait for
+            # either their commits or their lease expiries.
+            time.sleep(poll_seconds)

@@ -40,9 +40,9 @@ from ...core.predictor import train_predictor
 from ...core.signatures import SignatureStats
 from ...core.table import table_to_payload
 from ..campaign import CampaignConfig
+from ..store import IncrementalResultStore
 from .ledger import DEFAULT_LEASE_TTL, CampaignLedger
 from .runner import hydrate_store, ledger_digest
-from .store import IncrementalResultStore
 from .wire import config_to_wire, outcome_from_wire, shard_to_wire
 
 #: Retry-After seconds advertised while the table is still training.

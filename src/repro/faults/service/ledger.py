@@ -93,21 +93,18 @@ class CampaignLedger:
         root: directory under which the per-campaign ledger dir lives.
         config: the campaign; the ledger dir is keyed by its cache key,
             so different configurations never collide.
-        workers: planned worker count — only the chunking default
-            depends on it, and only at creation time (an existing
-            manifest's plan always wins).
-        chunk_flops: flops per shard; fixed in the manifest at creation
-            so every resume sees the identical shard plan.
-        batch: the batch engine's lane count as
-            :func:`~repro.faults.parallel.resolve_batch` decided it (None
-            for the scalar engine); the batch engine gets deeper default
-            chunks, as in ``execute_campaign``.
+        chunk_flops: flops per shard (>= 1, else ``ValueError``); fixed
+            in the manifest at creation so every resume sees the
+            identical shard plan (an existing manifest's plan always
+            wins).  None plans the shallow scalar-sized shards that
+            ``repro serve`` hands its remote workers, ~4 per benchmark.
         clock: monotonic time source, injectable for lease-expiry tests.
     """
 
     def __init__(self, root: str | Path, config: CampaignConfig,
-                 workers: int = 1, chunk_flops: int | None = None,
-                 batch: int | None = None, clock=time.monotonic):
+                 chunk_flops: int | None = None, clock=time.monotonic):
+        if chunk_flops is not None and chunk_flops < 1:
+            raise ValueError(f"chunk_flops must be >= 1, got {chunk_flops!r}")
         self.config = config
         self.clock = clock
         self.path = Path(root) / f"ledger_{config.cache_key()}"
@@ -119,8 +116,7 @@ class CampaignLedger:
             manifest = self._load_manifest(manifest_path, len(flops))
             chunk = int(manifest["chunk_flops"])
         else:
-            chunk = resolve_chunk(len(flops), max(1, workers), chunk_flops,
-                                  batch)
+            chunk = chunk_flops or resolve_chunk(len(flops), 1)
             manifest = {
                 "schema": LEDGER_SCHEMA,
                 "wire_schema": WIRE_SCHEMA,

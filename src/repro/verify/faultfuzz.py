@@ -578,10 +578,12 @@ def run_faultfuzz(programs: int = 200, seed: int = 0, *,
                          f"got {lockstep_mode!r}")
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"duty must be in (0, 1], got {duty}")
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     # Imported here: repro.faults.arch imports this package.
-    from ..faults.parallel import resolve_workers
+    from ..faults.kernels import usable_cpus
 
-    workers = min(resolve_workers(workers), max(programs, 1))
+    workers = min(workers or usable_cpus(), max(programs, 1))
     chunk = max(1, -(-programs // max(1, 4 * workers)))
     shards = [(start, min(chunk, programs - start))
               for start in range(0, programs, chunk)]

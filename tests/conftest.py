@@ -23,7 +23,7 @@ import pytest
 from hypothesis import settings
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
-from repro.faults import CampaignConfig, GoldenTrace, run_campaign
+from repro.faults import CampaignConfig, ExecPlan, GoldenTrace, run_campaign
 from repro.faults.golden import GOLDEN_CACHE_ENV
 from repro.workloads import KERNELS
 
@@ -129,7 +129,7 @@ def quick_campaign():
     On the scalar engine (``batch=0``): it is the reference the batch
     engine's parity tests compare against.
     """
-    return run_campaign(CampaignConfig.quick(), batch=0)
+    return run_campaign(CampaignConfig.quick(), plan=ExecPlan(batch=0))
 
 
 #: The configuration of :func:`medium_campaign` (also used to
@@ -147,4 +147,4 @@ MEDIUM_CONFIG = CampaignConfig(
 def medium_campaign():
     """A slightly larger campaign for evaluation-level tests (scalar
     engine, like :func:`quick_campaign`)."""
-    return run_campaign(MEDIUM_CONFIG, batch=0)
+    return run_campaign(MEDIUM_CONFIG, plan=ExecPlan(batch=0))

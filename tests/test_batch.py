@@ -20,6 +20,7 @@ from repro.faults import (
     BatchInjectionEngine,
     CampaignConfig,
     CampaignResult,
+    ExecPlan,
     Fault,
     FaultKind,
     InjectionEngine,
@@ -44,7 +45,7 @@ needs_cext = pytest.mark.skipif(
 @pytest.mark.parametrize("batch", (1, 7, 64))
 def test_campaign_digest_parity(quick_campaign, batch, workers):
     """digest() is identical for every (batch size, worker count)."""
-    result = run_campaign(QUICK, workers=workers, batch=batch)
+    result = run_campaign(QUICK, plan=ExecPlan(workers=workers, batch=batch))
     assert result.digest() == quick_campaign.digest()
     assert result.injected == quick_campaign.injected
     assert result.golden_cycles == quick_campaign.golden_cycles

@@ -163,6 +163,12 @@ def test_all_workers_means_usable_cpus(monkeypatch):
     assert report.meta["workers"] == 1
 
 
+def test_negative_workers_rejected():
+    """A negative worker count is an error, not one worker."""
+    with pytest.raises(ValueError, match="^workers must be >= 0"):
+        run_faultfuzz(programs=2, seed=0, workers=-3)
+
+
 def test_digest_covers_outcome_fields(small_session):
     import dataclasses
 

@@ -39,10 +39,10 @@ from repro.faults import (
     DEFAULT_BATCH,
     BatchInjectionEngine,
     CampaignConfig,
+    ExecPlan,
     GoldenTrace,
     InjectionEngine,
     cext_available,
-    resolve_batch,
     resolve_kernel,
     resolve_threads,
     run_campaign,
@@ -345,7 +345,7 @@ def test_engines_agree_on_corner_programs(name):
 @needs_cext
 def test_campaign_kernel_digest_parity(quick_campaign):
     """digest() + pruning stats of the compiled kernel equal scalar."""
-    result = run_campaign(QUICK, workers=1, batch=64)
+    result = run_campaign(QUICK, plan=ExecPlan(batch=64))
     assert result.digest() == quick_campaign.digest()
     assert result.meta["pruning"] == quick_campaign.meta["pruning"]
     assert result.meta["kernel"] == "cext"
@@ -367,12 +367,6 @@ def test_resolve_threads_explicit_and_clamped():
     assert resolve_threads(-3) == 1
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv(kernels.THREADS_ENV, "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2  # explicit beats env
-
-
 def _pin_cpus(monkeypatch, n: int) -> None:
     """Pretend this process may run on ``n`` CPUs (of a larger host)."""
     monkeypatch.setattr(os, "sched_getaffinity",
@@ -381,7 +375,6 @@ def _pin_cpus(monkeypatch, n: int) -> None:
 
 
 def test_resolve_threads_autosize(monkeypatch):
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
     _pin_cpus(monkeypatch, 8)
     # One thread per usable CPU, but never slices below 16 lanes/thread.
     assert resolve_threads(None, lanes=256) == 8
@@ -392,7 +385,6 @@ def test_resolve_threads_autosize(monkeypatch):
 
 def test_resolve_threads_counts_affinity_not_host(monkeypatch):
     """A process pinned to one CPU of a bigger host drives one thread."""
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
     _pin_cpus(monkeypatch, 1)
     assert kernels.usable_cpus() == 1
     assert resolve_threads(None, lanes=256) == 1
@@ -402,14 +394,14 @@ def test_resolve_threads_counts_affinity_not_host(monkeypatch):
 def test_resolve_threads_divides_cpus_among_workers(monkeypatch):
     """``workers`` shard runners share the usable CPUs, so the automatic
     count never oversubscribes them; an explicit count is kept."""
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
     _pin_cpus(monkeypatch, 8)
     assert resolve_threads(None, lanes=256, workers=2) == 4
     assert resolve_threads(None, lanes=256, workers=8) == 1
     assert resolve_threads(None, lanes=256, workers=16) == 1
     assert resolve_threads(3, lanes=256, workers=8) == 3
-    assert resolve_batch(None, workers=4) == (
-        (DEFAULT_BATCH, 2) if cext_available() else (None, None))
+    plan = ExecPlan(workers=4).resolve()
+    assert (plan.batch, plan.threads) == (
+        (DEFAULT_BATCH, 2) if cext_available() else (0, None))
 
 
 def test_usable_cpus_without_affinity_call(monkeypatch):
@@ -421,8 +413,7 @@ def test_usable_cpus_without_affinity_call(monkeypatch):
 
 
 @needs_cext
-def test_engine_records_threads(ttsprk_golden, monkeypatch):
-    monkeypatch.delenv(kernels.THREADS_ENV, raising=False)
+def test_engine_records_threads(ttsprk_golden):
     engine = BatchInjectionEngine(ttsprk_golden, batch=64, threads=5)
     assert engine.threads == 5
     auto = BatchInjectionEngine(ttsprk_golden, batch=32)

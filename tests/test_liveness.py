@@ -26,7 +26,7 @@ from repro.cpu.units import (
     FlopRef,
     all_flops,
 )
-from repro.faults import CampaignConfig, GoldenTrace, run_campaign
+from repro.faults import CampaignConfig, ExecPlan, GoldenTrace, run_campaign
 from repro.faults.campaign import schedule_faults
 from repro.faults.injector import InjectionEngine
 from repro.faults.models import Fault, FaultKind
@@ -216,9 +216,8 @@ class TestPrunedInjectionSoundness:
 class TestDigestParity:
     def test_quick_campaign_digest_prune_vs_no_prune(self):
         cfg = CampaignConfig.quick()
-        with_prune = run_campaign(cfg, workers=1)
-        without = run_campaign(dataclasses.replace(cfg, prune=False),
-                               workers=1)
+        with_prune = run_campaign(cfg)
+        without = run_campaign(dataclasses.replace(cfg, prune=False))
         assert with_prune.digest() == without.digest()
         assert with_prune.records == without.records
         # only the pruned run reports pruning work
@@ -228,8 +227,8 @@ class TestDigestParity:
 
     def test_digest_independent_of_workers(self):
         cfg = CampaignConfig.quick()
-        assert run_campaign(cfg, workers=1).digest() == \
-            run_campaign(cfg, workers=2).digest()
+        assert run_campaign(cfg).digest() == \
+            run_campaign(cfg, plan=ExecPlan(workers=2)).digest()
 
 
 class TestMemoryScratchReuse:

@@ -2,22 +2,21 @@
 
 import os
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.faults import (
     DEFAULT_BATCH,
-    EXECUTOR_CHOICES,
-    THREADS_ENV,
     CampaignConfig,
     CampaignResult,
+    ExecPlan,
     cached_campaign,
     cext_available,
     plan_shards,
     resolve_chunk,
-    resolve_executor,
     resolve_threads,
-    resolve_workers,
     run_campaign,
     sample_flops,
     sampling_rng,
@@ -25,6 +24,7 @@ from repro.faults import (
     schedule_rng,
 )
 from repro.faults import GOLDEN_CACHE_ENV, _cstep, parallel
+from repro.faults.parallel import execute_campaign
 from repro.faults.service import run_resumable_campaign
 from tests.conftest import corrupt_golden_cache
 
@@ -34,11 +34,28 @@ SMALL = CampaignConfig(benchmarks=("ttsprk",), soft_per_flop=1,
 
 #: Meta keys that describe how a run executed, not what it found.
 PLAN_KEYS = ("workers", "n_shards", "chunk_flops", "batch", "kernel",
-             "threads", "executor")
+             "threads")
 
 
 def _plan(result) -> dict:
     return {key: result.meta[key] for key in PLAN_KEYS}
+
+
+#: The directory :func:`_marking_run_shard` marks shards in; an
+#: environment variable, so pool workers see it however they start.
+MARKER_DIR_ENV = "SHARD_MARKER_DIR"
+
+
+def _marking_run_shard(config, shard, plan=None):
+    """A ``run_shard`` stand-in for the pool: leaves one marker file per
+    shard it starts, fails on shard 0 at once and takes a moment on the
+    others."""
+    marker = f"{shard.bench_idx}_{shard.flop_base}"
+    Path(os.environ[MARKER_DIR_ENV], marker).touch()
+    if shard.flop_base == 0:
+        raise RuntimeError("shard 0 failed")
+    time.sleep(0.05)
+    return [], {}, 0, {}
 
 
 class TestSeeding:
@@ -97,76 +114,110 @@ class TestSharding:
                 assert flops[shard.flop_base + offset] == flop
 
     def test_resolve_workers(self):
-        assert resolve_workers(1) == 1
-        assert resolve_workers(4) == 4
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(0) >= 1
+        assert ExecPlan(workers=1).resolve().workers == 1
+        assert ExecPlan(workers=4).resolve().workers == 4
+        assert ExecPlan(workers=0).resolve().workers >= 1
 
     def test_all_workers_means_usable_cpus(self, monkeypatch):
-        """``0``/``None`` count the CPUs this process may run on, not
-        the host's."""
+        """``0`` counts the CPUs this process may run on, not the
+        host's."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
-        assert resolve_workers(0) == 2
-        assert resolve_workers(None) == 2
+        assert ExecPlan(workers=0).resolve().workers == 2
 
-    def test_resolve_executor(self):
-        assert EXECUTOR_CHOICES == ("process", "thread")
-        assert resolve_executor(None) == "process"
-        assert resolve_executor("process") == "process"
-        assert resolve_executor("thread") == "thread"
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("greenlet")
+
+class TestExecPlan:
+    @pytest.mark.parametrize("field,value", (
+        ("workers", -3), ("batch", -5), ("threads", 0), ("threads", -1),
+        ("chunk_flops", 0)))
+    def test_out_of_range_value_names_its_field(self, field, value):
+        """Nothing is clamped: ``--batch -5`` used to run 1 lane."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            ExecPlan(**{field: value})
+
+    def test_zero_keeps_its_meaning(self):
+        """``workers=0`` is every usable CPU, ``batch=0`` the scalar
+        engine."""
+        scalar = ExecPlan(workers=0, batch=0).resolve(n_flops=100)
+        assert scalar.workers >= 1
+        assert (scalar.batch, scalar.threads) == (0, None)
+        assert scalar.chunk_flops == resolve_chunk(100, scalar.workers)
+        assert scalar.meta()["batch"] is scalar.meta()["kernel"] is None
+
+    def test_resolve_is_idempotent(self):
+        for plan in (ExecPlan(), ExecPlan(workers=2, batch=0),
+                     ExecPlan(workers=0, threads=3, chunk_flops=7)):
+            resolved = plan.resolve(n_flops=50)
+            assert resolved.resolve(n_flops=999) == resolved
+            if resolved.batch:
+                assert resolved.threads >= 1
+
+
+class TestShardLoop:
+    @pytest.mark.parametrize("driver", ("execute", "ledger"))
+    def test_failing_shard_stops_the_run(self, tmp_path, monkeypatch,
+                                         driver):
+        """A shard that raises ends the run once the shards in flight
+        finish.  The monolithic driver used to submit all 54 shards up
+        front, and its pool ran every one before the error surfaced."""
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        monkeypatch.setenv(MARKER_DIR_ENV, str(markers))
+        monkeypatch.setattr(parallel, "run_shard", _marking_run_shard)
+        config, plan = CampaignConfig.quick(), ExecPlan(workers=2,
+                                                        chunk_flops=2)
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            if driver == "execute":
+                execute_campaign(config, plan=plan)
+            else:
+                run_resumable_campaign(config, plan=plan,
+                                       ledger_dir=str(tmp_path / "ledger"))
+        n_flops = len(sample_flops(config, sampling_rng(config.seed)))
+        assert -(-n_flops // plan.chunk_flops) == 54
+        assert 1 <= len(list(markers.iterdir())) <= 2 * plan.workers
 
 
 class TestDeterminism:
     def test_parallel_matches_serial(self, quick_campaign):
         """The acceptance property: 4 workers, same campaign, bit for bit."""
-        parallel = run_campaign(CampaignConfig.quick(), workers=4)
+        parallel = run_campaign(CampaignConfig.quick(),
+                                plan=ExecPlan(workers=4))
         assert parallel.records == quick_campaign.records
         assert parallel.injected == quick_campaign.injected
         assert parallel.sampled_flops == quick_campaign.sampled_flops
         assert parallel.golden_cycles == quick_campaign.golden_cycles
 
     def test_chunk_size_does_not_change_results(self, quick_campaign):
-        odd = run_campaign(CampaignConfig.quick(), workers=1, chunk_flops=3)
+        odd = run_campaign(CampaignConfig.quick(),
+                           plan=ExecPlan(chunk_flops=3))
         assert odd.records == quick_campaign.records
         assert odd.injected == quick_campaign.injected
 
     def test_meta_records_execution_shape(self):
-        result = run_campaign(CampaignConfig.quick(), workers=1, chunk_flops=50)
+        result = run_campaign(CampaignConfig.quick(),
+                              plan=ExecPlan(chunk_flops=50))
         assert result.meta["workers"] == 1
         assert result.meta["chunk_flops"] == 50
         assert result.meta["n_shards"] >= 1
 
-    def test_thread_executor_matches_serial(self, quick_campaign):
-        """The in-process shard executor is digest-identical to the
-        serial run — shard merge order is by order_key, never by
-        completion, whichever pool runs the shards."""
-        threaded = run_campaign(CampaignConfig.quick(), workers=3,
-                                chunk_flops=3, executor="thread")
-        assert threaded.records == quick_campaign.records
-        assert threaded.injected == quick_campaign.injected
-        assert threaded.meta["executor"] == "thread"
-        assert threaded.meta["pruning"] == quick_campaign.meta["pruning"]
-
     @pytest.mark.skipif(not cext_available(),
                         reason="compiled kernel unavailable")
-    def test_thread_executor_batch_cext_matches_serial(self, quick_campaign):
-        """Thread-pool shard runners × multithreaded compiled kernel:
-        the full fan-out still reproduces the serial digest."""
-        threaded = run_campaign(CampaignConfig.quick(), workers=2,
-                                chunk_flops=3, executor="thread",
-                                batch=32, threads=2)
-        assert threaded.digest() == quick_campaign.digest()
-        assert threaded.meta["pruning"] == quick_campaign.meta["pruning"]
+    def test_process_pool_batch_cext_matches_serial(self, quick_campaign):
+        """Process-pool shard runners × multithreaded compiled kernel:
+        the full fan-out still reproduces the serial digest, merged by
+        order_key, never by completion."""
+        pooled = run_campaign(CampaignConfig.quick(), plan=ExecPlan(
+            workers=2, batch=32, threads=2, chunk_flops=3))
+        assert pooled.digest() == quick_campaign.digest()
+        assert pooled.meta["pruning"] == quick_campaign.meta["pruning"]
+        assert (pooled.meta["workers"], pooled.meta["threads"]) == (2, 2)
 
     def test_meta_records_planned_chunk_not_first_shard_len(self):
         """chunk_flops must report the planned chunk size even when the
         sampled flop list is shorter than (or not a multiple of) it."""
-        result = run_campaign(CampaignConfig.quick(), workers=1,
-                              chunk_flops=1000)
+        result = run_campaign(CampaignConfig.quick(),
+                              plan=ExecPlan(chunk_flops=1000))
         assert result.meta["chunk_flops"] == 1000
         assert result.meta["n_shards"] == len(CampaignConfig.quick().benchmarks)
 
@@ -180,32 +231,31 @@ class TestEngineResolution:
         """``batch=0`` is the scalar plan; ``None`` is the default batch
         plan when the kernel loads (else the same scalar plan)."""
         def run(batch):
+            plan = ExecPlan(workers=2, batch=batch)
             if driver == "execute":
-                return run_campaign(SMALL, workers=2, batch=batch,
-                                    executor="thread")
+                return run_campaign(SMALL, plan=plan)
             return run_resumable_campaign(
-                SMALL, ledger_dir=str(tmp_path / str(batch)), workers=2,
-                batch=batch, executor="thread")
+                SMALL, ledger_dir=str(tmp_path / str(batch)), plan=plan)
 
         zero, default = run(0), run(None)
         n_flops = len(sample_flops(SMALL, sampling_rng(SMALL.seed)))
         assert zero.meta["batch"] is zero.meta["kernel"] is None
         assert zero.meta["threads"] is None
-        assert zero.meta["chunk_flops"] == resolve_chunk(n_flops, 2, None)
+        assert zero.meta["chunk_flops"] == resolve_chunk(n_flops, 2)
         if cext_available():
             assert default.meta["batch"] == DEFAULT_BATCH
             assert default.meta["kernel"] == "cext"
             assert default.meta["chunk_flops"] == resolve_chunk(
-                n_flops, 2, None, DEFAULT_BATCH)
+                n_flops, 2, batch=DEFAULT_BATCH)
         else:
             assert _plan(default) == _plan(zero)
         assert zero.records == default.records
 
     def test_no_compiler_falls_back_to_scalar(self, monkeypatch):
-        scalar = run_campaign(SMALL, batch=0)
+        scalar = run_campaign(SMALL, plan=ExecPlan(batch=0))
         monkeypatch.setattr(_cstep, "MODULE", None)
         monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
-        fallback = run_campaign(SMALL, batch=64)
+        fallback = run_campaign(SMALL, plan=ExecPlan(batch=64))
         assert fallback.digest() == scalar.digest()
         assert fallback.meta["pruning"] == scalar.meta["pruning"]
         assert _plan(fallback) == _plan(scalar)
@@ -223,7 +273,7 @@ class TestEngineResolution:
             assert default.meta["batch"] == DEFAULT_BATCH
 
     def test_default_without_compiler_is_the_scalar_run(self, monkeypatch):
-        scalar = run_campaign(SMALL, batch=0)
+        scalar = run_campaign(SMALL, plan=ExecPlan(batch=0))
         monkeypatch.setattr(_cstep, "MODULE", None)
         monkeypatch.setattr(_cstep, "BUILD_ERROR", "no compiler on this host")
         default = run_campaign(SMALL)
@@ -233,9 +283,8 @@ class TestEngineResolution:
 
     @pytest.mark.skipif(not cext_available(),
                         reason="compiled kernel unavailable")
-    def test_meta_records_threads_that_ran(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        result = run_campaign(SMALL, batch=64)
+    def test_meta_records_threads_that_ran(self):
+        result = run_campaign(SMALL, plan=ExecPlan(batch=64))
         assert result.meta["kernel"] == "cext"
         assert result.meta["batch"] == 64
         assert result.meta["threads"] == resolve_threads(None, lanes=64)
@@ -288,12 +337,13 @@ class TestGoldenCacheCorruption:
                          kind, batch):
         monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
-        run_campaign(SMALL, batch=batch)  # populates the cache
+        plan = ExecPlan(batch=batch)
+        run_campaign(SMALL, plan=plan)  # populates the cache
         for path in tmp_path.glob("*.npz"):
             corrupt_golden_cache(path, kind)
         monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
         with pytest.warns(RuntimeWarning):
-            result = run_campaign(CampaignConfig.quick(), batch=batch)
+            result = run_campaign(CampaignConfig.quick(), plan=plan)
         assert result.digest() == quick_campaign.digest()
         assert result.meta["pruning"] == quick_campaign.meta["pruning"]
         assert result.injected == quick_campaign.injected
@@ -311,12 +361,9 @@ class TestCli:
         args = build_parser().parse_args(["campaign"])
         assert args.workers == 1
 
-    def test_executor_and_threads_flags_parsed(self):
+    def test_threads_flag_parsed(self):
         from repro.cli import build_parser
-        args = build_parser().parse_args(
-            ["campaign", "--executor", "thread", "--cstep-threads", "4"])
-        assert args.executor == "thread"
+        args = build_parser().parse_args(["campaign", "--cstep-threads", "4"])
         assert args.cstep_threads == 4
         args = build_parser().parse_args(["campaign"])
-        assert args.executor is None
         assert args.cstep_threads is None

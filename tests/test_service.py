@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core.predictor import train_predictor
 from repro.core.table import table_from_payload, table_to_payload
-from repro.faults import CampaignConfig
+from repro.faults import (DEFAULT_BATCH, CampaignConfig, ExecPlan,
+                          cext_available, parallel)
 from repro.faults.parallel import execute_campaign, run_shard
 from repro.faults.service import (
     CampaignLedger,
@@ -41,7 +42,6 @@ from repro.faults.service import (
     shard_to_wire,
     start_service,
 )
-from repro.faults.service import runner as runner_module
 from repro.faults.service.client import ServiceError
 from repro.faults.service.runner import ledger_digest, result_from_ledger
 
@@ -67,7 +67,7 @@ class Killed(Exception):
 def reference():
     """The uninterrupted monolithic result the ledger path must match,
     on the scalar engine."""
-    return execute_campaign(CRASH_CONFIG, workers=1, batch=0)
+    return execute_campaign(CRASH_CONFIG, plan=ExecPlan(batch=0))
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,7 @@ def test_kill_at_every_shard_boundary(tmp_path, reference, n_shards,
                                       workers, batch):
     """Kill after k commits for every k; resume must match bit for bit."""
     assert n_shards >= 3, "sweep needs several shards to mean anything"
+    plan = ExecPlan(workers=workers, batch=batch, chunk_flops=CRASH_CHUNK)
     for k in range(1, n_shards):
         ledger_dir = tmp_path / f"k{k}"
 
@@ -97,11 +98,9 @@ def test_kill_at_every_shard_boundary(tmp_path, reference, n_shards,
 
         with pytest.raises(Killed):
             run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(ledger_dir),
-                                   workers=workers, chunk_flops=CRASH_CHUNK,
-                                   batch=batch, on_commit=kill_after)
+                                   plan=plan, on_commit=kill_after)
         resumed = run_resumable_campaign(
-            CRASH_CONFIG, ledger_dir=str(ledger_dir), workers=workers,
-            chunk_flops=CRASH_CHUNK, batch=batch)
+            CRASH_CONFIG, ledger_dir=str(ledger_dir), plan=plan)
         assert resumed.meta["resumed_shards"] >= k
         assert resumed.digest() == reference.digest()
         assert resumed.injected == reference.injected
@@ -111,26 +110,26 @@ def test_kill_at_every_shard_boundary(tmp_path, reference, n_shards,
 @pytest.mark.parametrize("batch", [0, 8], ids=["scalar", "batch"])
 def test_kill_mid_lease(tmp_path, reference, n_shards, monkeypatch, batch):
     """Die *inside* a leased shard (no commit); resume re-runs it exactly."""
+    plan = ExecPlan(batch=batch, chunk_flops=CRASH_CHUNK)
     for die_at in (0, n_shards // 2):
         ledger_dir = tmp_path / f"mid{die_at}"
         real_run_shard = run_shard
         state = {"executed": 0}
 
-        def exploding_run_shard(config, shard, batch=None, threads=None):
+        def exploding_run_shard(config, shard, plan=None):
             if state["executed"] == die_at:
                 raise Killed(f"killed mid-lease in shard {shard.flop_base}")
             state["executed"] += 1
-            return real_run_shard(config, shard, batch, threads)
+            return real_run_shard(config, shard, plan)
 
-        monkeypatch.setattr(runner_module, "run_shard", exploding_run_shard)
+        # Patched where the one shard loop looks it up.
+        monkeypatch.setattr(parallel, "run_shard", exploding_run_shard)
         with pytest.raises(Killed):
             run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(ledger_dir),
-                                   workers=1, chunk_flops=CRASH_CHUNK,
-                                   batch=batch)
-        monkeypatch.setattr(runner_module, "run_shard", real_run_shard)
+                                   plan=plan)
+        monkeypatch.setattr(parallel, "run_shard", real_run_shard)
         resumed = run_resumable_campaign(
-            CRASH_CONFIG, ledger_dir=str(ledger_dir), workers=1,
-            chunk_flops=CRASH_CHUNK, batch=batch)
+            CRASH_CONFIG, ledger_dir=str(ledger_dir), plan=plan)
         assert resumed.meta["resumed_shards"] == die_at
         assert resumed.digest() == reference.digest()
 
@@ -142,12 +141,13 @@ def test_repeated_kills_still_converge(tmp_path, reference):
     def kill_every_commit(shard_id, n_committed):
         raise Killed
 
+    plan = ExecPlan(chunk_flops=CRASH_CHUNK)
     result = None
     for _attempt in range(64):  # bounded: one shard of progress per attempt
         try:
             result = run_resumable_campaign(
-                CRASH_CONFIG, ledger_dir=ledger_dir, workers=1,
-                chunk_flops=CRASH_CHUNK, on_commit=kill_every_commit)
+                CRASH_CONFIG, ledger_dir=ledger_dir, plan=plan,
+                on_commit=kill_every_commit)
             break
         except Killed:
             continue
@@ -157,31 +157,71 @@ def test_repeated_kills_still_converge(tmp_path, reference):
     # returns; every earlier attempt contributed exactly one shard.
     assert result is None or result.digest() == reference.digest()
     final = run_resumable_campaign(CRASH_CONFIG, ledger_dir=ledger_dir,
-                                   workers=1, chunk_flops=CRASH_CHUNK)
+                                   plan=plan)
     assert final.digest() == reference.digest()
 
 
-def test_thread_executor_ledger_matches_reference(tmp_path, reference):
-    """The in-process shard executor runs the same lease/commit loop;
-    digest and pruning stats stay bit-identical to the process pool."""
-    threaded = run_resumable_campaign(
-        CRASH_CONFIG, ledger_dir=str(tmp_path), workers=2,
-        chunk_flops=CRASH_CHUNK, batch=8, executor="thread")
-    assert threaded.digest() == reference.digest()
-    assert threaded.injected == reference.injected
-    assert threaded.meta["executor"] == "thread"
+@pytest.fixture(scope="module")
+def chunked_reference():
+    """The scalar, serial, monolithic run at the crash chunking."""
+    return execute_campaign(CRASH_CONFIG,
+                            plan=ExecPlan(batch=0, chunk_flops=CRASH_CHUNK))
 
 
-def test_uninterrupted_matches_monolithic_and_pruning(tmp_path, reference):
-    """Same chunking => identical records AND identical PruneStats."""
-    mono = execute_campaign(CRASH_CONFIG, workers=1, chunk_flops=CRASH_CHUNK)
-    ledgered = run_resumable_campaign(CRASH_CONFIG,
-                                      ledger_dir=str(tmp_path),
-                                      workers=1, chunk_flops=CRASH_CHUNK)
-    assert ledgered.digest() == reference.digest()
-    assert ledgered.records == mono.records
-    assert ledgered.meta["pruning"] == mono.meta["pruning"]
-    assert ledgered.sampled_flops == mono.sampled_flops
+@pytest.mark.parametrize("batch", [0, None], ids=["scalar", "default"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["w1", "w2"])
+@pytest.mark.parametrize("driver", ["execute", "ledger"])
+def test_uninterrupted_matches_monolithic_and_pruning(
+        tmp_path, reference, chunked_reference, n_shards, driver, workers,
+        batch):
+    """Same chunking => identical records AND identical PruneStats, for
+    either driver on any plan; the meta records the plan that ran."""
+    plan = ExecPlan(workers=workers, batch=batch, chunk_flops=CRASH_CHUNK)
+    if driver == "execute":
+        result = execute_campaign(CRASH_CONFIG, plan=plan)
+    else:
+        result = run_resumable_campaign(CRASH_CONFIG,
+                                        ledger_dir=str(tmp_path), plan=plan)
+        assert result.meta["resumed_shards"] == 0
+    mono = chunked_reference
+    assert result.digest() == reference.digest()
+    assert result.records == mono.records
+    assert result.injected == mono.injected
+    assert result.golden_cycles == mono.golden_cycles
+    assert result.sampled_flops == mono.sampled_flops
+    assert result.meta["pruning"] == mono.meta["pruning"]
+    lanes = (DEFAULT_BATCH if batch is None else batch) or None
+    if not cext_available():
+        lanes = None
+    expected = {"workers": workers, "chunk_flops": CRASH_CHUNK,
+                "n_shards": n_shards, "batch": lanes,
+                "kernel": "cext" if lanes else None}
+    assert {key: result.meta[key] for key in expected} == expected
+    threads = result.meta["threads"]
+    assert threads is None if lanes is None else threads >= 1
+
+
+def test_ledger_rejects_out_of_range_chunk(tmp_path):
+    """``repro serve --chunk-flops 0`` used to plan one-flop shards."""
+    for chunk in (0, -4):
+        with pytest.raises(ValueError, match="^chunk_flops must be >= 1"):
+            CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=chunk)
+    assert not any(tmp_path.iterdir())
+
+
+def test_pooled_worker_matches_reference(tmp_path, reference):
+    """A remote worker runs its leases through the same shard loop, so
+    a pool of runners commits the same campaign."""
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    handle = start_service(CampaignService(ledger))
+    try:
+        committed = run_worker(handle.base_url, "pool",
+                               plan=ExecPlan(workers=2))
+        assert committed == ledger.n_shards
+        assert ServiceClient(handle.base_url).status()["digest"] == \
+            reference.digest()
+    finally:
+        handle.stop()
 
 
 def test_drivers_print_the_same_final_progress_line(tmp_path, capsys):
@@ -297,8 +337,8 @@ def test_lease_progress_counts(tmp_path):
 def committed_outcomes(tmp_path_factory, reference):
     """All shard outcomes of the crash campaign, via a completed ledger."""
     root = tmp_path_factory.mktemp("merge_ledger")
-    run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(root), workers=1,
-                           chunk_flops=CRASH_CHUNK)
+    run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(root),
+                           plan=ExecPlan(chunk_flops=CRASH_CHUNK))
     ledger = CampaignLedger(root, CRASH_CONFIG)
     return [(sid, ledger.shards[sid].benchmark, outcome)
             for sid, outcome in ledger.iter_committed()]
@@ -387,8 +427,8 @@ def test_config_and_shard_wire_roundtrip(tmp_path):
 def trained_service(tmp_path_factory, reference):
     """A served campaign, complete and ready to predict (Top-K=3)."""
     root = tmp_path_factory.mktemp("served_ledger")
-    run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(root), workers=1,
-                           chunk_flops=CRASH_CHUNK)
+    run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(root),
+                           plan=ExecPlan(chunk_flops=CRASH_CHUNK))
     service = CampaignService(CampaignLedger(root, CRASH_CONFIG), top_k=3)
     handle = start_service(service)
     yield service, handle
