@@ -10,7 +10,9 @@
  * cycle with no driver logic, so tests can compare the C state
  * transition against the specification.  `schedule()` draws a shard's
  * fault cycles exactly as numpy draws them in
- * repro.faults.campaign.schedule_faults (see its section below).
+ * repro.faults.campaign.schedule_faults, and `triage()` decides which
+ * of them need simulating, and from when, exactly as
+ * repro.faults.injector.triage_fault does (see their sections below).
  *
  * Semantics are a statement-by-statement mirror of `Cpu.step` in
  * repro/cpu/core.py; tests/test_kernels.py holds every lane equal to
@@ -1120,6 +1122,282 @@ static PyObject *py_pool_size(PyObject *self, PyObject *args)
     return PyLong_FromLong((long)pool.spawned);
 }
 
+/* -- triage(): liveness triage of a shard's faults -------------------------
+ *
+ * repro.faults.injector.triage_fault (the specification) decides each
+ * fault with the per-fault GoldenTrace queries soft_start,
+ * activation_cycle and first_active_use.  triage() gives the same
+ * (decision, activation, start, end) for a whole column of faults in
+ * one call.  Faults are bucketed by register; for each register with
+ * faults one backward pass over the golden rows builds, for every
+ * cycle t from the earliest fault cycle on,
+ *   next_use[t], next_kill[t]  the first use / kill cycle >= t;
+ *   or_all[t], and_all[t]      OR / AND of the register's values over
+ *                              cycles >= t;
+ *   or_use[t], and_use[t]      the same over use cycles only;
+ * after which a soft fault takes two lookups, and a stuck-at fault one
+ * lookup that proves it never active (or never used while active), or
+ * else a forward scan of the register's value column that ends at the
+ * hit the suffix masks promise.  The use/kill rule is
+ * GoldenTrace._liveness's: a stale read is a use; a write is a use of
+ * a register without full_write, and a kill (no stale read) of one
+ * with it. */
+
+enum {
+    TRI_OUT_OF_RANGE = 0, TRI_SOFT_PRUNED = 1, TRI_NEVER_ACTIVE = 2,
+    TRI_HARD_PRUNED = 3, TRI_SIMULATE = 4,
+};
+enum { KIND_SOFT = 0, KIND_STUCK0 = 1, KIND_STUCK1 = 2 };
+
+typedef struct {
+    const u32 *sm;
+    const uint64_t *rd, *wr;
+    Py_ssize_t sm_cols, n, mask_words;
+    const uint8_t *full_write;
+    const int64_t *reg, *bit, *cycle;
+    const uint8_t *kind;
+    uint8_t *decision;
+    int64_t *act, *start, *end;
+    int prune;
+    int64_t max_observe;        /* -1: no cap */
+} TriageJob;
+
+/* Per-register scratch, n + 1 entries each (index n is the sentinel). */
+typedef struct {
+    u32 *col, *or_all, *and_all, *or_use, *and_use;
+    int64_t *next_use, *next_kill;
+    uint8_t *use;
+} TriageScratch;
+
+static void triage_register(const TriageJob *j, TriageScratch *s,
+                            Py_ssize_t r, const int64_t *idx, Py_ssize_t count)
+{
+    const Py_ssize_t n = j->n;
+    Py_ssize_t q, lo = n, t;
+    const Py_ssize_t word = r / 64;
+    const unsigned shift = (unsigned)(r % 64);
+    const int full = j->full_write[r] != 0;
+
+    for (q = 0; q < count; q++) {
+        int64_t c = j->cycle[idx[q]];
+        if (c >= 0 && c < n && c < lo)
+            lo = (Py_ssize_t)c;
+    }
+    s->next_use[n] = n;
+    s->next_kill[n] = n;
+    s->or_all[n] = 0;
+    s->and_all[n] = 0xFFFFFFFFu;
+    s->or_use[n] = 0;
+    s->and_use[n] = 0xFFFFFFFFu;
+    for (t = n - 1; t >= lo; t--) {
+        u32 v = j->sm[(size_t)t * (size_t)j->sm_cols + (size_t)r];
+        int rd = (int)((j->rd[(size_t)t * (size_t)j->mask_words + word]
+                        >> shift) & 1u);
+        int wr = (int)((j->wr[(size_t)t * (size_t)j->mask_words + word]
+                        >> shift) & 1u);
+        int use = full ? rd : (rd | wr);
+        int kill = full && wr && !rd;
+        s->col[t] = v;
+        s->use[t] = (uint8_t)use;
+        s->next_use[t] = use ? t : s->next_use[t + 1];
+        s->next_kill[t] = kill ? t : s->next_kill[t + 1];
+        s->or_all[t] = v | s->or_all[t + 1];
+        s->and_all[t] = v & s->and_all[t + 1];
+        s->or_use[t] = use ? (v | s->or_use[t + 1]) : s->or_use[t + 1];
+        s->and_use[t] = use ? (v & s->and_use[t + 1]) : s->and_use[t + 1];
+    }
+
+    for (q = 0; q < count; q++) {
+        const int64_t f = idx[q], c = j->cycle[f];
+        int64_t act = -1, start = -1, end = -1;
+        uint8_t decision;
+        if (c < 0 || c >= n) {
+            decision = TRI_OUT_OF_RANGE;
+        } else if (j->kind[f] == KIND_SOFT) {
+            act = c;
+            end = n;
+            if (!j->prune) {
+                start = c;
+                decision = TRI_SIMULATE;
+            } else if (s->next_use[c] == n
+                       || s->next_kill[c] < s->next_use[c]) {
+                decision = TRI_SOFT_PRUNED;  /* never read again, or
+                                                overwritten first */
+            } else {
+                start = s->next_use[c];
+                decision = TRI_SIMULATE;
+            }
+        } else {
+            /* Active: the golden bit differs from the stuck value. */
+            const u32 m = (u32)1 << j->bit[f];
+            const u32 stuck = j->kind[f] == KIND_STUCK1 ? m : 0;
+            int ever = stuck ? !(s->and_all[c] & m) : (s->or_all[c] & m) != 0;
+            if (!ever) {
+                decision = TRI_NEVER_ACTIVE;
+            } else {
+                t = (Py_ssize_t)c;
+                while ((s->col[t] & m) == stuck)
+                    t++;
+                act = t;
+                end = j->max_observe < 0 || j->max_observe >= n - act
+                      ? n : act + j->max_observe;
+                if (!j->prune) {
+                    start = act;
+                    decision = TRI_SIMULATE;
+                } else if (stuck ? (s->and_use[act] & m) != 0
+                                 : !(s->or_use[act] & m)) {
+                    decision = TRI_HARD_PRUNED;  /* never used while active */
+                } else {
+                    while (!s->use[t] || (s->col[t] & m) == stuck)
+                        t++;
+                    start = t;
+                    decision = start >= end ? TRI_HARD_PRUNED : TRI_SIMULATE;
+                }
+            }
+        }
+        j->decision[f] = decision;
+        j->act[f] = act;
+        j->start[f] = start;
+        j->end[f] = end;
+    }
+}
+
+static PyObject *py_triage(PyObject *self, PyObject *args)
+{
+    enum { T_SM, T_RD, T_WR, T_FULL, T_REG, T_BIT, T_KIND, T_CYC, T_DEC,
+           T_ACT, T_START, T_END, NT };
+    static const BufSpec specs[NT] = {
+        {"sm", 0, 4},        {"read_mask", 0, 8},  {"write_mask", 0, 8},
+        {"full_write", 0, 1}, {"reg", 0, 8},       {"bit", 0, 8},
+        {"kind", 0, 1},      {"cycle", 0, 8},      {"decision", 1, 1},
+        {"act", 1, 8},       {"start", 1, 8},      {"end", 1, 8},
+    };
+    PyObject *objs[NT];
+    Py_buffer views[NT];
+    int prune;
+    long long max_observe;
+    Py_ssize_t k, n_faults, n_regs, *bucket = NULL;
+    int64_t *order = NULL;
+    void *scratch = NULL;
+    PyObject *ret = NULL;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOpL", &objs[T_SM], &objs[T_RD],
+                          &objs[T_WR], &objs[T_FULL], &objs[T_REG],
+                          &objs[T_BIT], &objs[T_KIND], &objs[T_CYC],
+                          &objs[T_DEC], &objs[T_ACT], &objs[T_START],
+                          &objs[T_END], &prune, &max_observe))
+        return NULL;
+    for (k = 0; k < NT; k++)
+        views[k].obj = NULL;
+    for (k = 0; k < NT; k++) {
+        if (get_buf(objs[k], &views[k], &specs[k]) < 0)
+            goto cleanup;
+    }
+    if (views[T_SM].ndim != 2 || views[T_RD].ndim != 2
+            || views[T_WR].ndim != 2) {
+        PyErr_SetString(PyExc_ValueError, "sm and the masks must be 2-D");
+        goto cleanup;
+    }
+    TriageJob j;
+    j.sm = (const u32 *)views[T_SM].buf;
+    j.n = views[T_SM].shape[0];
+    j.sm_cols = views[T_SM].shape[1];
+    j.rd = (const uint64_t *)views[T_RD].buf;
+    j.wr = (const uint64_t *)views[T_WR].buf;
+    j.mask_words = views[T_RD].shape[1];
+    j.full_write = (const uint8_t *)views[T_FULL].buf;
+    n_regs = views[T_FULL].len;
+    n_faults = views[T_CYC].len / 8;
+    if (j.n < 1 || n_regs > j.sm_cols || n_regs > 64 * j.mask_words
+            || views[T_RD].shape[0] != j.n || views[T_WR].shape[0] != j.n
+            || views[T_WR].shape[1] != j.mask_words
+            || views[T_REG].len / 8 != n_faults
+            || views[T_BIT].len / 8 != n_faults
+            || views[T_KIND].len != n_faults
+            || views[T_DEC].len != n_faults
+            || views[T_ACT].len / 8 != n_faults
+            || views[T_START].len / 8 != n_faults
+            || views[T_END].len / 8 != n_faults) {
+        PyErr_SetString(PyExc_ValueError, "inconsistent triage shapes");
+        goto cleanup;
+    }
+    if (max_observe < -1 || max_observe == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "max_observe must be -1 (no cap) or >= 1");
+        goto cleanup;
+    }
+    j.reg = (const int64_t *)views[T_REG].buf;
+    j.bit = (const int64_t *)views[T_BIT].buf;
+    j.kind = (const uint8_t *)views[T_KIND].buf;
+    j.cycle = (const int64_t *)views[T_CYC].buf;
+    j.decision = (uint8_t *)views[T_DEC].buf;
+    j.act = (int64_t *)views[T_ACT].buf;
+    j.start = (int64_t *)views[T_START].buf;
+    j.end = (int64_t *)views[T_END].buf;
+    j.prune = prune;
+    j.max_observe = (int64_t)max_observe;
+    for (k = 0; k < n_faults; k++) {
+        if (j.reg[k] < 0 || j.reg[k] >= n_regs || j.bit[k] < 0
+                || j.bit[k] > 31 || j.kind[k] > KIND_STUCK1) {
+            PyErr_Format(PyExc_ValueError,
+                         "fault %zd: register row, bit or kind out of range",
+                         k);
+            goto cleanup;
+        }
+    }
+
+    /* Bucket the faults by register (counting sort, input order kept
+     * within a register) and size the per-register scratch. */
+    bucket = PyMem_Calloc((size_t)n_regs + 1, sizeof(Py_ssize_t));
+    order = PyMem_Malloc((size_t)(n_faults ? n_faults : 1) * sizeof(int64_t));
+    {
+        size_t m = (size_t)j.n + 1;
+        scratch = PyMem_Malloc(m * (5 * sizeof(u32) + 2 * sizeof(int64_t)
+                                    + sizeof(uint8_t)));
+    }
+    if (bucket == NULL || order == NULL || scratch == NULL) {
+        PyErr_NoMemory();
+        goto cleanup;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    {
+        size_t m = (size_t)j.n + 1;
+        TriageScratch s;
+        Py_ssize_t r;
+        s.next_use = (int64_t *)scratch;
+        s.next_kill = s.next_use + m;
+        s.col = (u32 *)(s.next_kill + m);
+        s.or_all = s.col + m;
+        s.and_all = s.or_all + m;
+        s.or_use = s.and_all + m;
+        s.and_use = s.or_use + m;
+        s.use = (uint8_t *)(s.and_use + m);
+        for (k = 0; k < n_faults; k++)
+            bucket[j.reg[k] + 1]++;
+        for (r = 0; r < n_regs; r++)
+            bucket[r + 1] += bucket[r];
+        for (k = 0; k < n_faults; k++)
+            order[bucket[j.reg[k]]++] = k;
+        /* bucket[r] now ends register r's run; it starts at bucket[r-1]. */
+        for (r = 0; r < n_regs; r++) {
+            Py_ssize_t first = r ? bucket[r - 1] : 0;
+            if (bucket[r] > first)
+                triage_register(&j, &s, r, order + first, bucket[r] - first);
+        }
+    }
+    Py_END_ALLOW_THREADS
+    ret = Py_None;
+    Py_INCREF(ret);
+
+cleanup:
+    PyMem_Free(scratch);
+    PyMem_Free(order);
+    PyMem_Free(bucket);
+    release_all(views, NT);
+    return ret;
+}
+
 /* -- schedule(): the campaign's fault cycles, bit-identical to numpy ------- */
 
 /* repro.faults.campaign.schedule_faults (the specification) draws the
@@ -1405,6 +1683,14 @@ static PyMethodDef methods[] = {
      "released) when n_threads > 1."},
     {"pool_size", py_pool_size, METH_NOARGS,
      "pool_size() -> worker threads alive in this process's pool."},
+    {"triage", py_triage, METH_VARARGS,
+     "triage(sm, read_mask, write_mask, full_write, reg, bit, kind, cycle, "
+     "decision, act, start, end, prune, max_observe): write each fault's "
+     "triage decision (0 out of range, 1 soft-pruned, 2 never activated, "
+     "3 hard-pruned, 4 simulate), activation cycle and window [start, end) "
+     "(-1 where undefined), exactly as repro.faults.injector.triage_fault "
+     "decides them; kind is 0 soft, 1 stuck-at-0, 2 stuck-at-1, and "
+     "max_observe is -1 for no cap."},
 #ifdef HAVE_SCHEDULE
     {"schedule", py_schedule, METH_VARARGS,
      "schedule(out, seed, stream, bench, flop_base, n_cycles, n_intervals, "

@@ -19,6 +19,12 @@ in :mod:`repro.faults._cstep`:
 * decode goes through dense opcode tables from :mod:`repro.cpu.isa`
   (the same tables ``core.py`` dispatches on), handed to the kernel
   once per process by :func:`_cext_tables`;
+* a shard arrives as :class:`~repro.faults.models.FaultColumns`; one
+  ``triage()`` call decides every fault as
+  :func:`~repro.faults.injector.triage_fault` does (masked, deferred,
+  or simulated from when), array operations count the PruneStats and
+  form the equivalence classes, and a lane is the index of its fault
+  in those columns (``seq``), seeded in bulk;
 * one ``drive()`` call runs every lane to its own next rare-path event
   (horizon, state equal to golden at a check cycle, or a port
   divergence), and Python handles those events with whole-lane numpy
@@ -64,17 +70,23 @@ refuses to start; the drivers then run the scalar engine instead
 
 from __future__ import annotations
 
-from collections import deque
+import dataclasses
 
 import numpy as np
 
 from ..cpu import isa
-from ..cpu.units import REG_INDEX, REGISTRY
+from ..cpu.units import FULL_WRITE_MASK, REG_INDEX, REGISTRY
 from ..lockstep.categories import diverged_ports
 from . import kernels as _kernels
 from .golden import GoldenTrace
-from .injector import _CONVERGE_CHECK_START, PruneStats
-from .models import ErrorRecord, Fault, FaultKind
+from .injector import (
+    _CONVERGE_CHECK_START,
+    HARD_PRUNED,
+    SIMULATE,
+    SOFT_PRUNED,
+    PruneStats,
+)
+from .models import FAULT_KINDS, ErrorRecord, FaultColumns, FaultKind
 from .parallel import DEFAULT_BATCH
 
 #: The datapath is 32 bits wide (no REGISTRY flop exceeds 32 bits), so
@@ -82,7 +94,6 @@ from .parallel import DEFAULT_BATCH
 #: uint64 golden matrices, and 32-bit wrap-around makes every
 #: ``& 0xFFFFFFFF`` truncation free.
 _U32 = np.uint32
-_M32 = 0xFFFFFFFF
 
 #: Number of genuine flop registers (rows 0 .. N_REGS-1 of ``S``).
 N_REGS = len(REGISTRY)
@@ -149,6 +160,15 @@ PORT_ROWS16 = np.array([_R[name] for name in (
     "ret_pc", "ret_val", "ret_rd", "ret_valid")], dtype=np.int64)
 
 _FULL32 = _U32(0xFFFFFFFF)
+
+_SOFT = FAULT_KINDS.index(FaultKind.SOFT)
+_STUCK1 = FAULT_KINDS.index(FaultKind.STUCK1)
+
+#: Per S row: 1 when every write of the register replaces it whole
+#: (``RegSpec.full_write``), which makes a write without a stale read a
+#: kill for the liveness triage.
+_FULL_WRITE = np.array([(FULL_WRITE_MASK >> i) & 1 for i in range(N_REGS)],
+                       dtype=np.uint8)
 
 #: S-row names in the exact order of the C kernel's RowMap struct
 #: (_cstepmodule.c).  The per-cycle ``Cpu.step`` oracle test catches
@@ -230,8 +250,8 @@ class BatchInjectionEngine:
     :class:`~repro.faults.injector.InjectionEngine`: identical records,
     identical :class:`~repro.faults.injector.PruneStats`, batched
     execution.  Use :meth:`inject_all` with the full per-shard fault
-    list (equivalence classes and the convergence caches live across
-    the whole list, as they do across sequential ``inject`` calls).
+    list: equivalence classes live across one call's whole list, as
+    they do across sequential ``inject`` calls of the scalar engine.
     """
 
     def __init__(self, golden: GoldenTrace, max_observe: int | None = None,
@@ -269,255 +289,200 @@ class BatchInjectionEngine:
         self.start = np.zeros(B, dtype=np.int64)      # simulation start
         self.next_chk = np.zeros(B, dtype=np.int64)   # next masking/convergence check
         self.chk_iv = np.zeros(B, dtype=np.int64)     # stuck-at check interval
-        self.seq = np.zeros(B, dtype=np.int64)        # index into the outcome list
+        self.seq = np.zeros(B, dtype=np.int64)        # the lane's fault (input index)
         # int64 (not intp): the C kernel reads this buffer as 8-byte rows.
         self.force_row = np.full(B, TRASH_ROW, dtype=np.int64)
         self.force_and = np.full(B, _FULL32, dtype=_U32)
         self.force_or = np.zeros(B, dtype=_U32)
         self.is_hard = np.zeros(B, dtype=bool)
-        self.info: list[tuple[Fault, tuple[str, int, int] | None] | None] = [None] * B
         self._n = 0
-
-        #: (reg, bit, start) -> (outcome, span); shared across inject_all calls.
-        self._soft_classes: dict[
-            tuple[str, int, int],
-            tuple[tuple[int, frozenset[int]] | None, int]] = {}
-        self._parked: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
-        self._outcomes: list[ErrorRecord | None] = []
+        self._load(FaultColumns.from_faults(()))
 
     # -- public API ----------------------------------------------------------
 
     def inject_all(self, faults) -> list[ErrorRecord | None]:
         """Run every fault; returns outcomes aligned with the input order.
 
-        ``None`` entries are masked faults, exactly as the scalar
-        engine's ``inject`` returns.
+        ``faults`` is a :class:`~repro.faults.models.FaultColumns` or
+        any iterable of :class:`~repro.faults.models.Fault` (converted
+        once here).  ``None`` entries are masked faults, exactly as the
+        scalar engine's ``inject`` returns.
         """
-        faults = list(faults)
-        outcomes: list[ErrorRecord | None] = [None] * len(faults)
-        self._outcomes = outcomes
-        pending = self._triage(faults)
+        if not isinstance(faults, FaultColumns):
+            faults = FaultColumns.from_faults(faults)
+        queue, hits, reps = self._plan(faults)
+        self._drive(queue)
+        self._replay(hits, reps)
+        return self._outcomes
+
+    # -- triage (one C call, held to injector.triage_fault) ------------------
+
+    def _plan(self, faults: FaultColumns) -> tuple[np.ndarray, ...]:
+        """Triage ``faults`` and count what it saves.
+
+        Returns the queue of faults to simulate, longest observation
+        window first, and the equivalence hits with the representative
+        each one replays.
+        """
+        self._load(faults)
+        decision, act, start, end = self._triage(
+            self._reg, self._bit, faults.kind, faults.cycle)
+        self._start, self._end = start, end
+        self._count_pruning(decision, act, start, end)
+        simulate = decision == SIMULATE
+        hits = reps = np.empty(0, dtype=np.int64)
+        if self.prune:
+            simulate, hits, reps = self._equivalence_classes(simulate)
+        queue = np.flatnonzero(simulate)
         # Longest observation windows first (LPT) so stragglers overlap
         # the bulk instead of trailing it with a near-empty batch.
         # Order cannot affect results: equivalence representatives are
         # fixed at triage (input order), each lane's outcome depends
         # only on its own seed state, and stats are order-independent
         # sums — so the digest is unchanged.
-        pending = deque(sorted(pending, key=lambda s: s[3] - s[2], reverse=True))
-        self._drive(pending)
-        # Any key still parked had its representative retired in this
-        # call (the queue drained), so _finish resolved it; leftover
-        # parked entries would be a driver bug.
-        assert not self._parked, "unresolved equivalence classes"
-        return outcomes
+        order = np.argsort(start[queue] - end[queue], kind="stable")
+        return queue[order], hits, reps
 
-    # -- triage (pure Python, mirrors scalar inject()) -----------------------
+    def _load(self, faults: FaultColumns) -> None:
+        """Make ``faults`` the columns that lanes index by ``seq``."""
+        self._faults = faults
+        flops = faults.flops
+        self._reg = np.array([REG_INDEX[f.reg] for f in flops],
+                             dtype=np.int64)[faults.flop]
+        self._bit = np.array([f.bit for f in flops], dtype=np.int64)[faults.flop]
+        self._start = self._end = np.zeros(len(faults), dtype=np.int64)
+        self._span = np.zeros(len(faults), dtype=np.int64)
+        self._outcomes: list[ErrorRecord | None] = [None] * len(faults)
 
-    def _triage(self, faults: list[Fault]) -> deque:
+    def _triage(self, reg, bit, kind, cycle) -> tuple[np.ndarray, ...]:
+        """``triage_fault`` of every fault given as columns, in one call:
+        ``(decision, activation, start, end)`` columns."""
         golden = self.golden
-        n = golden.n_cycles
-        stats = self.stats
-        prune = self.prune
-        pending: deque = deque()
-        for seq, fault in enumerate(faults):
-            t0 = fault.cycle
-            if not 0 <= t0 < n:
-                continue
-            if fault.kind is FaultKind.SOFT:
-                if not prune:
-                    pending.append((seq, fault, t0, n, None))
-                    continue
-                start = golden.soft_start(fault.flop.reg, t0)
-                if start is None:
-                    stats.soft_pruned += 1
-                    stats.cycles_saved += n - t0
-                    continue
-                if start > t0:
-                    stats.soft_deferred += 1
-                    stats.cycles_saved += start - t0
-                key = (fault.flop.reg, fault.flop.bit, start)
-                cached = self._soft_classes.get(key)
-                if cached is not None:
-                    stats.equiv_hits += 1
-                    outcome, span = cached
-                    stats.cycles_saved += span
-                    outcomes = self._outcomes
-                    outcomes[seq] = self._replay(fault, t0, outcome)
-                    continue
-                lst = self._parked.get(key)
-                if lst is not None:
-                    # Representative already queued: replay at resolution.
-                    lst.append((seq, t0))
-                    continue
-                self._parked[key] = []
-                pending.append((seq, fault, start, n, key))
-            else:
-                value = 1 if fault.kind is FaultKind.STUCK1 else 0
-                t_act = golden.activation_cycle(
-                    fault.flop.reg, fault.flop.bit, value, t0)
-                if t_act is None:
-                    continue
-                end = n if self.max_observe is None else min(n, t_act + self.max_observe)
-                if prune:
-                    t_start = golden.first_active_use(
-                        fault.flop.reg, fault.flop.bit, value, t_act)
-                    if t_start is None or t_start >= end:
-                        stats.hard_pruned += 1
-                        stats.cycles_saved += end - t_act
-                        continue
-                    if t_start > t_act:
-                        stats.hard_deferred += 1
-                        stats.cycles_saved += t_start - t_act
-                else:
-                    t_start = t_act
-                pending.append((seq, fault, t_start, end, None))
-        return pending
+        count = len(cycle)
+        decision = np.empty(count, dtype=np.uint8)
+        act, start, end = (np.empty(count, dtype=np.int64) for _ in range(3))
+        max_observe = (-1 if self.max_observe is None
+                       else min(self.max_observe, golden.n_cycles))
+        self._cext.triage(self._sm32, golden.read_mask, golden.write_mask,
+                          _FULL_WRITE, reg, bit, kind, cycle, decision, act,
+                          start, end, self.prune, max_observe)
+        return decision, act, start, end
 
-    def _replay(self, fault: Fault, t0: int,
-                outcome: tuple[int, frozenset[int]] | None) -> ErrorRecord | None:
-        if outcome is None:
-            return None
-        detect_cycle, diverged = outcome
-        return ErrorRecord(
-            benchmark=self.golden.workload.name, flop=fault.flop,
-            kind=fault.kind, inject_cycle=t0, detect_cycle=detect_cycle,
-            diverged=diverged,
-        )
+    def _count_pruning(self, decision, act, start, end) -> None:
+        """Add triage's share of the PruneStats, as the scalar engine's
+        ``inject`` counts it per fault."""
+        stats = self.stats
+        soft = self._faults.kind == _SOFT
+        pruned = (decision == SOFT_PRUNED) | (decision == HARD_PRUNED)
+        deferred = (decision == SIMULATE) & (start > act)
+        stats.soft_pruned += int(np.count_nonzero(pruned & soft))
+        stats.hard_pruned += int(np.count_nonzero(pruned & ~soft))
+        stats.soft_deferred += int(np.count_nonzero(deferred & soft))
+        stats.hard_deferred += int(np.count_nonzero(deferred & ~soft))
+        stats.cycles_saved += int((end - act)[pruned].sum()
+                                  + (start - act)[deferred].sum())
+
+    def _equivalence_classes(self, simulate) -> tuple[np.ndarray, ...]:
+        """Split the simulated soft faults into dynamic equivalence classes.
+
+        Soft faults on one (reg, bit) with one deferred start share
+        their whole future, so only the first of each class in input
+        order (its representative) is simulated.  Returns the faults
+        still to simulate, the other members (hits) and each hit's
+        representative.
+        """
+        members = np.flatnonzero(simulate & (self._faults.kind == _SOFT))
+        keys = ((self._reg[members] * 32 + self._bit[members])
+                * (self.golden.n_cycles + 1) + self._start[members])
+        _, first, cls = np.unique(keys, return_index=True, return_inverse=True)
+        reps = members[first][cls]
+        is_hit = reps != members
+        simulate = simulate.copy()
+        simulate[members[is_hit]] = False
+        self.stats.equiv_classes += len(first)
+        return simulate, members[is_hit], reps[is_hit]
+
+    def _replay(self, hits, reps) -> None:
+        """Give each equivalence hit its representative's outcome, with
+        its own injection cycle."""
+        stats = self.stats
+        stats.equiv_hits += len(hits)
+        stats.cycles_saved += int(self._span[reps].sum())
+        outcomes = self._outcomes
+        cycles = self._faults.cycle
+        for hit, rep in zip(hits.tolist(), reps.tolist()):
+            record = outcomes[rep]
+            if record is not None:
+                outcomes[hit] = dataclasses.replace(
+                    record, inject_cycle=int(cycles[hit]))
 
     # -- lane lifecycle ------------------------------------------------------
 
-    def _seed_many(self, pending: deque) -> None:
-        """Seed up to ``batch - n`` lanes from the fault queue in bulk.
+    def _seed_many(self, queue: np.ndarray) -> np.ndarray:
+        """Seed lanes from the head of ``queue`` (fault indices) up to
+        the batch width; returns the rest of the queue.
 
-        Vectorised counterpart of :meth:`_seed`: under the compiled
-        kernel whole generations of lanes retire at once, so refills
-        arrive hundreds at a time and per-lane numpy dispatch dominated
-        the seeding phase.  Same lane state, one fancy-indexed
-        assignment per array (only the per-start memory reconstruction
-        stays a loop — each start replays a different write-log span).
+        One gather per lane array, and one bulk reconstruction of every
+        new lane's memory (:meth:`GoldenTrace.memory_rows_at`).
         """
-        take = min(self.batch - self._n, len(pending))
+        take = min(self.batch - self._n, len(queue))
         if take <= 0:
-            return
-        specs = [pending.popleft() for _ in range(take)]
+            return queue
+        seqs = queue[:take]
         i0 = self._n
         self._n = i0 + take
+        lanes = np.arange(i0, i0 + take)
         sl = slice(i0, i0 + take)
-        starts = np.fromiter((s[2] for s in specs), np.int64, count=take)
+        starts = self._start[seqs]
         self.S[:N_REGS, sl] = self._sm32[starts].T
         self.S[ZERO_ROW, sl] = 0
         self.S[TRASH_ROW, sl] = 0
-        info = self.info
-        mem = self.golden.memory_words_at
-        for j, (seq, fault, start, end, key) in enumerate(specs):
-            mem(start, out=self.M[i0 + j])
-            info[i0 + j] = (fault, key)
+        self.golden.memory_rows_at(starts, self.M, lanes)
         self.t[sl] = starts
         self.start[sl] = starts
-        self.end[sl] = np.fromiter((s[3] for s in specs), np.int64,
-                                   count=take)
-        self.seq[sl] = np.fromiter((s[0] for s in specs), np.int64,
-                                   count=take)
-        reg_rows = np.fromiter(
-            (REG_INDEX[s[1].flop.reg] for s in specs), np.int64, count=take)
-        masks = np.fromiter(
-            ((1 << s[1].flop.bit) & _M32 for s in specs), _U32, count=take)
-        soft = np.fromiter(
-            (s[1].kind is FaultKind.SOFT for s in specs), bool, count=take)
-        stuck1 = np.fromiter(
-            (s[1].kind is FaultKind.STUCK1 for s in specs), bool, count=take)
+        self.end[sl] = self._end[seqs]
+        self.seq[sl] = seqs
+        kind = self._faults.kind[seqs]
+        soft = kind == _SOFT
+        stuck1 = kind == _STUCK1
+        reg_rows = self._reg[seqs]
+        masks = np.left_shift(1, self._bit[seqs]).astype(_U32)
         self.is_hard[sl] = ~soft
-        flip_cols = np.arange(i0, i0 + take)[soft]
-        self.S[reg_rows[soft], flip_cols] ^= masks[soft]
+        self.S[reg_rows[soft], lanes[soft]] ^= masks[soft]
         self.force_row[sl] = np.where(soft, TRASH_ROW, reg_rows)
         self.force_and[sl] = np.where(soft | stuck1, _FULL32, ~masks)
         self.force_or[sl] = np.where(stuck1, masks, _U32(0))
         self.next_chk[sl] = starts + np.where(soft, 1, _CONVERGE_CHECK_START)
         self.chk_iv[sl] = np.where(soft, self.mask_check_stride,
                                    _CONVERGE_CHECK_START)
+        return queue[take:]
 
-    def _seed(self, spec) -> None:
-        """Scalar reference for :meth:`_seed_many` (pinned by tests)."""
-        seq, fault, start, end, key = spec
-        i = self._n
-        self._n = i + 1
-        self.S[:N_REGS, i] = self._sm32[start]
-        self.S[ZERO_ROW, i] = 0
-        self.S[TRASH_ROW, i] = 0
-        self.golden.memory_words_at(start, out=self.M[i])
-        self.t[i] = start
-        self.end[i] = end
-        self.start[i] = start
-        self.seq[i] = seq
-        self.info[i] = (fault, key)
-        reg_row = REG_INDEX[fault.flop.reg]
-        mask = 1 << fault.flop.bit
-        if fault.kind is FaultKind.SOFT:
-            self.is_hard[i] = False
-            self.S[reg_row, i] ^= _U32(mask)
-            self.force_row[i] = TRASH_ROW
-            self.force_and[i] = _FULL32
-            self.force_or[i] = 0
-            self.next_chk[i] = start + 1
-            self.chk_iv[i] = self.mask_check_stride
-        else:
-            self.is_hard[i] = True
-            self.force_row[i] = reg_row
-            if fault.kind is FaultKind.STUCK1:
-                self.force_and[i] = _FULL32
-                self.force_or[i] = mask
-            else:
-                self.force_and[i] = _U32(~mask & _M32)
-                self.force_or[i] = 0
-            self.next_chk[i] = start + _CONVERGE_CHECK_START
-            self.chk_iv[i] = _CONVERGE_CHECK_START
-
-    def _finish(self, i: int, record: ErrorRecord | None) -> None:
-        """Record lane ``i``'s outcome and resolve its equivalence class."""
-        outcomes = self._outcomes
-        outcomes[self.seq[i]] = record
-        fault, key = self.info[i]
-        if key is None:
-            return
-        span = int(self.t[i] - self.start[i]) + (1 if record is not None else 0)
-        outcome = None if record is None else (record.detect_cycle, record.diverged)
-        self._soft_classes[key] = (outcome, span)
-        self.stats.equiv_classes += 1
-        stats = self.stats
-        name = self.golden.workload.name
-        for pseq, pt0 in self._parked.pop(key, ()):
-            stats.equiv_hits += 1
-            stats.cycles_saved += span
-            if outcome is not None:
-                detect_cycle, diverged = outcome
-                outcomes[pseq] = ErrorRecord(
-                    benchmark=name, flop=fault.flop, kind=fault.kind,
-                    inject_cycle=pt0, detect_cycle=detect_cycle,
-                    diverged=diverged)
+    def _retire(self, lanes: np.ndarray, detected: bool = False) -> None:
+        """Retire ``lanes``: note each one's simulated span (what an
+        equivalence hit replays) and compact them out."""
+        self._span[self.seq[lanes]] = (self.t[lanes] - self.start[lanes]
+                                       + int(detected))
+        self._compact(lanes)
 
     def _compact(self, dead) -> None:
         """Remove retired lanes by moving live tail columns into the holes.
 
-        One fancy-indexed copy per array instead of a per-lane scalar
-        shuffle: retirements arrive hundreds at a time under the
-        compiled kernel, and lane order is immaterial (every decision
-        is lane-local and outcomes are keyed by ``seq``).
+        One fancy-indexed copy per array: retirements arrive hundreds
+        at a time under the compiled kernel, and lane order is
+        immaterial (every decision is lane-local and outcomes are keyed
+        by ``seq``).
         """
-        dead_set = set(dead)
         n = self._n
-        new_n = n - len(dead_set)
+        gone = np.zeros(n, dtype=bool)
+        gone[dead] = True
+        new_n = n - int(np.count_nonzero(gone))
         self._n = new_n
         # Surviving tail lanes drop into the holes below the new count,
         # in order; |holes| == |movers| by construction.
-        holes = sorted(i for i in dead_set if i < new_n)
-        movers = [i for i in range(new_n, n) if i not in dead_set]
-        info = self.info
-        for hole, mover in zip(holes, movers):
-            info[hole] = info[mover]
-        for i in range(new_n, n):
-            info[i] = None
-        if not holes:
+        holes = np.flatnonzero(gone[:new_n])
+        if not holes.size:
             return
+        movers = new_n + np.flatnonzero(~gone[new_n:])
         self.S[:, holes] = self.S[:, movers]
         self.M[holes] = self.M[movers]
         for arr in (self.t, self.end, self.start, self.next_chk,
@@ -527,14 +492,16 @@ class BatchInjectionEngine:
 
     # -- main driver ---------------------------------------------------------
 
-    def _drive(self, pending: deque) -> None:
+    def _drive(self, queue: np.ndarray) -> None:
         golden = self.golden
         stats = self.stats
         name = golden.workload.name
         g_ports = self._g_ports
+        faults = self._faults
+        outcomes = self._outcomes
         t = self.t
-        while self._n or pending:
-            self._seed_many(pending)
+        while self._n or len(queue):
+            queue = self._seed_many(queue)
             n = self._n
             # One C call runs *every* lane to its own next rare-path
             # event (lanes outer, cycles inner — each lane's column stays
@@ -557,58 +524,16 @@ class BatchInjectionEngine:
             stats.sim_cycles += ran
 
             # (a) lanes past their observation horizon: masked.
-            done = np.nonzero(t[:n] >= self.end[:n])[0]
+            done = np.flatnonzero(t[:n] >= self.end[:n])
             if done.size:
-                for i in done:
-                    self._finish(int(i), None)
-                self._compact(done.tolist())
+                self._retire(done)
                 continue
 
             # (b) masking / re-convergence checks (pre-step, pre-force:
             # the scalar snapshot at the same cycle is equally unforced).
-            chk = np.nonzero(t[:n] == self.next_chk[:n])[0]
-            if chk.size:
-                eq = (self.S[:N_REGS, chk] == self._sm32[t[chk]].T).all(axis=0)
-                retire = []
-                for j, idx in enumerate(chk):
-                    i = int(idx)
-                    if not self.is_hard[i]:
-                        if eq[j]:
-                            retire.append(i)  # re-converged: masked
-                        else:
-                            self.next_chk[i] += self.mask_check_stride
-                        continue
-                    if not eq[j]:
-                        self.chk_iv[i] *= 2
-                        self.next_chk[i] = int(t[i]) + self.chk_iv[i]
-                        continue
-                    # Stuck-at lane bit-identical to golden: fast-forward
-                    # to the next (observed) activation, as the scalar
-                    # engine does post-step.
-                    fault, _key = self.info[i]
-                    value = 1 if fault.kind is FaultKind.STUCK1 else 0
-                    tcur = int(t[i])
-                    if self.prune:
-                        t_next = golden.first_active_use(
-                            fault.flop.reg, fault.flop.bit, value, tcur)
-                    else:
-                        t_next = golden.activation_cycle(
-                            fault.flop.reg, fault.flop.bit, value, tcur)
-                    if t_next is None or t_next >= self.end[i]:
-                        retire.append(i)  # force is a no-op henceforth
-                    elif t_next > tcur:
-                        self.S[:N_REGS, i] = self._sm32[t_next]
-                        golden.memory_words_at(t_next, out=self.M[i])
-                        t[i] = t_next
-                        self.chk_iv[i] = _CONVERGE_CHECK_START
-                        self.next_chk[i] = t_next + _CONVERGE_CHECK_START
-                    else:
-                        self.next_chk[i] = tcur + self.chk_iv[i]
-                if retire:
-                    for i in retire:
-                        self._finish(i, None)
-                    self._compact(retire)
-                    continue
+            chk = np.flatnonzero(t[:n] == self.next_chk[:n])
+            if chk.size and self._check(chk):
+                continue
 
             # (c) detections: lanes parked at a port divergence.  Lanes
             # that (b) left in place or fast-forwarded equal golden, so
@@ -624,20 +549,67 @@ class BatchInjectionEngine:
             div = (P16 != gp[:, :16].T).any(axis=0)
             div |= evs != gp[:, 16]
             div |= evb != gp[:, 17]
-            det = np.nonzero(div)[0]
+            det = np.flatnonzero(div)
             # One bulk extraction instead of 18 scalar conversions per
             # detection — detections arrive hundreds at a time.
-            det_l = det.tolist()
+            seqs = self.seq[det]
             ports16 = P16[:, det].T.tolist()
             ev_l = np.stack((evs[det], evb[det]), axis=1).tolist()
-            t_l = tt[det].tolist()
-            for i, tcur, p16, ev in zip(det_l, t_l, ports16, ev_l):
+            for s, flop, kind, t0, tcur, p16, ev in zip(
+                    seqs.tolist(), faults.flop[seqs].tolist(),
+                    faults.kind[seqs].tolist(), faults.cycle[seqs].tolist(),
+                    tt[det].tolist(), ports16, ev_l):
                 out = tuple(p16) + tuple(ev)
-                fault, _key = self.info[i]
-                record = ErrorRecord(
-                    benchmark=name, flop=fault.flop, kind=fault.kind,
-                    inject_cycle=fault.cycle, detect_cycle=tcur,
+                outcomes[s] = ErrorRecord(
+                    benchmark=name, flop=faults.flops[flop],
+                    kind=FAULT_KINDS[kind], inject_cycle=t0,
+                    detect_cycle=tcur,
                     diverged=diverged_ports(out, g_ports[tcur]))
-                stats.sim_cycles += 1  # the scalar step that showed this tuple
-                self._finish(i, record)
-            self._compact(det_l)
+            # The scalar step that showed each tuple.
+            stats.sim_cycles += len(det)
+            self._retire(det, detected=True)
+
+    def _check(self, chk: np.ndarray) -> bool:
+        """Phase (b) for the lanes ``chk`` parked at a check cycle.
+
+        A soft lane equal to golden has re-converged (masked); one that
+        differs re-checks a stride later.  A stuck-at lane that differs
+        backs off; one equal to golden fast-forwards to the stuck bit's
+        next (observed) activation, as the scalar engine does post-step,
+        or retires when there is none in its window.  Returns whether
+        any lane retired.
+        """
+        t = self.t
+        eq = (self.S[:N_REGS, chk] == self._sm32[t[chk]].T).all(axis=0)
+        hard = self.is_hard[chk]
+        soft_on = chk[~hard & ~eq]
+        self.next_chk[soft_on] += self.mask_check_stride
+        hard_on = chk[hard & ~eq]
+        self.chk_iv[hard_on] *= 2
+        self.next_chk[hard_on] = t[hard_on] + self.chk_iv[hard_on]
+        retire = chk[~hard & eq]
+        ff = chk[hard & eq]
+        if ff.size:
+            seqs = self.seq[ff]
+            tcur = t[ff]
+            # The triage start of a stuck-at "injected" now is its next
+            # activation (observed, when pruning), or -1 for none.
+            t_next = self._triage(self._reg[seqs], self._bit[seqs],
+                                  self._faults.kind[seqs], tcur)[2]
+            gone = (t_next < 0) | (t_next >= self.end[ff])
+            jump = ~gone & (t_next > tcur)
+            stay = ff[~gone & ~jump]
+            self.next_chk[stay] = t[stay] + self.chk_iv[stay]
+            lanes, t_jump = ff[jump], t_next[jump]
+            if lanes.size:
+                self.S[:N_REGS, lanes] = self._sm32[t_jump].T
+                self.golden.memory_rows_at(t_jump, self.M, lanes)
+                t[lanes] = t_jump
+                self.chk_iv[lanes] = _CONVERGE_CHECK_START
+                self.next_chk[lanes] = t_jump + _CONVERGE_CHECK_START
+            # A force that is a no-op for the rest of the window.
+            retire = np.concatenate((retire, ff[gone]))
+        if not retire.size:
+            return False
+        self._retire(retire)
+        return True

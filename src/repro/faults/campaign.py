@@ -58,6 +58,23 @@ class CampaignConfig:
     #: escape hatch / baseline for benchmarking (``--no-prune``).
     prune: bool = True
 
+    def __post_init__(self) -> None:
+        """Refuse values the engines would otherwise reinterpret.
+
+        Raises ``ValueError`` naming the field, as ``ExecPlan`` does.
+        """
+        for name, floor in (("soft_per_flop", 0), ("hard_per_flop", 0),
+                            ("intervals", 1), ("mask_check_stride", 1)):
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value!r}")
+        if self.max_observe is not None and self.max_observe < 1:
+            raise ValueError(
+                f"max_observe must be None or >= 1, got {self.max_observe!r}")
+        if not 0 < self.flop_fraction <= 1:
+            raise ValueError(
+                f"flop_fraction must be in (0, 1], got {self.flop_fraction!r}")
+
     @classmethod
     def quick(cls) -> "CampaignConfig":
         """A seconds-scale configuration for unit tests."""

@@ -48,6 +48,12 @@ from .campaign import CAMPAIGN_SCHEMA_VERSION
 _WORD_MASK = (1 << 64) - 1
 
 
+def _last_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of the last occurrence of each distinct value in ``keys``."""
+    _, first_of_reversed = np.unique(keys[::-1], return_index=True)
+    return len(keys) - 1 - first_of_reversed
+
+
 def _pack_mask_rows(rows: list[int], n: int) -> np.ndarray:
     """Python-int bitmask rows -> (n, MASK_WORDS) uint64 matrix."""
     matrix = np.empty((n, MASK_WORDS), dtype=np.uint64)
@@ -477,50 +483,53 @@ class GoldenTrace:
     def _np_mem_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Numpy mirror of the reconstruction index (built lazily once).
 
-        Returns ``(initial, checkpoints, idxs, vals)``: the initial word
-        image, the ``(k, mem_words)`` checkpoint matrix, and the write
-        log split into index/value columns, all ``int64``.  Backs
-        :meth:`memory_words_at` so the batch engine can seed lane
-        memories without materialising a :class:`Memory` object.
+        Returns ``(images, cycles, idxs, vals)``: the ``(k + 1,
+        mem_words)`` uint32 matrix of the initial image followed by the
+        ``k`` checkpoints, and the write log's cycle, word-index and
+        value columns.  Backs :meth:`memory_rows_at`, so the batch engine
+        seeds lane memories without a :class:`Memory` object.
         """
         cached = self._np_mem
         if cached is None:
-            if self.write_log:
-                log = np.asarray(self.write_log, dtype=np.int64).reshape(-1, 3)
-                idxs = np.ascontiguousarray(log[:, 1])
-                vals = np.ascontiguousarray(log[:, 2])
-            else:
-                idxs = np.empty(0, dtype=np.int64)
-                vals = np.empty(0, dtype=np.int64)
-            initial = np.array(self._initial_words, dtype=np.int64)
-            ckpts = np.array(self._checkpoints(), dtype=np.int64).reshape(
-                -1, self.mem_words)
-            cached = (initial, ckpts, idxs, vals)
+            log = np.array(self.write_log, dtype=np.int64).reshape(-1, 3)
+            images = np.array([self._initial_words, *self._checkpoints()],
+                              dtype=np.uint32)
+            cached = (images, np.ascontiguousarray(log[:, 0]),
+                      np.ascontiguousarray(log[:, 1]),
+                      log[:, 2].astype(np.uint32))
             self._np_mem = cached
         return cached
 
-    def memory_words_at(self, cycle: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Memory image at the start of ``cycle`` as an ``int64`` vector.
+    def memory_rows_at(self, cycles, out: np.ndarray, rows) -> np.ndarray:
+        """Memory images at the start of each of ``cycles``, in place.
 
-        Same reconstruction as :meth:`memory_at` (nearest checkpoint
-        plus a scatter-replayed delta) but the copy and the replay are
-        single numpy operations, so per-experiment seeding in the batch
-        engine costs microseconds.  ``out`` may supply a reusable
-        ``(mem_words,)`` buffer (a matrix row works) to overwrite.
+        Row ``rows[j]`` of the ``(_, mem_words)`` matrix ``out`` (rows
+        must be distinct) becomes the image at ``cycles[j]``: the same
+        reconstruction as
+        :meth:`memory_at` for every row at once, as one gather of
+        checkpoint images and one scatter of the write-log entries each
+        row replays past its checkpoint.  The scatter keeps only the
+        last write per (row, word), because numpy does not promise the
+        order in which one fancy assignment applies repeated indices.
         """
-        initial, ckpts, idxs, vals = self._np_mem_index()
-        j = bisect_left(self._log_cycles, cycle)
+        images, log_cycles, idxs, vals = self._np_mem_index()
+        cycles = np.asarray(cycles, dtype=np.int64)
+        rows = np.asarray(rows)
+        # Entries with when < cycle are committed before `cycle` starts.
+        j = np.searchsorted(log_cycles, cycles, side="left")
         k = j // MEMORY_CHECKPOINT_EVERY
-        src = ckpts[k - 1] if k else initial
-        if out is None:
-            out = src.copy()
-        else:
-            out[:] = src
-        base = k * MEMORY_CHECKPOINT_EVERY
-        if base < j:
-            # Fancy assignment applies entries in order: later writes to
-            # the same word win, matching sequential replay.
-            out[idxs[base:j]] = vals[base:j]
+        out[rows] = images[k]
+        counts = j - k * MEMORY_CHECKPOINT_EVERY
+        total = int(counts.sum())
+        if total:
+            owner = np.repeat(rows, counts)
+            # Log index of each replayed entry: its row's checkpoint
+            # base plus its rank within the row's span.
+            ends = np.cumsum(counts)
+            entry = np.arange(total) + np.repeat(j - ends, counts)
+            word = idxs[entry]
+            last = _last_occurrences(owner * self.mem_words + word)
+            out[owner[last], word[last]] = vals[entry[last]]
         return out
 
     def _active_cycles(self, reg: str, bit: int, value: int,

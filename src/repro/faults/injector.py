@@ -57,6 +57,67 @@ from .models import ErrorRecord, Fault, FaultKind
 #: diverged-but-undetected runs pay O(log) checks, not O(n).
 _CONVERGE_CHECK_START = 8
 
+#: Triage decisions (:func:`triage_fault`), numbered as the compiled
+#: kernel's ``triage`` writes them.
+OUT_OF_RANGE, SOFT_PRUNED, NEVER_ACTIVE, HARD_PRUNED, SIMULATE = range(5)
+
+
+def triage_fault(golden: GoldenTrace, fault: Fault, prune: bool = True,
+                 max_observe: int | None = None) -> tuple[int, int, int, int]:
+    """What the engines do with ``fault`` before simulating anything.
+
+    Returns ``(decision, activation, start, end)``, with ``-1`` for the
+    cycles a decision leaves undefined:
+
+    * ``OUT_OF_RANGE``: the cycle lies outside the trace; masked;
+    * ``SOFT_PRUNED``: :meth:`GoldenTrace.soft_start` proves the flip
+      masked (``activation`` is the injection cycle, ``end`` the trace
+      length);
+    * ``NEVER_ACTIVE``: the stuck-at flop always holds the stuck value
+      from the injection on (:meth:`GoldenTrace.activation_cycle`);
+    * ``HARD_PRUNED``: the stuck-at is never observed while active
+      before ``end`` (:meth:`GoldenTrace.first_active_use`; ``start`` is
+      that observation, or ``-1`` when there is none);
+    * ``SIMULATE``: simulate from ``start`` until ``end``.
+
+    ``end`` is the observation horizon: the trace length, or for a
+    stuck-at ``max_observe`` cycles after its activation.  Without
+    ``prune`` a soft flip starts at its injection and a stuck-at at its
+    activation.  This is the specification of triage: the scalar engine
+    runs it per fault, and the batch engine's compiled ``triage`` is
+    held to it fault for fault.
+    """
+    n = golden.n_cycles
+    t0 = fault.cycle
+    if not 0 <= t0 < n:
+        return OUT_OF_RANGE, -1, -1, -1
+    reg, bit = fault.flop.reg, fault.flop.bit
+    if fault.kind is FaultKind.SOFT:
+        if not prune:
+            return SIMULATE, t0, t0, n
+        start = golden.soft_start(reg, t0)
+        if start is None:
+            return SOFT_PRUNED, t0, -1, n
+        return SIMULATE, t0, start, n
+    value = 1 if fault.kind is FaultKind.STUCK1 else 0
+    t_act = golden.activation_cycle(reg, bit, value, t0)
+    if t_act is None:
+        return NEVER_ACTIVE, -1, -1, -1
+    # The observation window stays anchored at the plain activation
+    # cycle even when the start is deferred — same absolute horizon as
+    # the un-pruned path, so verdicts (and digests) match.
+    end = n if max_observe is None else min(n, t_act + max_observe)
+    if not prune:
+        return SIMULATE, t_act, t_act, end
+    # Compose activation with liveness: forced-but-unread stretches
+    # cannot influence anything (ports are registers too, and reading
+    # one counts as a use), so start at the first cycle the active
+    # stuck bit is actually observed.
+    t_start = golden.first_active_use(reg, bit, value, t_act)
+    if t_start is None:
+        return HARD_PRUNED, t_act, -1, end
+    return (HARD_PRUNED if t_start >= end else SIMULATE), t_act, t_start, end
+
 
 # -- reusable single-fault perturbation (non-campaign callers) ---------------
 
@@ -167,35 +228,39 @@ class InjectionEngine:
 
     def inject(self, fault: Fault) -> ErrorRecord | None:
         """Run one experiment; returns the error record or None if masked."""
-        if fault.kind is FaultKind.SOFT:
-            return self._inject_soft(fault)
-        return self._inject_hard(fault)
+        decision, t_act, start, end = triage_fault(
+            self.golden, fault, self.prune, self.max_observe)
+        if decision == OUT_OF_RANGE or decision == NEVER_ACTIVE:
+            return None
+        stats = self.stats
+        soft = fault.kind is FaultKind.SOFT
+        if decision != SIMULATE:
+            # Masked without simulation: the whole window is saved.
+            if soft:
+                stats.soft_pruned += 1
+            else:
+                stats.hard_pruned += 1
+            stats.cycles_saved += end - t_act
+            return None
+        if start > t_act:
+            if soft:
+                stats.soft_deferred += 1
+            else:
+                stats.hard_deferred += 1
+            stats.cycles_saved += start - t_act
+        if soft:
+            return self._inject_soft(fault, start)
+        return self._inject_hard(fault, start, end)
 
     # -- transient -----------------------------------------------------------
 
-    def _inject_soft(self, fault: Fault) -> ErrorRecord | None:
-        golden = self.golden
-        t0 = fault.cycle
-        if not 0 <= t0 < golden.n_cycles:
-            return None
+    def _inject_soft(self, fault: Fault, start: int) -> ErrorRecord | None:
         if not self.prune:
-            return self._run_soft(fault, t0, t0)[0]
-
-        stats = self.stats
-        start = golden.soft_start(fault.flop.reg, t0)
-        if start is None:
-            # Fully overwritten before any read, or never touched
-            # again: masked with zero simulated cycles.
-            stats.soft_pruned += 1
-            stats.cycles_saved += golden.n_cycles - t0
-            return None
-        if start > t0:
-            stats.soft_deferred += 1
-            stats.cycles_saved += start - t0
-
+            return self._run_soft(fault, fault.cycle, start)[0]
         # Dynamic equivalence: the state at `start` (golden XOR flip)
         # is the same for every fault in the class, so the outcome is
         # too — only inject_cycle differs per record.
+        stats = self.stats
         key = (fault.flop.reg, fault.flop.bit, start)
         cached = self._soft_classes.get(key)
         if cached is not None:
@@ -206,14 +271,14 @@ class InjectionEngine:
                 return None
             detect_cycle, diverged = outcome
             return ErrorRecord(
-                benchmark=golden.workload.name,
+                benchmark=self.golden.workload.name,
                 flop=fault.flop,
                 kind=fault.kind,
-                inject_cycle=t0,
+                inject_cycle=fault.cycle,
                 detect_cycle=detect_cycle,
                 diverged=diverged,
             )
-        record, span = self._run_soft(fault, t0, start)
+        record, span = self._run_soft(fault, fault.cycle, start)
         outcome = None if record is None else (record.detect_cycle, record.diverged)
         self._soft_classes[key] = (outcome, span)
         stats.equiv_classes += 1
@@ -273,41 +338,16 @@ class InjectionEngine:
 
     # -- permanent -----------------------------------------------------------
 
-    def _inject_hard(self, fault: Fault) -> ErrorRecord | None:
+    def _inject_hard(self, fault: Fault, t_start: int,
+                     end: int) -> ErrorRecord | None:
+        """Simulate a stuck-at from ``t_start`` until ``end``."""
         golden = self.golden
         t0 = fault.cycle
-        if not 0 <= t0 < golden.n_cycles:
-            return None
         reg = fault.flop.reg
         bit = fault.flop.bit
         value = 1 if fault.kind is FaultKind.STUCK1 else 0
-        t_act = golden.activation_cycle(reg, bit, value, t0)
-        if t_act is None:
-            return None  # the flop never holds the complementary value
-
-        n = golden.n_cycles
-        # The observation window stays anchored at the plain activation
-        # cycle even when the start is deferred — same absolute horizon
-        # as the un-pruned path, so verdicts (and digests) match.
-        end = n if self.max_observe is None else min(n, t_act + self.max_observe)
         stats = self.stats
         prune = self.prune
-        if prune:
-            # Compose activation with liveness: forced-but-unread
-            # stretches cannot influence anything (ports are registers
-            # too, and reading one counts as a use), so start at the
-            # first cycle the active stuck bit is actually observed.
-            t_start = golden.first_active_use(reg, bit, value, t_act)
-            if t_start is None or t_start >= end:
-                stats.hard_pruned += 1
-                stats.cycles_saved += end - t_act
-                return None  # never observed while active: masked
-            if t_start > t_act:
-                stats.hard_deferred += 1
-                stats.cycles_saved += t_start - t_act
-        else:
-            t_start = t_act
-
         reg_idx = REG_INDEX[reg]
         mask = 1 << bit
         g_ports = self._g_ports

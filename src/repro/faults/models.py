@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cpu.units import FlopRef
 
 
@@ -46,6 +48,50 @@ class Fault:
     flop: FlopRef
     kind: FaultKind
     cycle: int
+
+
+#: Fault kinds by their code in :attr:`FaultColumns.kind`, in the order
+#: ``schedule_faults`` lists a flop's faults.
+FAULT_KINDS = (FaultKind.SOFT, FaultKind.STUCK0, FaultKind.STUCK1)
+_KIND_CODE = {kind: code for code, kind in enumerate(FAULT_KINDS)}
+
+
+@dataclass(frozen=True, eq=False)
+class FaultColumns:
+    """A shard's faults as columns, the batch engine's input.
+
+    Fault ``i`` is ``Fault(flops[flop[i]], FAULT_KINDS[kind[i]],
+    cycle[i])``.  The compiled scheduler fills the columns directly;
+    :meth:`from_faults` converts a :class:`Fault` list at the edge.
+    """
+
+    flops: tuple[FlopRef, ...]
+    #: index into ``flops``, per fault.
+    flop: np.ndarray
+    #: uint8 code into :data:`FAULT_KINDS`, per fault.
+    kind: np.ndarray
+    #: int64 injection cycle, per fault.
+    cycle: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    @classmethod
+    def from_faults(cls, faults) -> "FaultColumns":
+        """The columns of ``faults``, in order."""
+        faults = list(faults)
+        index: dict[FlopRef, int] = {}
+        flop = [index.setdefault(f.flop, len(index)) for f in faults]
+        return cls(tuple(index),
+                   np.array(flop, dtype=np.intp),
+                   np.array([_KIND_CODE[f.kind] for f in faults], dtype=np.uint8),
+                   np.array([f.cycle for f in faults], dtype=np.int64))
+
+    def faults(self) -> list[Fault]:
+        """The same faults as :class:`Fault` objects."""
+        flops = self.flops
+        return [Fault(flops[f], FAULT_KINDS[k], c) for f, k, c in zip(
+            self.flop.tolist(), self.kind.tolist(), self.cycle.tolist())]
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from ..workloads.kernels import KERNELS
 from .arch import TieredGolden
 from .injector import InjectionEngine
 from .kernels import cext_available, cext_module, resolve_threads, usable_cpus
-from .models import ErrorRecord, Fault, FaultKind
+from .models import FAULT_KINDS, ErrorRecord, FaultColumns, FaultKind
 
 #: spawn_key stream tags (first element of every derived key); minted
 #: centrally in :mod:`repro.faults.streams`, re-exported here for the
@@ -243,19 +243,21 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
     ``plan`` is the run's resolved :class:`ExecPlan` (default: the
     default plan, resolved): ``plan.batch`` lanes and ``plan.threads``
     drive-loop threads run the batch engine (see
-    :mod:`repro.faults.batch`), ``batch=0`` the scalar engine.  Records
-    and pruning stats are bit-identical for either.  Both engines go
-    through the same :class:`~repro.faults.arch.TieredGolden`:
-    scheduling uses the cheap ``n_cycles`` peek and the flop-accurate
-    trace is loaded — architecturally cross-checked — only when the
-    shard has faults to simulate.
+    :mod:`repro.faults.batch`) on the shard's fault columns,
+    ``batch=0`` the scalar engine on :class:`~repro.faults.models.Fault`
+    objects.  Records and pruning stats are bit-identical for either.
+    Both engines go through the same
+    :class:`~repro.faults.arch.TieredGolden`: scheduling uses the cheap
+    ``n_cycles`` peek and the flop-accurate trace is loaded —
+    architecturally cross-checked — only when the shard has faults to
+    simulate.
     """
     plan = plan or ExecPlan().resolve()
     batch = plan.batch
     tiered = _tiered_for(shard.benchmark, config.seed)
     n_cycles = tiered.n_cycles
     faults, injected = _schedule_shard(config, shard, n_cycles, batch)
-    if not faults:
+    if not len(faults):
         return [], injected, n_cycles, {}
     golden = tiered.full
     if golden.n_cycles != n_cycles:
@@ -282,14 +284,17 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
 
 def _schedule_shard(config, shard: Shard, n_cycles: int,
                     batch: int = 0) -> tuple[
-        list, dict[tuple[str, str], int]]:
+        FaultColumns | list, dict[tuple[str, str], int]]:
     """The shard's faults in (flop, schedule) order, and their counts.
 
-    With the batch engine (``batch`` set) the compiled scheduler draws
-    them, when it passed its first-use check (:func:`compiled_schedule`)
-    and the interval grid is within its range; otherwise
-    :func:`~repro.faults.campaign.schedule_faults`, the specification,
-    draws each flop's from its keyed stream.  Both give the same
+    The batch engine (``batch`` set) takes them as
+    :class:`~repro.faults.models.FaultColumns`, which the compiled
+    scheduler fills directly when it passed its first-use check
+    (:func:`compiled_schedule`) and the interval grid is within its
+    range.  Otherwise :func:`~repro.faults.campaign.schedule_faults`,
+    the specification, draws each flop's from its keyed stream, as the
+    :class:`~repro.faults.models.Fault` list the scalar engine takes
+    (converted to columns for the batch engine).  Both give the same
     faults.
     """
     schedule = compiled_schedule() if batch else None
@@ -297,7 +302,8 @@ def _schedule_shard(config, shard: Shard, n_cycles: int,
         scheduled = _schedule_compiled(schedule, config, shard, n_cycles)
         if scheduled is not None:
             return scheduled
-    return _schedule_numpy(config, shard, n_cycles)
+    faults, injected = _schedule_numpy(config, shard, n_cycles)
+    return (FaultColumns.from_faults(faults) if batch else faults), injected
 
 
 def _schedule_numpy(config, shard: Shard, n_cycles: int) -> tuple[
@@ -325,8 +331,8 @@ COMPILED_MAX_INTERVAL_CYCLES = 2**32
 
 
 def _schedule_compiled(schedule, config, shard: Shard, n_cycles: int):
-    """:func:`_schedule_numpy`'s result from one call of ``schedule``
-    (the compiled kernel's), or None outside its range."""
+    """:func:`_schedule_numpy`'s faults as columns, from one call of
+    ``schedule`` (the compiled kernel's), or None outside its range."""
     n_intervals = max(1, min(config.intervals, n_cycles))
     longest = -(-n_cycles // n_intervals)
     if (n_intervals > COMPILED_MAX_INTERVALS
@@ -335,20 +341,22 @@ def _schedule_compiled(schedule, config, shard: Shard, n_cycles: int):
     counts = ((FaultKind.SOFT, min(config.soft_per_flop, n_intervals)),
               (FaultKind.STUCK0, min(config.hard_per_flop, n_intervals)),
               (FaultKind.STUCK1, min(config.hard_per_flop, n_intervals)))
-    kinds = [kind for kind, count in counts for _ in range(count)]
-    cycles = np.empty(len(shard.flops) * len(kinds), dtype=np.int64)
+    kinds = np.array([FAULT_KINDS.index(kind) for kind, count in counts
+                      for _ in range(count)], dtype=np.uint8)
+    n_flops = len(shard.flops)
+    cycles = np.empty(n_flops * len(kinds), dtype=np.int64)
     schedule(cycles, _entropy_words(config.seed), SCHEDULE_STREAM,
              shard.bench_idx, shard.flop_base, n_cycles, n_intervals,
              counts[0][1], counts[1][1])
-    cells = ((flop, kind) for flop in shard.flops for kind in kinds)
-    faults = [Fault(flop, kind, cycle)
-              for (flop, kind), cycle in zip(cells, cycles.tolist())]
-    injected: dict[tuple[str, str], int] = {}
+    faults = FaultColumns(shard.flops,
+                          np.repeat(np.arange(n_flops), len(kinds)),
+                          np.tile(kinds, n_flops), cycles)
+    per_unit: dict[str, int] = {}
     for flop in shard.flops:
-        for kind, count in counts:
-            if count:
-                key = (flop.unit, kind.value)
-                injected[key] = injected.get(key, 0) + count
+        per_unit[flop.unit] = per_unit.get(flop.unit, 0) + 1
+    injected = {(unit, kind.value): flops * count
+                for unit, flops in per_unit.items()
+                for kind, count in counts if count}
     return faults, injected
 
 
@@ -417,8 +425,11 @@ def _checked_schedule():
     for seed, fields, n_cycles in _SCHEDULE_PROBES:
         config = CampaignConfig(seed=seed, **fields)
         try:
-            ok = (_schedule_compiled(schedule, config, _PROBE_SHARD, n_cycles)
-                  == _schedule_numpy(config, _PROBE_SHARD, n_cycles))
+            compiled = _schedule_compiled(schedule, config, _PROBE_SHARD,
+                                          n_cycles)
+            faults, injected = _schedule_numpy(config, _PROBE_SHARD, n_cycles)
+            ok = (compiled is not None and compiled[1] == injected
+                  and compiled[0].faults() == faults)
         except Exception as exc:  # noqa: BLE001 - any failure means numpy
             ok, why = False, f"{type(exc).__name__}: {exc}"
         else:

@@ -157,8 +157,13 @@ class CampaignLedger:
                 f"{self.config.cache_key()!r}")
         # Belt and braces: the key already pins the config, but the
         # embedded copy must agree with what we recomputed from it.
-        if (config_from_wire(manifest["config"]) != self.config
-                or manifest.get("n_flops") != n_flops):
+        try:
+            config = config_from_wire(manifest["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LedgerError(
+                f"ledger {path.parent} manifest carries an unusable "
+                f"campaign config: {exc}") from exc
+        if config != self.config or manifest.get("n_flops") != n_flops:
             raise LedgerError(
                 f"ledger {path.parent} manifest disagrees with the "
                 f"recomputed campaign plan")

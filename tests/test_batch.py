@@ -11,11 +11,13 @@ fall back to the scalar engine); engine-level tests need it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.cpu.units import REGISTRY, FlopRef
+from repro.cpu.units import REG_INDEX, REGISTRY, FlopRef
 from repro.faults import (
     BatchInjectionEngine,
     CampaignConfig,
@@ -23,6 +25,7 @@ from repro.faults import (
     ExecPlan,
     Fault,
     FaultKind,
+    GoldenTrace,
     InjectionEngine,
     cext_available,
     cext_build_error,
@@ -30,7 +33,11 @@ from repro.faults import (
     sample_flops,
     schedule_faults,
 )
+from repro.faults import golden as golden_mod
+from repro.faults.batch import TRASH_ROW
+from repro.faults.models import FaultColumns
 from repro.faults.parallel import sampling_rng, schedule_rng
+from repro.workloads import KERNELS
 
 QUICK = CampaignConfig.quick()
 
@@ -166,7 +173,6 @@ def test_lane_compaction(ttsprk_golden):
         engine.force_row[i] = i
         engine.is_hard[i] = bool(i % 2)
         engine.seq[i] = i
-        engine.info[i] = f"lane{i}"
 
     engine._compact([1, 3])
 
@@ -182,78 +188,171 @@ def test_lane_compaction(ttsprk_golden):
     assert engine.force_row[:2].tolist() == [0, 2]
     assert engine.is_hard[:2].tolist() == [False, False]
     assert engine.seq[:2].tolist() == [0, 2]
-    assert engine.info[:2] == ["lane0", "lane2"]
+
+
+def _checkpointed_canrdr(monkeypatch) -> GoldenTrace:
+    """canrdr (62 memory writes) with a checkpoint every 16 writes, so
+    lane memories are rebuilt from checkpoints plus write-log spans."""
+    monkeypatch.setattr(golden_mod, "MEMORY_CHECKPOINT_EVERY", 16)
+    golden = GoldenTrace(KERNELS["canrdr"])
+    assert len(golden.write_log) > 48
+    return golden
+
+
+def _cycles_around_checkpoints(golden) -> list[int]:
+    """Cycles whose write-log prefix ends just before, exactly at and
+    just after each checkpoint, plus the first and last cycle."""
+    log_cycles = [when for when, _, _ in golden.write_log]
+    picks = {0, golden.n_cycles - 1}
+    for j in (15, 16, 17, 31, 32, 33, 47, 48, 49):
+        # The cycle after write j - 1 starts with exactly j writes done,
+        # unless write j falls in the same cycle.
+        cycle = log_cycles[j - 1] + 1
+        if bisect_left(log_cycles, cycle) == j:
+            picks.add(cycle)
+    prefixes = [bisect_left(log_cycles, cycle) for cycle in picks]
+    assert [p for p in prefixes if p and p % 16 == 0], "none at a checkpoint"
+    assert [p for p in prefixes if p % 16], "none between checkpoints"
+    return sorted(picks)
+
+
+def _assert_lane_memory(engine, lane: int, cycle: int) -> None:
+    assert engine.M[lane].tolist() == engine.golden.memory_at(cycle).words, (
+        f"lane {lane}: memory at cycle {cycle} differs from memory_at")
 
 
 @needs_cext
-def test_seed_many_matches_scalar_seed(ttsprk_golden):
-    """Bulk lane seeding reproduces the scalar reference lane-for-lane."""
-    from collections import deque
-
-    import numpy as np
-
-    golden = ttsprk_golden
+def test_seed_many_matches_scalar_seed(monkeypatch):
+    """Bulk lane seeding reproduces the specification lane for lane: the
+    golden state at the start with a soft flip applied (stuck-at lanes
+    are forced by ``drive()``), the force masks, the check schedule, and
+    the memory ``GoldenTrace.memory_at`` rebuilds, at starts before, at
+    and after a checkpoint."""
+    golden = _checkpointed_canrdr(monkeypatch)
+    starts = _cycles_around_checkpoints(golden)
     kinds = (FaultKind.SOFT, FaultKind.STUCK0, FaultKind.STUCK1)
-    specs = []
-    for seq in range(20):
+    faults = []
+    for seq, start in enumerate(starts):
         spec = REGISTRY[(seq * 5) % len(REGISTRY)]
-        kind = kinds[seq % 3]
-        bit = (seq * 3) % spec.width
-        start = 5 + 7 * seq
-        fault = Fault(FlopRef(spec.name, bit), kind, start)
-        end = min(golden.n_cycles, start + 300)
-        key = (spec.name, bit, start) if kind is FaultKind.SOFT else None
-        specs.append((seq, fault, start, end, key))
+        faults.append(Fault(FlopRef(spec.name, (seq * 3) % spec.width),
+                            kinds[seq % 3], start))
 
-    scalar = BatchInjectionEngine(golden, batch=32)
-    for s in specs:
-        scalar._seed(s)
-    bulk = BatchInjectionEngine(golden, batch=32)
-    bulk._seed_many(deque(specs))
+    engine = BatchInjectionEngine(golden, batch=32, mask_check_stride=3)
+    engine._load(FaultColumns.from_faults(faults))
+    engine._start = np.array(starts, dtype=np.int64)
+    engine._end = np.minimum(engine._start + 300, golden.n_cycles)
+    engine.M[:] = 0xDEADBEEF
+    assert not len(engine._seed_many(np.arange(len(faults))))
 
-    assert scalar._n == bulk._n == len(specs)
-    np.testing.assert_array_equal(scalar.S, bulk.S)
-    np.testing.assert_array_equal(scalar.M, bulk.M)
-    for name in ("t", "end", "start", "next_chk", "chk_iv", "seq",
-                 "force_row", "force_and", "force_or", "is_hard"):
-        np.testing.assert_array_equal(
-            getattr(scalar, name), getattr(bulk, name), err_msg=name)
-    assert scalar.info == bulk.info
+    assert engine._n == len(faults)
+    for i, (fault, start) in enumerate(zip(faults, starts)):
+        row, mask = REG_INDEX[fault.flop.reg], 1 << fault.flop.bit
+        state = list(golden.state_at(start))
+        soft = fault.kind is FaultKind.SOFT
+        if soft:
+            state[row] ^= mask
+        assert engine.S[:len(REGISTRY), i].tolist() == state
+        assert engine.S[len(REGISTRY):, i].tolist() == [0, 0]
+        _assert_lane_memory(engine, i, start)
+        assert (engine.t[i], engine.start[i], engine.end[i], engine.seq[i]) \
+            == (start, start, min(start + 300, golden.n_cycles), i)
+        assert engine.is_hard[i] == (not soft)
+        assert engine.force_row[i] == (TRASH_ROW if soft else row)
+        assert engine.force_and[i] == (
+            0xFFFFFFFF if fault.kind is not FaultKind.STUCK0
+            else ~mask & 0xFFFFFFFF)
+        assert engine.force_or[i] == (
+            mask if fault.kind is FaultKind.STUCK1 else 0)
+        assert engine.next_chk[i] == start + (1 if soft else 8)
+        assert engine.chk_iv[i] == (3 if soft else 8)
+
+
+@needs_cext
+def test_fast_forward_reseeds_from_memory_at(monkeypatch):
+    """A stuck-at lane back at golden jumps to the bit's next observed
+    activation with the golden state and ``memory_at``'s memory there,
+    at targets before, at and after a checkpoint."""
+    golden = _checkpointed_canrdr(monkeypatch)
+    targets = [c for c in _cycles_around_checkpoints(golden) if c > 0]
+    faults = []
+    for target in targets:
+        # A flop whose stuck bit is first observed active at `target`
+        # when the lane stands at `target - 1`.
+        faults.append(next(
+            Fault(FlopRef(spec.name, bit), kind, target - 1)
+            for spec in REGISTRY for bit in range(spec.width)
+            for kind, value in ((FaultKind.STUCK0, 0), (FaultKind.STUCK1, 1))
+            if golden.first_active_use(spec.name, bit, value, target - 1)
+            == target))
+    engine = BatchInjectionEngine(golden, batch=32)
+    engine._load(FaultColumns.from_faults(faults))
+    engine._start = np.array([f.cycle for f in faults], dtype=np.int64)
+    engine._end = np.full(len(faults), golden.n_cycles, dtype=np.int64)
+    engine._seed_many(np.arange(len(faults)))
+    lanes = np.arange(len(faults))
+    engine.M[lanes] = 0xDEADBEEF
+    engine.next_chk[lanes] = engine.t[lanes]
+
+    assert not engine._check(lanes)  # nobody retires: everyone jumps
+    for i, target in enumerate(targets):
+        assert engine.t[i] == target
+        assert engine.S[:len(REGISTRY), i].tolist() == list(golden.state_at(target))
+        _assert_lane_memory(engine, i, target)
+        assert (engine.next_chk[i], engine.chk_iv[i]) == (target + 8, 8)
+
+
+def test_memory_rows_keep_the_last_write_per_word():
+    """A word written several times inside one replayed span holds its
+    last value, whether rows are rebuilt together or one at a time."""
+    golden = GoldenTrace.__new__(GoldenTrace)
+    golden.mem_words = 8
+    golden._initial_words = [100 + i for i in range(8)]
+    log = [(1, 3, 7), (1, 3, 8), (2, 5, 1), (2, 3, 9), (3, 3, 10),
+           (3, 5, 2), (3, 5, 3)]
+    # Long spans that write the same three words over and over.
+    log += [(4 + k // 8, k % 3, 1000 + k) for k in range(96)]
+    golden.reindex_write_log(log)
+    cycles = [0, 1, 2, 3, 4, 9, 100]
+    out = np.zeros((len(cycles) + 2, 8), dtype=np.uint32)
+    rows = np.arange(len(cycles)) + 2
+    golden.memory_rows_at(cycles, out, rows)
+    for row, cycle in zip(rows, cycles):
+        want = golden.memory_at(cycle).words
+        assert out[row].tolist() == want
+        single = np.zeros((1, 8), dtype=np.int64)
+        assert golden.memory_rows_at([cycle], single, [0])[0].tolist() == want
+    assert out[:2].tolist() == [[0] * 8] * 2
+    assert out[rows[4]].tolist()[3] == 10 and out[rows[4]].tolist()[5] == 3
 
 
 @needs_cext
 def test_seed_many_respects_batch_room(ttsprk_golden):
-    """Refill takes exactly ``batch - n`` specs, leaving the rest queued."""
-    from collections import deque
-
+    """Refill takes exactly ``batch - n`` faults, leaving the rest queued."""
     golden = ttsprk_golden
-    specs = deque(
-        (seq, Fault(FlopRef("pc", seq % 32), FaultKind.SOFT, 10 + seq),
-         10 + seq, golden.n_cycles, None)
-        for seq in range(10))
+    faults = [Fault(FlopRef("pc", seq % 32), FaultKind.SOFT, 10 + seq)
+              for seq in range(10)]
     engine = BatchInjectionEngine(golden, batch=4)
-    engine._seed_many(specs)
+    engine._load(FaultColumns.from_faults(faults))
+    engine._start = np.arange(10, 20, dtype=np.int64)
+    engine._end = np.full(10, golden.n_cycles, dtype=np.int64)
+    rest = engine._seed_many(np.arange(10))
     assert engine._n == 4
-    assert len(specs) == 6
-    assert specs[0][0] == 4  # queue order preserved
+    assert rest.tolist() == list(range(4, 10))  # queue order preserved
 
 
 @needs_cext
 def test_compact_last_lane_only():
     """Retiring the final live lane is a pure shrink, no column moves."""
-    from repro.faults import GoldenTrace
-    from repro.workloads import KERNELS
-
     engine = BatchInjectionEngine(GoldenTrace.cached(KERNELS["ttsprk"]),
                                   batch=2)
     engine._n = 2
     engine.S[:, 0] = 7
     engine.S[:, 1] = 9
-    engine.info[:2] = ["keep", "drop"]
+    engine.seq[:2] = [5, 6]
     engine._compact([1])
     assert engine._n == 1
     assert int(engine.S[0, 0]) == 7
-    assert engine.info[0] == "keep"
+    assert engine.seq[0] == 5
 
 
 # -- CLI wiring --------------------------------------------------------------

@@ -36,6 +36,28 @@ class TestConfig:
                 CampaignConfig.full().cache_key()}
         assert len(keys) == 3
 
+    @pytest.mark.parametrize("field,value", (
+        ("soft_per_flop", -1), ("hard_per_flop", -1),
+        ("intervals", 0), ("intervals", -3),
+        ("mask_check_stride", 0), ("mask_check_stride", -2),
+        ("max_observe", 0), ("max_observe", -5),
+        ("flop_fraction", 0.0), ("flop_fraction", -1.0),
+        ("flop_fraction", 1.5), ("flop_fraction", float("nan")),
+    ))
+    def test_out_of_range_values_rejected(self, field, value):
+        """The engines would reinterpret these (``max_observe=-5`` once
+        added -5 to ``cycles_saved`` per hard fault; ``intervals=0`` ran
+        as 1 under a key that said 0), so the config refuses them."""
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = CampaignConfig(soft_per_flop=0, hard_per_flop=0, intervals=1,
+                                mask_check_stride=1, max_observe=1,
+                                flop_fraction=1.0)
+        assert CampaignConfig(max_observe=None, flop_fraction=1e-9).max_observe is None
+        assert config.intervals == 1
+
 
 class TestSampling:
     def test_full_fraction_selects_all(self):

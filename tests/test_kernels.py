@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import random
 import warnings
-from collections import deque
 
 import numpy as np
 import pytest
@@ -34,12 +33,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
-from repro.cpu.units import REG_INDEX, REGISTRY, all_flops
+from repro.cpu.units import REG_INDEX, REGISTRY, FlopRef, all_flops
 from repro.faults import (
     DEFAULT_BATCH,
     BatchInjectionEngine,
     CampaignConfig,
     ExecPlan,
+    Fault,
+    FaultKind,
     GoldenTrace,
     InjectionEngine,
     cext_available,
@@ -50,12 +51,17 @@ from repro.faults import (
     schedule_faults,
 )
 from repro.faults import _cstep, kernels, parallel
-from repro.faults.batch import N_REGS, N_ROWS, ZERO_ROW, _cext_tables
+from repro.faults.batch import (N_REGS, N_ROWS, ZERO_ROW, _FULL_WRITE,
+                                _cext_tables)
+from repro.faults.golden import _pack_mask_rows
+from repro.faults.injector import triage_fault
+from repro.faults.models import FaultColumns
 from repro.faults.parallel import Shard, sampling_rng, schedule_rng
 from repro.faults.streams import SCHEDULE_STREAM
 from repro.verify.diff import DEFAULT_MAX_CYCLES
 from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
                                  program_strategy)
+from repro.workloads import KERNELS
 from repro.workloads.kernels import Workload
 
 QUICK = CampaignConfig.quick()
@@ -142,8 +148,7 @@ def test_per_cycle_state_parity(ttsprk_golden, trial, batch):
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
                                   batch=batch)
-    engine._outcomes = [None] * len(faults)
-    engine._seed_many(deque(engine._triage(faults)))
+    engine._seed_many(engine._plan(FaultColumns.from_faults(faults))[0])
     n = engine._n
     assert n > 0
     lanes = np.arange(n)
@@ -338,6 +343,156 @@ def test_engines_agree_on_corner_programs(name):
     assert golden is not None
     faults = _random_faults(golden, seed=1701, n_flops=256)
     _assert_cext_parity(golden, faults, _DIFF_CFG, batch=16)
+
+
+# -- compiled liveness triage -------------------------------------------------
+
+_TRIAGE_GOLDENS: dict[str, GoldenTrace] = {}
+
+
+def _named_golden(name: str) -> GoldenTrace:
+    """A workload's golden trace, or a directed corner program's (cached)."""
+    golden = _TRIAGE_GOLDENS.get(name)
+    if golden is None:
+        if name in KERNELS:
+            golden = GoldenTrace.cached(KERNELS[name])
+        else:
+            golden = _program_golden("\n".join(PROLOGUE_LINES)
+                                     + _CORNER_PROGRAMS[name] + "    halt\n",
+                                     [0])
+        _TRIAGE_GOLDENS[name] = golden
+    return golden
+
+
+def _assert_triage_matches(golden: GoldenTrace, data) -> None:
+    """``_cstep.triage`` equals ``triage_fault`` on drawn faults, fault for
+    fault: any kind, cycles in and just outside the trace, ``prune`` on
+    or off, ``max_observe`` None or finite."""
+    n = golden.n_cycles
+    fault = st.builds(
+        lambda spec, bit, kind, cycle: Fault(
+            FlopRef(spec.name, bit % spec.width), kind, cycle),
+        st.sampled_from(REGISTRY), st.integers(0, 31), st.sampled_from(FaultKind),
+        st.one_of(st.integers(0, n - 1), st.integers(-3, -1),
+                  st.integers(n, n + 3)))
+    faults = data.draw(st.lists(fault, min_size=1, max_size=64))
+    prune = data.draw(st.booleans())
+    max_observe = data.draw(st.one_of(st.none(), st.integers(1, 2 * n)))
+    engine = BatchInjectionEngine(golden, max_observe=max_observe,
+                                  prune=prune, batch=1)
+    columns = FaultColumns.from_faults(faults)
+    engine._load(columns)
+    got = engine._triage(engine._reg, engine._bit, columns.kind, columns.cycle)
+    assert list(zip(*(column.tolist() for column in got))) == [
+        triage_fault(golden, f, prune, max_observe) for f in faults]
+
+
+@needs_cext
+@pytest.mark.parametrize("name", (*sorted(KERNELS), *sorted(_CORNER_PROGRAMS)))
+@settings(deadline=None)
+@given(data=st.data())
+def test_triage_matches_golden_queries(name, data):
+    """Property: on every workload and directed corner program, the
+    compiled triage decides each fault as the per-fault ``GoldenTrace``
+    queries do (decision, activation, start, end)."""
+    _assert_triage_matches(_named_golden(name), data)
+
+
+@needs_cext
+@settings(max_examples=40, deadline=None)
+@given(prog=program_strategy(), data=st.data())
+def test_triage_matches_golden_queries_on_generated_programs(prog, data):
+    """The same property on golden traces of ``verify.progen`` programs."""
+    golden = _program_golden(prog.source(), prog.stimulus)
+    assume(golden is not None)
+    _assert_triage_matches(golden, data)
+
+
+_DENSITY = st.sampled_from((0.0, 0.05, 0.2, 0.5, 0.9, 1.0))
+
+
+@needs_cext
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       p_read=_DENSITY, p_write=_DENSITY, data=st.data())
+def test_triage_matches_golden_queries_on_random_traces(n, seed, p_read,
+                                                        p_write, data):
+    """The same property on random state rows and def/use masks, which
+    reach mask patterns no program trace has (a register without
+    ``full_write`` written but not read), calling the kernel directly."""
+    rng = np.random.default_rng(seed)
+    # Registers whose bits mostly hold still, so stuck-ats often never
+    # activate; reads and writes at the drawn densities.
+    moving = rng.integers(0, 2**32, N_REGS) & rng.integers(0, 2**32, N_REGS)
+    states = rng.integers(0, 2**32, (n, N_REGS)) & moving
+    reads = rng.random((n, N_REGS)) < p_read
+    writes = rng.random((n, N_REGS)) < p_write
+    golden = GoldenTrace.__new__(GoldenTrace)
+    golden.n_cycles = n
+    golden.state_matrix = states.astype(np.uint64)
+    golden.read_mask, golden.write_mask = (
+        _pack_mask_rows([sum(1 << b for b in np.flatnonzero(row).tolist())
+                         for row in bits], n)
+        for bits in (reads, writes))
+    golden._liveness_cache, golden._active_cache = {}, {}
+    # 200 faults of any kind, at cycles in and just outside the trace.
+    kinds = tuple(FaultKind)
+    faults = []
+    for i in rng.integers(len(REGISTRY), size=200).tolist():
+        spec = REGISTRY[i]
+        faults.append(Fault(FlopRef(spec.name, int(rng.integers(spec.width))),
+                            kinds[int(rng.integers(3))],
+                            int(rng.integers(-2, n + 2))))
+    prune = data.draw(st.booleans())
+    max_observe = data.draw(st.one_of(st.none(), st.integers(1, 3),
+                                      st.integers(1, n + 2)))
+    columns = FaultColumns.from_faults(faults)
+    got = tuple(np.empty(len(faults), dtype=dtype)
+                for dtype in (np.uint8, np.int64, np.int64, np.int64))
+    kernels.cext_module().triage(
+        np.ascontiguousarray(states, dtype=np.uint32), golden.read_mask,
+        golden.write_mask, _FULL_WRITE,
+        np.array([REG_INDEX[f.flop.reg] for f in faults], dtype=np.int64),
+        np.array([f.flop.bit for f in faults], dtype=np.int64),
+        columns.kind, columns.cycle, *got, prune,
+        -1 if max_observe is None else max_observe)
+    assert list(zip(*(column.tolist() for column in got))) == [
+        triage_fault(golden, f, prune, max_observe) for f in faults]
+
+
+#: ttsprk registers that sit unread, and not overwritten, for up to 16
+#: cycles: dense soft faults on them collide on (reg, bit, start).
+_COLLIDING_REGS = ("rf10", "rf11", "rf12", "mpu_ctrl", "mul_pending",
+                   "io_in_idx", "btb_tgt0", "sb_addr", "sb_data", "sb_op")
+
+
+@needs_cext
+@settings(max_examples=30, deadline=None)
+@given(soft_per_flop=st.integers(4, 32),
+       intervals=st.integers(128, 1414),
+       regs=st.lists(st.sampled_from(_COLLIDING_REGS), min_size=1, max_size=4),
+       others=st.lists(st.sampled_from(all_flops()), max_size=4),
+       seed=st.integers(0, 2**32 - 1), batch=st.sampled_from((1, 7, 64)))
+def test_equivalence_classes_match_scalar(ttsprk_golden, soft_per_flop,
+                                          intervals, regs, others, seed,
+                                          batch):
+    """Property: on shards whose soft faults collide on (reg, bit, start),
+    the batch engine's array-built equivalence classes and PruneStats
+    equal the scalar engine's, record for record."""
+    golden = ttsprk_golden
+    cfg = CampaignConfig(soft_per_flop=soft_per_flop, intervals=intervals,
+                         max_observe=600)
+    flops = [FlopRef(reg, seed % 32 % spec.width)
+             for reg in regs for spec in REGISTRY if spec.name == reg] + others
+    faults = [fault for i, flop in enumerate(flops)
+              for fault in schedule_faults(flop, golden.n_cycles, cfg,
+                                           np.random.default_rng([seed, i]))]
+    scalar = InjectionEngine(golden, max_observe=600)
+    expected = [scalar.inject(f) for f in faults]
+    assume(scalar.stats.equiv_hits > 0)
+    engine = BatchInjectionEngine(golden, max_observe=600, batch=batch)
+    assert engine.inject_all(faults) == expected
+    assert engine.stats.as_dict() == scalar.stats.as_dict()
 
 
 # -- campaign-level wiring ----------------------------------------------------
@@ -551,7 +706,7 @@ def test_compiled_schedule_matches_schedule_faults(cell):
             kernels.cext_module().schedule(*args)
     faults, injected = parallel._schedule_shard(config, shard, n_cycles,
                                                 DEFAULT_BATCH)
-    assert faults == want
+    assert faults.faults() == want
     assert injected == parallel._schedule_numpy(config, shard, n_cycles)[1]
 
 

@@ -273,6 +273,21 @@ def test_ledger_rejects_foreign_manifest(tmp_path):
         CampaignLedger(tmp_path, CRASH_CONFIG)
 
 
+@pytest.mark.parametrize("field,value", (
+    ("max_observe", -5), ("intervals", 0), ("soft_per_flop", -1),
+    ("flop_fraction", 0.0)))
+def test_ledger_refuses_out_of_range_manifest_config(tmp_path, field, value):
+    """A manifest whose embedded config ``CampaignConfig`` refuses is a
+    ``LedgerError``, not a ``ValueError`` from deep inside a resume."""
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    path = ledger.path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"][field] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(LedgerError, match=field):
+        CampaignLedger(tmp_path, CRASH_CONFIG)
+
+
 def test_incomplete_ledger_refuses_result(tmp_path):
     ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
     with pytest.raises(RuntimeError, match="incomplete"):
