@@ -11,7 +11,14 @@ in-process:
    the worker mid-campaign (uncommitted lease dies with it);
 3. SIGKILL the *server* too, restart it on the same ledger directory;
 4. run a fresh worker to completion and assert the served digest —
-   and a direct ledger replay — are bit-identical to the reference.
+   and a direct ledger replay — are bit-identical to the reference;
+5. assert from the restarted server's ``/status`` counters that the
+   finisher worker and this script's polling client reused their
+   connections.  The polling client keeps one ``ServiceClient`` across
+   the SIGKILL and restart, so its first request afterwards goes out
+   on the dead connection: the client must drop it and retry on a
+   fresh one, which ``wait_for_server`` repeats until the restarted
+   server answers.
 
 Exits non-zero (with the server/worker logs on stderr) on any
 mismatch; CI uploads the ledger directory as an artifact when that
@@ -160,6 +167,12 @@ def main() -> int:
         assert prediction["units"], prediction
         print(f"[smoke] /predict OK: empty DSR -> {prediction['units']} "
               f"({prediction['error_type']})", flush=True)
+
+        counters = client.status()["http"]
+        print(f"[smoke] restarted server: {counters['requests']} requests "
+              f"over {counters['connections']} connections", flush=True)
+        assert counters["requests"] >= 3 * counters["connections"], \
+            f"clients did not reuse their connections: {counters}"
         print("[smoke] PASS: crash-recovery digest matches serial reference",
               flush=True)
         return 0

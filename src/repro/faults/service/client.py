@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 
 from ..campaign import CampaignConfig
 from ..parallel import ExecPlan, run_shards
 from .wire import config_from_wire, outcome_to_wire, shard_from_wire
+
+#: How a reused connection fails when the server closed it before
+#: answering (idle timeout, restart).  Never a timeout: a request that
+#: timed out may still be running.
+_CLOSED_BY_SERVER = (http.client.RemoteDisconnected, ConnectionResetError,
+                     BrokenPipeError)
 
 
 class ServiceError(RuntimeError):
@@ -30,31 +37,79 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Minimal synchronous JSON client for one service base URL."""
+    """Minimal synchronous JSON client for one service base URL.
+
+    Keeps one persistent connection, which the threads sharing a client
+    take in turn, and drops it when the server says ``Connection:
+    close``.  When a *reused* connection fails before any response byte
+    arrives, the request is sent once more on a fresh connection: the
+    server closed it first (idle timeout, restart), and every endpoint
+    tolerates a repeat (``/commit`` is idempotent, and a ``/lease``
+    whose answer was lost expires after its TTL).  ``close()``, or
+    leaving a ``with`` block, closes the connection.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         if "://" in base_url:
             base_url = base_url.split("://", 1)[1]
         self.netloc = base_url.rstrip("/")
         self.timeout = timeout
+        self._conn: http.client.HTTPConnection | None = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the persistent connection (the next request reopens)."""
+        with self._lock:
+            self._drop()
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _send(self, method: str, path: str, payload: bytes | None,
+              headers: dict) -> http.client.HTTPResponse:
+        """Send one request; return the response with its head read."""
+        reused = self._conn is not None
+        if not reused:
+            self._conn = http.client.HTTPConnection(self.netloc,
+                                                    timeout=self.timeout)
+        try:
+            self._conn.request(method, path, body=payload, headers=headers)
+            return self._conn.getresponse()
+        except _CLOSED_BY_SERVER:
+            self._drop()
+            if not reused:
+                raise
+        # The server had closed the reused connection: once more, fresh.
+        return self._send(method, path, payload, headers)
 
     def request(self, method: str, path: str, body: dict | None = None) -> dict:
-        conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            data = json.loads(raw) if raw else {}
-            if response.status >= 300:
-                retry_after = response.getheader("Retry-After")
-                raise ServiceError(
-                    response.status, data.get("error", raw.decode("latin-1")),
-                    retry_after=float(retry_after) if retry_after else None)
-            return data
-        finally:
-            conn.close()
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        with self._lock:
+            try:
+                response = self._send(method, path, payload, headers)
+                raw = response.read()
+            except BaseException:
+                # Mid-exchange the connection's state is unknown.
+                self._drop()
+                raise
+            if response.will_close:
+                self._drop()
+        data = json.loads(raw) if raw else {}
+        if response.status >= 300:
+            retry_after = response.getheader("Retry-After")
+            raise ServiceError(
+                response.status, data.get("error", raw.decode("latin-1")),
+                retry_after=float(retry_after) if retry_after else None)
+        return data
 
     # -- typed endpoints ----------------------------------------------------
 
@@ -102,37 +157,37 @@ def run_worker(base_url: str, worker_id: str = "worker",
     plan commits identical outcomes, and the server's ledger fixes the
     shard sizes.  Returns the number of shards this worker committed.
     """
-    client = ServiceClient(base_url)
-    config = client.config()
-    plan = (plan or ExecPlan()).resolve()
-    done = leased = 0
-    complete = False
+    with ServiceClient(base_url) as client:
+        config = client.config()
+        plan = (plan or ExecPlan()).resolve()
+        done = leased = 0
+        complete = False
 
-    def leases():
-        nonlocal leased, complete
-        while max_shards is None or leased < max_shards:
-            grant = client.lease(worker_id, ttl=ttl)
-            if grant.get("shard") is None:
-                complete = grant["progress"]["complete"]
-                return
-            leased += 1
-            yield grant["shard_id"], shard_from_wire(grant["shard"])
+        def leases():
+            nonlocal leased, complete
+            while max_shards is None or leased < max_shards:
+                grant = client.lease(worker_id, ttl=ttl)
+                if grant.get("shard") is None:
+                    complete = grant["progress"]["complete"]
+                    return
+                leased += 1
+                yield grant["shard_id"], shard_from_wire(grant["shard"])
 
-    def commit(shard_id: int, outcome: tuple) -> None:
-        nonlocal done
-        client.commit(shard_id, outcome)
-        done += 1
-        if progress:
-            state = client.status()["progress"]
-            print(f"[worker {worker_id}] shard {shard_id} committed "
-                  f"({state['committed']}/{state['n_shards']})", flush=True)
+        def commit(shard_id: int, outcome: tuple) -> None:
+            nonlocal done
+            client.commit(shard_id, outcome)
+            done += 1
+            if progress:
+                state = client.status()["progress"]
+                print(f"[worker {worker_id}] shard {shard_id} committed "
+                      f"({state['committed']}/{state['n_shards']})", flush=True)
 
-    while True:
-        before = done
-        run_shards(config, plan, leases(), commit)
-        if complete or (max_shards is not None and leased >= max_shards):
-            return done
-        if done == before:
-            # Everything left is leased to someone else; wait for
-            # either their commits or their lease expiries.
-            time.sleep(poll_seconds)
+        while True:
+            before = done
+            run_shards(config, plan, leases(), commit)
+            if complete or (max_shards is not None and leased >= max_shards):
+                return done
+            if done == before:
+                # Everything left is leased to someone else; wait for
+                # either their commits or their lease expiries.
+                time.sleep(poll_seconds)

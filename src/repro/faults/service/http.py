@@ -1,11 +1,12 @@
 """Asyncio HTTP API: campaign status, shard leasing, prediction lookups.
 
-Dependency-free: a small HTTP/1.1 request loop over
-``asyncio.start_server`` (one connection per request, ``Connection:
-close``), serving JSON.  Endpoints:
+Dependency-free: a small HTTP/1.1 server over ``asyncio.start_server``
+that keeps each connection open for the client's next request, serving
+JSON.  Endpoints:
 
 ====================  ======================================================
-``GET  /status``      queue progress, campaign config, digest when complete
+``GET  /status``      queue progress, campaign config, digest when complete,
+                      ``http`` connection and request counters
 ``GET  /config``      the campaign configuration (for remote workers)
 ``POST /lease``       lease the next shard  ``{"worker": id, "ttl": s}``
 ``POST /commit``      commit a shard outcome ``{"shard_id", "outcome"}``
@@ -15,6 +16,17 @@ close``), serving JSON.  Endpoints:
 ``GET  /table``       the trained table as a portable payload
                       (:func:`repro.core.table.table_to_payload`)
 ====================  ======================================================
+
+A connection serves requests until the client sends ``Connection:
+close`` or speaks HTTP/1.0, a request is mis-framed, the client goes
+away, it sits idle for :data:`IDLE_TIMEOUT_S`, or the server shuts
+down; every response says ``Connection: keep-alive`` or ``close`` to
+match.  Framing is strict, because a mis-framed body would be read as
+the next request: ``Content-Length`` must be one non-negative integer
+(else 400), ``Transfer-Encoding`` is refused (501), a body over
+:data:`MAX_BODY_BYTES` is refused (413), and each of these closes the
+connection.  Errors found once a request has been read in full (bad
+JSON, a bad ``dsr``, 404, 405, 409, 503) leave it open.
 
 The prediction path is the fleet-facing hot path: a lookup is a dict
 probe against the trained table plus two small posterior dicts, no
@@ -32,9 +44,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import sys
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
+from urllib.parse import parse_qsl
 
 from ...core.predictor import train_predictor
 from ...core.signatures import SignatureStats
@@ -52,6 +67,13 @@ RETRY_AFTER_TRAINING = 5
 #: under this; anything larger is a broken or hostile client).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a connection may go without a request before the server
+#: closes it.  A client that comes back later finds it closed and
+#: reconnects (:class:`~.client.ServiceClient` retries once).
+IDLE_TIMEOUT_S = 30.0
+
+_log = logging.getLogger(__name__)
+
 
 class HttpError(Exception):
     """An error that maps straight to an HTTP status response."""
@@ -66,7 +88,7 @@ class HttpError(Exception):
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            501: "Not Implemented", 503: "Service Unavailable"}
 
 
 class CampaignService:
@@ -95,6 +117,11 @@ class CampaignService:
         self._predictor = None
         self._stats: SignatureStats | None = None
         self._digest: str | None = None
+        #: connections accepted, connections open now, requests read;
+        #: like every field here, touched on the event loop thread only.
+        self.http = {"connections": 0, "open": 0, "requests": 0}
+        #: each open connection's handler task and its writer.
+        self._open: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- training -----------------------------------------------------------
 
@@ -130,6 +157,7 @@ class CampaignService:
         }
         if not self.training:
             payload["digest"] = self.digest()
+        payload["http"] = dict(self.http)
         return payload
 
     def handle_config(self) -> dict:
@@ -237,83 +265,163 @@ class CampaignService:
             raise HttpError(404, f"no such endpoint: {path}")
         return handler()
 
+    def _respond(self, request: _Request) -> tuple[int, dict, dict]:
+        """Answer one fully read request: (status, headers, payload)."""
+        try:
+            path, _, raw_query = request.target.partition("?")
+            # Blank values kept: ``dsr=`` is the empty signature.
+            query = dict(parse_qsl(raw_query, keep_blank_values=True))
+            body = _parse_body(request.body)
+            return 200, {}, self.dispatch(request.method, path, query, body)
+        except HttpError as exc:
+            return exc.status, exc.headers, {"error": exc.message}
+        except Exception as exc:
+            _log.exception("unhandled error serving %s %s",
+                           request.method, request.target)
+            return 500, {}, {"error": f"{type(exc).__name__}: {exc}"}
+
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        status, headers, payload = 500, {}, {"error": "internal error"}
+        """Serve requests on one connection until either side ends it."""
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        self._open[task] = writer
+        self.http["connections"] += 1
+        self.http["open"] += 1
+        last_active = loop.time()
+
+        # One timer per connection, re-armed lazily: each request only
+        # stamps ``last_active``, and the timer, when it fires, either
+        # closes the connection or sleeps for the time left.
+        def expire() -> None:
+            nonlocal idle_timer
+            left = last_active + IDLE_TIMEOUT_S - loop.time()
+            if left > 0:
+                idle_timer = loop.call_later(left, expire)
+            else:
+                writer.close()
+
+        idle_timer = loop.call_later(IDLE_TIMEOUT_S, expire)
         try:
-            method, path, query, body = await _read_request(reader)
-            payload = self.dispatch(method, path, query, body)
-            status = 200
-        except HttpError as exc:
-            status, headers = exc.status, exc.headers
-            payload = {"error": exc.message}
+            keep_alive = True
+            while keep_alive:
+                try:
+                    request = await _read_request(reader)
+                except HttpError as exc:
+                    # The framing is in doubt: answer, then close.
+                    self.http["requests"] += 1
+                    keep_alive = False
+                    status, headers = exc.status, exc.headers
+                    payload = {"error": exc.message}
+                else:
+                    if request is None:
+                        break
+                    self.http["requests"] += 1
+                    keep_alive = request.keep_alive
+                    status, headers, payload = self._respond(request)
+                last_active = loop.time()
+                _write_response(writer, status, payload, headers, keep_alive)
+                await writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError):
-            writer.close()
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            payload = {"error": f"{type(exc).__name__}: {exc}"}
-        try:
-            _write_response(writer, status, payload, headers)
-            await writer.drain()
-        except ConnectionError:
             pass
         finally:
+            idle_timer.cancel()
             writer.close()
+            self.http["open"] -= 1
+            del self._open[task]
+
+    async def close_connections(self) -> None:
+        """Abort every open connection and wait for its handler to end.
+
+        A server must do this before ``Server.wait_closed()``: since
+        Python 3.12 that waits for open connections too, so one idle
+        keep-alive client would hold a shutdown forever.
+        """
+        while self._open:
+            for writer in self._open.values():
+                writer.transport.abort()
+            await asyncio.wait(list(self._open))
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Bind and return the ``asyncio.Server`` (caller drives the loop)."""
         return await asyncio.start_server(self._serve_connection, host, port)
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    request_line = (await reader.readline()).decode("latin-1").strip()
-    parts = request_line.split()
-    if len(parts) != 3:
-        raise HttpError(400, f"malformed request line: {request_line!r}")
-    method, target, _version = parts
-    content_length = 0
-    while True:
-        line = (await reader.readline()).decode("latin-1").strip()
-        if not line:
-            break
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError as exc:
-                raise HttpError(400, f"bad Content-Length: {value!r}") from exc
-    if content_length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body of {content_length} bytes exceeds "
+class _Request(NamedTuple):
+    method: str
+    target: str
+    body: bytes
+    keep_alive: bool
+
+
+async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
+    """Read one request's head and body; None when the client hung up.
+
+    Raises :class:`HttpError` for anything that leaves the framing in
+    doubt (the caller answers and closes the connection).
+    """
+    try:
+        line = await reader.readline()
+        if not line.endswith(b"\n"):
+            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise HttpError(400, f"malformed request line: {line!r}")
+        method, target, version = parts
+        keep_alive = version == "HTTP/1.1"
+        lengths: set[str] = set()
+        chunked = False
+        while (line := await reader.readline()) not in (b"\r\n", b"\n"):
+            if not line.endswith(b"\n"):
+                return None
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise HttpError(400, f"malformed header line: {line!r}")
+            name = name.strip().lower()
+            if name == "content-length":
+                lengths.update(part.strip() for part in value.split(","))
+            elif name == "transfer-encoding":
+                chunked = True
+            elif name == "connection":
+                tokens = {token.strip().lower() for token in value.split(",")}
+                keep_alive = keep_alive and "close" not in tokens
+    except ValueError as exc:  # a line over the stream's limit
+        raise HttpError(400, f"request head line too long: {exc}") from exc
+    if chunked:
+        raise HttpError(501, "Transfer-Encoding is not supported; "
+                        "send the body with a Content-Length")
+    if not all(part.isascii() and part.isdigit() for part in lengths):
+        raise HttpError(400, f"bad Content-Length: {sorted(lengths)}")
+    if len({int(part) for part in lengths}) > 1:
+        raise HttpError(400, f"conflicting Content-Length: {sorted(lengths)}")
+    length = int(lengths.pop()) if lengths else 0
+    if length > MAX_BODY_BYTES:
+        raise HttpError(413, f"body of {length} bytes exceeds "
                         f"{MAX_BODY_BYTES}")
-    raw_body = await reader.readexactly(content_length) if content_length else b""
-    body: dict = {}
-    if raw_body:
-        try:
-            body = json.loads(raw_body)
-        except ValueError as exc:
-            raise HttpError(400, f"request body is not JSON: {exc}") from exc
-        if not isinstance(body, dict):
-            raise HttpError(400, "request body must be a JSON object")
-    path, _, raw_query = target.partition("?")
-    query: dict[str, str] = {}
-    for pair in raw_query.split("&"):
-        if pair:
-            key, _, value = pair.partition("=")
-            query[key] = value
-    return method.upper(), path, query, body
+    body = await reader.readexactly(length) if length else b""
+    return _Request(method.upper(), target, body, keep_alive)
+
+
+def _parse_body(raw: bytes) -> dict:
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise HttpError(400, f"request body is not JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise HttpError(400, "request body must be a JSON object")
+    return body
 
 
 def _write_response(writer: asyncio.StreamWriter, status: int, payload: dict,
-                    extra_headers: dict | None = None) -> None:
+                    extra_headers: dict, keep_alive: bool) -> None:
     body = json.dumps(payload, separators=(",", ":")).encode()
-    headers = {
-        "Content-Type": "application/json",
-        "Content-Length": str(len(body)),
-        "Connection": "close",
-        **(extra_headers or {}),
-    }
-    head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
-    head += [f"{name}: {value}" for name, value in headers.items()]
+    head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+    head += [f"{name}: {value}" for name, value in extra_headers.items()]
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
 
@@ -333,7 +441,7 @@ class ServiceHandle:
         return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
-        """Stop the event loop and join the server thread."""
+        """Stop the event loop, close every connection, join the thread."""
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
 
@@ -348,25 +456,29 @@ def start_service(service: CampaignService, host: str = "127.0.0.1",
     loop = asyncio.new_event_loop()
     server = loop.run_until_complete(service.serve(host, port))
     bound_port = server.sockets[0].getsockname()[1]
-    thread = threading.Thread(target=_run_loop, args=(loop, server),
+    thread = threading.Thread(target=_run_loop, args=(loop, server, service),
                               name="campaign-service", daemon=True)
     thread.start()
     return ServiceHandle(host=host, port=bound_port, _loop=loop,
                          _thread=thread)
 
 
-def _run_loop(loop: asyncio.AbstractEventLoop, server) -> None:
+async def _shutdown(server, service: CampaignService) -> None:
+    server.close()
+    await service.close_connections()
+    await server.wait_closed()
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop, server,
+              service: CampaignService) -> None:
     asyncio.set_event_loop(loop)
     try:
         loop.run_forever()
     finally:
-        server.close()
-        with_suppress = loop.run_until_complete
         try:
-            with_suppress(server.wait_closed())
-        except Exception:
-            pass
-        loop.close()
+            loop.run_until_complete(_shutdown(server, service))
+        finally:
+            loop.close()
 
 
 def serve_forever(service: CampaignService, host: str, port: int,
@@ -385,6 +497,7 @@ def serve_forever(service: CampaignService, host: str, port: int,
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
-        loop.run_until_complete(server.wait_closed())
-        loop.close()
+        try:
+            loop.run_until_complete(_shutdown(server, service))
+        finally:
+            loop.close()

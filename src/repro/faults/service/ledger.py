@@ -66,11 +66,13 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
     The temp file lives in the target directory so the rename never
     crosses a filesystem boundary (rename atomicity only holds within
-    one filesystem).
+    one filesystem).  ``json.dumps`` encodes in C (``json.dump`` always
+    runs the pure-Python encoder) into the same bytes, written at once.
     """
+    data = json.dumps(payload, separators=(",", ":")).encode()
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+    with open(tmp, "wb") as fh:
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

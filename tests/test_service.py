@@ -6,14 +6,22 @@ and resuming yields a ``CampaignResult.digest()`` bit-identical to an
 uninterrupted run*, across worker counts and engines — plus the lease
 state machine, the commutative/associative incremental merge, and the
 HTTP endpoints (concurrent lookups, 503-while-training, malformed
-signatures, offline-vs-served Top-K parity).
+signatures, offline-vs-served Top-K parity), persistent connections
+and request framing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import hashlib
+import http.client
 import json
+import logging
+import socket
 import threading
+import time
+from urllib.parse import urlencode
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +50,7 @@ from repro.faults.service import (
     shard_to_wire,
     start_service,
 )
+from repro.faults.service import http as service_http
 from repro.faults.service.client import ServiceError
 from repro.faults.service.runner import ledger_digest, result_from_ledger
 
@@ -57,6 +66,23 @@ CRASH_CONFIG = CampaignConfig(
 
 #: Fixed shard granularity so the sweep covers a known shard count.
 CRASH_CHUNK = 12
+
+#: sha256 of every file ``run_resumable_campaign(CRASH_CONFIG,
+#: plan=ExecPlan(chunk_flops=CRASH_CHUNK))`` writes.  Pinned so the
+#: on-disk bytes never change by accident: a ledger written by an
+#: earlier version must resume on a later one.
+LEDGER_SHA256 = {
+    "manifest.json":
+        "0b1b2542fa5999dbbab363bb14247f8da9975551cc746b22399c5a07dbe5a5d2",
+    "shard_00000.json":
+        "68ad8a5299d487cb54e0134e1ab2f9ca5df98dfc76ce6e8a6c6f6ce77de777cd",
+    "shard_00001.json":
+        "ca329c09375047f9cb59726767e2ff648eadba566e2a6e2abbf86b72a86dcc8c",
+    "shard_00002.json":
+        "686812b86e10c3bdfccb26c38b8d79b73b2f46d320d26519a6d7a4af46471395",
+    "shard_00003.json":
+        "d356b2c3c2a7bb46a67f5c91c6a1922fa7143b556357b638ffc4da2b6cde1e1d",
+}
 
 
 class Killed(Exception):
@@ -259,6 +285,15 @@ def test_commit_durability_is_atomic(tmp_path):
     reloaded = reopened.load_outcome(grant.shard_id)
     assert reloaded[0] == outcome[0]
     assert reloaded[1] == outcome[1]
+
+
+def test_ledger_files_are_byte_identical_to_pinned(tmp_path):
+    run_resumable_campaign(CRASH_CONFIG, ledger_dir=str(tmp_path),
+                           plan=ExecPlan(chunk_flops=CRASH_CHUNK))
+    (ledger_path,) = tmp_path.iterdir()
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in ledger_path.iterdir()}
+    assert written == LEDGER_SHA256
 
 
 def test_ledger_rejects_foreign_manifest(tmp_path):
@@ -598,3 +633,216 @@ def test_server_restart_preserves_state(tmp_path, reference):
         assert status["digest"] == reference.digest()
     finally:
         handle2.stop()
+
+
+# -- persistent connections and request framing ------------------------------
+
+@pytest.fixture
+def live_service(tmp_path):
+    """A served campaign with no shard committed yet."""
+    service = CampaignService(
+        CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK))
+    handle = start_service(service)
+    yield service, handle
+    handle.stop()
+
+
+def _connect(handle) -> socket.socket:
+    return socket.create_connection((handle.host, handle.port), timeout=10)
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, str, dict]:
+    """Send one raw request; return (status, Connection header, payload)."""
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    payload = json.loads(response.read())
+    response.close()
+    return response.status, response.getheader("Connection"), payload
+
+
+def _at_eof(sock: socket.socket) -> bool:
+    return sock.recv(1) == b""
+
+
+STATUS = b"GET /status HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def _post(path: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+@pytest.mark.parametrize("request_bytes,expected", [
+    (b"POST /lease HTTP/1.1\r\nHost: t\r\nContent-Length: -5\r\n\r\n", 400),
+    (b"POST /lease HTTP/1.1\r\nHost: t\r\nContent-Length: 2x\r\n\r\n{}", 400),
+    (b"POST /lease HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n"
+     b"Content-Length: 40\r\n\r\n{}", 400),
+    (b"POST /lease HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 501),
+    (f"POST /commit HTTP/1.1\r\nHost: t\r\nContent-Length: "
+     f"{service_http.MAX_BODY_BYTES + 1}\r\n\r\n".encode(), 413),
+    (b"GET /status\r\n\r\n", 400),
+    (b"GET /status HTTP/1.1\r\nHost t\r\n\r\n", 400),
+], ids=["negative-length", "non-numeric-length", "conflicting-length",
+        "chunked", "too-large", "no-version", "header-without-colon"])
+def test_framing_error_answers_then_closes(live_service, request_bytes,
+                                           expected):
+    """A request whose framing is in doubt is refused and its connection
+    closed, so no stray body bytes are read as the next request; a
+    chunked ``/lease`` leases nothing."""
+    service, handle = live_service
+    with _connect(handle) as sock:
+        status, connection, payload = _exchange(sock, request_bytes)
+        assert (status, connection) == (expected, "close"), payload
+        assert _at_eof(sock)
+    with ServiceClient(handle.base_url) as client:
+        assert client.status()["progress"]["leased"] == 0
+
+
+@pytest.mark.parametrize("request_bytes,expected", [
+    (_post("/lease", b"{not json"), 400),
+    (_post("/lease", b"[1, 2]"), 400),
+    (b"GET /predict?dsr=3;4 HTTP/1.1\r\nHost: t\r\n\r\n", 400),
+    (b"GET /nonsense HTTP/1.1\r\nHost: t\r\n\r\n", 404),
+    (b"GET /lease HTTP/1.1\r\nHost: t\r\n\r\n", 405),
+    (_post("/commit", json.dumps({
+        "shard_id": 10_000,
+        "outcome": outcome_to_wire(([], {}, 0, {}))}).encode()), 409),
+    (b"GET /predict?dsr=1 HTTP/1.1\r\nHost: t\r\n\r\n", 503),
+], ids=["bad-json", "json-not-object", "bad-dsr", "404", "405", "409", "503"])
+def test_error_after_a_full_read_keeps_the_connection(live_service,
+                                                      request_bytes, expected):
+    _service, handle = live_service
+    with _connect(handle) as sock:
+        status, connection, _payload = _exchange(sock, request_bytes)
+        assert (status, connection) == (expected, "keep-alive")
+        status, connection, payload = _exchange(sock, STATUS)
+        assert (status, connection) == (200, "keep-alive")
+        assert payload["http"] == {"connections": 1, "open": 1, "requests": 2}
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /status HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    b"GET /status HTTP/1.0\r\n\r\n",
+], ids=["connection-close", "http-1.0"])
+def test_client_asked_close_answers_close_then_eof(live_service,
+                                                   request_bytes):
+    _service, handle = live_service
+    with _connect(handle) as sock:
+        status, connection, _payload = _exchange(sock, request_bytes)
+        assert (status, connection) == (200, "close")
+        assert _at_eof(sock)
+
+
+def test_predict_decodes_percent_encoded_query(trained_service, reference):
+    """``urlencode`` spells a DSR ``3%2C17``; both spellings, and a
+    blank ``dsr=`` for the empty set, answer alike."""
+    _service, handle = trained_service
+    signature = max((r.diverged for r in reference.records), key=len)
+    plain = ",".join(str(sc) for sc in sorted(signature))
+    encoded = urlencode({"dsr": plain})
+    assert "%2C" in encoded
+    with ServiceClient(handle.base_url) as client:
+        assert client.request("GET", f"/predict?{encoded}") == \
+            client.request("GET", f"/predict?dsr={plain}") == \
+            client.predict(signature)
+        assert client.request("GET", "/predict?dsr=") == \
+            client.predict(frozenset())
+
+
+def test_worker_and_lookups_each_reuse_one_connection(tmp_path):
+    """A worker over a whole ledger plus K lookups: two connections."""
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    handle = start_service(CampaignService(ledger))
+    lookups = 25
+    try:
+        assert run_worker(handle.base_url, "solo") == ledger.n_shards
+        with ServiceClient(handle.base_url) as client:
+            for _ in range(lookups):
+                client.predict(frozenset())
+            counters = client.status()["http"]
+    finally:
+        handle.stop()
+    # The worker: /config, a /lease and a /commit per shard, and the
+    # /lease that found none left.
+    worker_requests = 1 + 2 * ledger.n_shards + 1
+    assert counters["connections"] == 2
+    assert counters["requests"] == worker_requests + lookups + 1
+
+
+def test_idle_connection_is_closed_and_the_client_retries(live_service,
+                                                          monkeypatch):
+    service, handle = live_service
+    monkeypatch.setattr(service_http, "IDLE_TIMEOUT_S", 0.2)
+    with ServiceClient(handle.base_url) as client:
+        client.status()
+        deadline = time.monotonic() + 10
+        while service.http["open"] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert service.http["open"] == 0, "idle connection never closed"
+        assert client.status()["http"] == \
+            {"connections": 2, "open": 1, "requests": 2}
+
+
+def test_timed_out_request_is_not_retried(live_service, monkeypatch):
+    """A timeout may leave the request running: never sent twice."""
+    _service, handle = live_service
+    sent = []
+    real_request = http.client.HTTPConnection.request
+
+    def counting_request(self, method, url, *args, **kwargs):
+        sent.append(url)
+        return real_request(self, method, url, *args, **kwargs)
+
+    release = threading.Event()
+
+    def stalled_config(self):
+        release.wait(timeout=30)
+        return {}
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request",
+                        counting_request)
+    with ServiceClient(handle.base_url, timeout=1.0) as client:
+        client.status()  # the next request reuses this connection
+        monkeypatch.setattr(CampaignService, "handle_config", stalled_config)
+        try:
+            with pytest.raises(TimeoutError):
+                client.request("GET", "/config")
+        finally:
+            release.set()
+    assert sent == ["/status", "/config"]
+
+
+def test_restarted_server_is_reached_through_a_stale_connection(tmp_path):
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    handle = start_service(CampaignService(ledger))
+    with ServiceClient(handle.base_url) as client:
+        client.status()
+        handle.stop()
+        handle = start_service(
+            CampaignService(CampaignLedger(tmp_path, CRASH_CONFIG)),
+            port=handle.port)
+        try:
+            assert client.status()["http"] == \
+                {"connections": 1, "open": 1, "requests": 1}
+        finally:
+            handle.stop()
+
+
+def test_stop_closes_idle_connections(tmp_path, caplog):
+    """Since Python 3.12 ``Server.wait_closed()`` waits for open
+    connections; before it, closing the loop under one left a pending
+    task behind."""
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    handle = start_service(CampaignService(ledger))
+    with ServiceClient(handle.base_url) as client:
+        client.status()  # leaves an idle keep-alive connection open
+        with caplog.at_level(logging.INFO, logger="asyncio"):
+            start = time.monotonic()
+            handle.stop()
+            elapsed = time.monotonic() - start
+            gc.collect()
+    assert elapsed < 1.0
+    assert not handle._thread.is_alive()
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
