@@ -2,8 +2,8 @@
 
 Times the sharded fault-injection engine at 1/2/4/8 workers on one
 stratified campaign and prints the speedup table, plus the golden-trace
-``memory_at`` reconstruction hot path (checkpoint+bisect vs the naive
-full-log replay it replaced), plus the liveness-pruning speedup
+``memory_at`` reconstruction hot path (checkpoints+searchsorted vs the
+naive full-log replay it replaced), plus the liveness-pruning speedup
 (pruned vs un-pruned engine on the same schedule, digests asserted
 bit-identical), plus the batch engine against the pruned scalar engine
 (a batch-size sweep and a deep-pool headline config).
@@ -363,11 +363,13 @@ def test_memory_at_naive_baseline(benchmark):
     golden = _write_heavy_golden()
     benchmark.group = "memory-reconstruction"
     cycles = list(range(0, golden.n_cycles, 11))
+    initial = golden.memory_at(0).words
+    log = golden.write_log.tolist()
 
     def naive_sweep():
         for cycle in cycles:
-            words = list(golden._initial_words)
-            for when, idx, value in golden.write_log:
+            words = list(initial)
+            for when, idx, value in log:
                 if when >= cycle:
                     break
                 words[idx] = value

@@ -2,9 +2,9 @@
 
 These are genuine pytest-benchmark timings of the hot paths that set
 the campaign's wall-clock cost: the flip-flop-level CPU step, the
-lockstep compare, the golden-trace build (both tiers), one differential
-injection, and the batch engine against the scalar engine on an
-identical fault pool.
+lockstep compare, the golden-trace build and its cross-check, one
+differential injection, and the batch engine against the scalar engine
+on an identical fault pool.
 """
 
 import pytest
@@ -13,7 +13,6 @@ import numpy as np
 from repro.cpu import Cpu, FlopRef, Memory
 from repro.cpu.memory import InputStream
 from repro.faults import (
-    ArchTrace,
     BatchInjectionEngine,
     Fault,
     FaultKind,
@@ -22,6 +21,7 @@ from repro.faults import (
     cext_available,
     cext_build_error,
 )
+from repro.faults.golden import cross_check
 from repro.lockstep import LockstepChecker, expand_ports
 from repro.workloads import KERNELS, build
 
@@ -80,16 +80,17 @@ def test_golden_trace_build(benchmark):
 
 
 def test_arch_trace_build(benchmark):
-    """Tier-1 (architectural) golden production.
+    """The architectural cross-check of a built trace.
 
-    Compare against ``test_golden_trace_build``: the ISA-level replay
+    Compare against ``test_golden_trace_build``: one ISA-level replay
     is roughly an order of magnitude cheaper than the flop-accurate
-    trace (measured ~6-12x across kernels), which is what makes the
-    per-worker cross-check of every tier-2 trace affordable.
+    trace, which is what makes cross-checking every trace that
+    ``GoldenTrace.cached`` returns affordable.
     """
-    trace = benchmark.pedantic(ArchTrace, args=(KERNELS["ttsprk"],),
-                               rounds=5, iterations=1)
-    assert trace.n_steps > 0
+    golden = GoldenTrace(KERNELS["ttsprk"])
+    problems = benchmark.pedantic(cross_check, args=(golden,),
+                                  rounds=5, iterations=1)
+    assert problems == []
 
 
 def test_golden_trace_cache_load(benchmark, tmp_path):

@@ -1,6 +1,5 @@
 """Fault models, golden traces, differential injection and campaigns."""
 
-from .arch import ArchTrace, TieredGolden, peek_cached_n_cycles
 from .batch import BatchInjectionEngine
 from .campaign import (
     CampaignConfig,
@@ -48,7 +47,6 @@ from .stats import (
 )
 
 __all__ = [
-    "ArchTrace", "TieredGolden", "peek_cached_n_cycles",
     "BatchInjectionEngine",
     "CampaignConfig", "CampaignResult", "cached_campaign", "records_digest",
     "run_campaign", "sample_flops", "schedule_faults",

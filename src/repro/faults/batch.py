@@ -227,22 +227,6 @@ def _cext_tables() -> tuple:
     return _CEXT_TABLES
 
 
-def _golden_c_matrices(golden: GoldenTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major uint32 copies of the golden state and port matrices.
-
-    The kernel walks one cycle row at a time; seeding, checks and the
-    port compare index the same rows.  Cached on the trace so every
-    engine (and every shard in a worker process) shares one copy.
-    """
-    sm32 = getattr(golden, "_cstep_sm32", None)
-    if sm32 is None:
-        sm32 = np.ascontiguousarray(golden.state_matrix, dtype=_U32)
-        pm32 = np.ascontiguousarray(golden.port_matrix, dtype=_U32)
-        golden._cstep_sm32 = sm32
-        golden._cstep_pm32 = pm32
-    return sm32, golden._cstep_pm32
-
-
 class BatchInjectionEngine:
     """Structure-of-arrays fault-injection engine (digest parity with scalar).
 
@@ -278,7 +262,10 @@ class BatchInjectionEngine:
         self.S = np.zeros((N_ROWS, B), dtype=_U32)
         #: Per-lane memory images.
         self.M = np.zeros((B, golden.mem_words), dtype=_U32)
-        self._sm32, self._pm32 = _golden_c_matrices(golden)
+        # The kernel walks one cycle row at a time; seeding, checks and
+        # the port compare index the same rows of the trace's own
+        # row-major uint32 matrices.
+        self._sm32, self._pm32 = golden.state_matrix, golden.port_matrix
         self._g_ports = golden.port_tuples()
         self._stim = np.array(golden.stimulus.values, dtype=_U32)
         self._tables = _cext_tables()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,11 +150,13 @@ class CampaignResult:
         return result
 
 
-def records_digest(records: list[ErrorRecord]) -> str:
-    """Order-sensitive canonical sha256 over a record list.
+def records_digest(records: Iterable[ErrorRecord]) -> str:
+    """Order-sensitive canonical sha256 over a record stream.
 
     Used to assert bit-identical campaign behaviour across worker
-    counts and pruning on/off.  Fields are serialised explicitly —
+    counts and pruning on/off.  ``records`` is consumed once, so the
+    ledger runner digests a finished campaign straight off its shard
+    files.  Fields are serialised explicitly —
     ``repr`` of a frozenset is iteration-order dependent, so the
     diverged set is sorted first.
     """

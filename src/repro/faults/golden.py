@@ -8,23 +8,27 @@ memory write log — enough to (a) start a faulty core at any cycle,
 (b) detect divergence against the virtual fault-free partner, and
 (c) detect when a transient's effects have been fully masked.
 
-Storage is packed: two numpy matrices (``port_matrix`` and
-``state_matrix``) are the single source of truth; per-cycle Python
-tuple lists are not retained.  ``ports``/``states``/``outputs`` are
-on-demand row accessors that materialise tuples only when indexed.
-``state_hashes`` caches each snapshot tuple's hash so the injection
-engine can gate exact state comparisons behind an integer check.
+Storage is packed: two uint32 numpy matrices (``port_matrix`` and
+``state_matrix``; the datapath is 32 bits wide) are the single source
+of truth, and rows become tuples only on demand (:meth:`state_at`,
+:meth:`port_tuples`).  ``state_hashes`` caches each snapshot tuple's
+hash so the injection engine can gate exact state comparisons behind
+an integer check.
 
-Traces are also cacheable on disk (``.golden_cache/`` by default, see
+:meth:`GoldenTrace.cached` is the one way a campaign gets a trace.  It
+loads it from the on-disk cache (``.golden_cache/`` by default, see
 :func:`golden_cache_dir`): an uncompressed ``.npz`` keyed by benchmark,
-stimulus seed, memory size and the campaign schema version, loaded with
-``mmap_mode="r"`` so pool workers share pages instead of re-simulating
-the kernel.  Any validation failure falls back to a fresh simulation.
+stimulus seed, memory size and the campaign schema version, sealed by
+a sha256 over its entries.  Every trace it returns has passed
+:func:`cross_check` against the ISA reference model, and any cache
+file that fails a check is discarded and simulated afresh.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import threading
 import warnings
 from bisect import bisect_left
 from pathlib import Path
@@ -41,7 +45,6 @@ from ..cpu.units import (
     REGISTRY,
     pack_register_mask,
 )
-from ..lockstep.categories import expand_ports
 from ..workloads.kernels import DEFAULT_SEED, Workload
 from .campaign import CAMPAIGN_SCHEMA_VERSION
 
@@ -79,6 +82,20 @@ GOLDEN_CACHE_ENV = "REPRO_GOLDEN_CACHE"
 
 DEFAULT_GOLDEN_CACHE_DIR = ".golden_cache"
 
+#: The cache file entry holding the sha256 of all the others.
+_CHECKSUM = "checksum"
+
+#: ``port_matrix`` column indices of the OUT port pair (see
+#: ``Cpu.step``'s return tuple): the latched OUT value and the toggle
+#: strobe an external actuator latch samples.
+_IO_OUT_COL = 10
+_IO_OUT_V_COL = 11
+
+#: OUT values whose strobe toggle may fall past the end of the recorded
+#: trace (in-flight when HALT committed) — bounds the allowed prefix gap
+#: in :func:`cross_check`.
+_PIPELINE_DEPTH = 4
+
 
 def golden_cache_dir() -> Path | None:
     """Resolve the on-disk golden-trace cache directory (None = off)."""
@@ -101,6 +118,18 @@ def golden_cache_path(workload: Workload, seed: int, mem_words: int,
         return None
     return directory / (
         f"{workload.name}_s{seed}_m{mem_words}_v{CAMPAIGN_SCHEMA_VERSION}.npz")
+
+
+def _checksum(entries: dict[str, np.ndarray]) -> np.ndarray:
+    """sha256 over every entry but the checksum: name, dtype, shape and
+    bytes, in name order, as 32 uint8 values."""
+    h = hashlib.sha256()
+    for name in sorted(entries):
+        if name != _CHECKSUM:
+            array = np.ascontiguousarray(entries[name])
+            h.update(f"{name}\0{array.dtype.str}\0{array.shape}\0".encode())
+            h.update(array.tobytes())
+    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 class LoggingMemory(Memory):
@@ -127,41 +156,6 @@ class LoggingMemory(Memory):
         self.log.append((self.now, idx, word))
 
 
-class _Rows:
-    """Lazy per-cycle view of a packed trace matrix.
-
-    Rows are materialised as tuples of Python ints only when indexed,
-    so holding a trace costs two flat uint64 matrices instead of tens
-    of thousands of tuple objects.  Supports ``len``, integer indexing
-    (including negative) and slicing, like the lists it replaced.
-    """
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return len(self._matrix)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [tuple(row) for row in self._matrix[key].tolist()]
-        return tuple(self._matrix[key].tolist())
-
-    def __iter__(self):
-        return iter(self[:])
-
-
-class _ExpandedRows(_Rows):
-    """62-SC view of the packed port matrix, expanded per access."""
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [expand_ports(tuple(row)) for row in self._matrix[key].tolist()]
-        return expand_ports(tuple(self._matrix[key].tolist()))
-
-
 class GoldenTrace:
     """Fault-free execution record of one workload kernel.
 
@@ -170,35 +164,26 @@ class GoldenTrace:
         program: its assembled image.
         stimulus: the replicated input stream.
         n_cycles: trace length (cycles until HALT).
-        port_matrix: (n_cycles, NUM_PORTS) uint64 matrix of compact
+        port_matrix: (n_cycles, NUM_PORTS) uint32 matrix of compact
             output-port tuples (what ``Cpu.step()`` returns).
-        state_matrix: (n_cycles, n_registers) uint64 matrix of flip-flop
+        state_matrix: (n_cycles, n_registers) uint32 matrix of flip-flop
             snapshots; row ``t`` is the state at the *start* of cycle
             ``t``.  Also used for vectorised stuck-at activation search.
         state_hashes: per-cycle ``hash()`` of the snapshot tuple, for
             cheap re-convergence prechecks.
-        ports: lazy per-cycle compact port tuples (rows of
-            ``port_matrix``).
-        states: lazy per-cycle snapshot tuples (rows of
-            ``state_matrix``).
-        outputs: lazy per-cycle 62-SC vectors (``ports`` through
-            :func:`expand_ports`); kept for analysis-side consumers —
-            the per-cycle comparison path never materialises these.
+        read_mask / write_mask: (n_cycles, MASK_WORDS) uint64 def/use
+            bitmasks over :data:`~repro.cpu.units.REGISTRY`.
+        write_log: (n_writes, 3) int64 array of committed memory writes
+            ``(cycle, word index, value after)``, cycle-sorted.
     """
 
     def __init__(self, workload: Workload, seed: int = DEFAULT_SEED,
                  max_cycles: int = 100_000, mem_words: int = CAMPAIGN_MEM_WORDS):
-        self.workload = workload
-        self.seed = seed
-        self.mem_words = mem_words
-        self.program: Program = assemble(workload.source)
-        self.stimulus = InputStream(workload.stimulus(seed))
-        self._initial_words = [0] * mem_words
-        self._initial_words[: len(self.program.words)] = self.program.words
-
+        program = assemble(workload.source)
+        stimulus = InputStream(workload.stimulus(seed))
         mem = LoggingMemory(mem_words)
-        mem.words[: len(self.program.words)] = self.program.words
-        cpu = Cpu(mem, self.stimulus, entry=self.program.entry)
+        mem.words[: len(program.words)] = program.words
+        cpu = Cpu(mem, stimulus, entry=program.entry)
         # Golden generation runs with def/use access tracing attached:
         # per cycle we record which REGISTRY flops the next-state logic
         # read (stale reads only) and wrote.  The injection hot path
@@ -221,35 +206,44 @@ class GoldenTrace:
         if not cpu.halted:
             raise RuntimeError(
                 f"golden run of {workload.name!r} did not halt in {max_cycles} cycles")
-        self.n_cycles = t
-        self.port_matrix = np.array(ports, dtype=np.uint64).reshape(t, NUM_PORTS)
-        self.state_matrix = np.array(states, dtype=np.uint64).reshape(t, len(REGISTRY))
-        self.state_hashes = np.fromiter(
-            (hash(s) for s in states), dtype=np.int64, count=t)
-        self.read_mask = _pack_mask_rows(read_rows, t)
-        self.write_mask = _pack_mask_rows(write_rows, t)
-        self._port_tuples: list[tuple[int, ...]] | None = ports
+        self._attach(
+            workload, seed, mem_words, program, stimulus,
+            port_matrix=np.array(ports, dtype=np.uint32).reshape(t, NUM_PORTS),
+            state_matrix=np.array(states, dtype=np.uint32).reshape(
+                t, len(REGISTRY)),
+            state_hashes=np.fromiter(map(hash, states), dtype=np.int64,
+                                     count=t),
+            read_mask=_pack_mask_rows(read_rows, t),
+            write_mask=_pack_mask_rows(write_rows, t),
+            write_log=mem.log)
+        self._port_tuples = ports
+
+    def _attach(self, workload: Workload, seed: int, mem_words: int,
+                program: Program, stimulus: InputStream, *,
+                port_matrix: np.ndarray, state_matrix: np.ndarray,
+                state_hashes: np.ndarray, read_mask: np.ndarray,
+                write_mask: np.ndarray, write_log) -> None:
+        """Set every attribute of a built or loaded trace."""
+        self.workload = workload
+        self.seed = seed
+        self.mem_words = mem_words
+        self.program = program
+        self.stimulus = stimulus
+        self.n_cycles = len(state_matrix)
+        self.port_matrix = port_matrix
+        self.state_matrix = state_matrix
+        self.state_hashes = state_hashes
+        self.read_mask = read_mask
+        self.write_mask = write_mask
+        self._initial_image = np.zeros(mem_words, dtype=np.uint32)
+        self._initial_image[: len(program.words)] = program.words
+        self._port_tuples: list[tuple[int, ...]] | None = None
         self._state_hash_list: list[int] | None = None
         self._liveness_cache: dict[str, tuple[np.ndarray, list[int], list[int]]] = {}
         self._active_cache: dict[tuple[str, int, int, bool], np.ndarray] = {}
-        self.reindex_write_log(mem.log)
+        self.reindex_write_log(write_log)
 
     # -- row access ----------------------------------------------------------
-
-    @property
-    def ports(self) -> _Rows:
-        """Lazy per-cycle compact port tuples."""
-        return _Rows(self.port_matrix)
-
-    @property
-    def states(self) -> _Rows:
-        """Lazy per-cycle flip-flop snapshot tuples."""
-        return _Rows(self.state_matrix)
-
-    @property
-    def outputs(self) -> _ExpandedRows:
-        """Lazy per-cycle 62-SC output vectors (expanded on access)."""
-        return _ExpandedRows(self.port_matrix)
 
     def state_at(self, t: int) -> tuple[int, ...]:
         """The snapshot tuple at the start of cycle ``t``."""
@@ -282,50 +276,65 @@ class GoldenTrace:
     def cached(cls, workload: Workload, seed: int = DEFAULT_SEED,
                max_cycles: int = 100_000, mem_words: int = CAMPAIGN_MEM_WORDS,
                cache_dir: Path | str | None = None) -> "GoldenTrace":
-        """Load the trace from the on-disk cache, simulating on miss.
+        """The cross-checked trace: loaded from the on-disk cache, or
+        simulated (and the cache file written) on a miss.
 
         ``cache_dir=None`` uses :func:`golden_cache_dir` (which honours
-        ``REPRO_GOLDEN_CACHE``); if caching is disabled this is exactly
-        ``GoldenTrace(workload, seed, ...)``.  Unreadable, stale or
-        mismatching cache files are discarded with a warning and the
-        trace is re-simulated (and the file rewritten).
+        ``REPRO_GOLDEN_CACHE``); with caching disabled the trace is
+        simulated.  A cache file that is unreadable, stale, damaged or
+        fails :func:`cross_check` is discarded with a warning, and the
+        trace is re-simulated and the file rewritten.  A simulated trace
+        that fails the cross-check raises ``RuntimeError``: that is a
+        pipeline regression, which no cache can paper over.
         """
         path = golden_cache_path(workload, seed, mem_words, cache_dir)
-        if path is None:
-            return cls(workload, seed, max_cycles, mem_words)
-        if path.exists():
+        if path is not None and path.exists():
             trace = cls._load_cached(path, workload, seed, mem_words)
             if trace is not None:
                 return trace
         trace = cls(workload, seed, max_cycles, mem_words)
-        try:
-            trace.save_cache(path)
-        except OSError as exc:  # e.g. read-only checkout: cache is best-effort
-            warnings.warn(f"could not write golden-trace cache {path}: {exc}",
-                          RuntimeWarning, stacklevel=2)
+        problems = cross_check(trace)
+        if problems:
+            raise RuntimeError(
+                f"golden trace for {workload.name!r} failed the "
+                f"architectural cross-check: " + "; ".join(problems))
+        if path is not None:
+            try:
+                trace.save_cache(path)
+            except OSError as exc:  # e.g. read-only checkout: cache is best-effort
+                warnings.warn(f"could not write golden-trace cache {path}: {exc}",
+                              RuntimeWarning, stacklevel=2)
         return trace
 
     def save_cache(self, path: Path) -> None:
-        """Write this trace to ``path`` atomically (uncompressed npz)."""
+        """Write this trace to ``path`` atomically (uncompressed npz).
+
+        The matrices and the write log are stored as uint64, the entry
+        dtypes of every schema-v4 cache file, and one more entry holds
+        the checksum of all the others.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        meta = np.array(
-            [CAMPAIGN_SCHEMA_VERSION, self.n_cycles, self.mem_words,
-             len(REGISTRY), NUM_PORTS, self.seed],
-            dtype=np.int64)
-        write_log = np.array(self.write_log, dtype=np.uint64).reshape(-1, 3)
-        stimulus = np.array(self.stimulus.values, dtype=np.uint64)
-        # pid-unique temp + rename: concurrent pool workers may race to
-        # populate the same entry, and a crash must not leave a torn file.
-        tmp = path.with_name(f"{path.stem}.tmp{os.getpid()}.npz")
+        entries = dict(
+            meta=np.array([CAMPAIGN_SCHEMA_VERSION, self.n_cycles,
+                           self.mem_words, len(REGISTRY), NUM_PORTS,
+                           self.seed], dtype=np.int64),
+            port_matrix=self.port_matrix.astype(np.uint64),
+            state_matrix=self.state_matrix.astype(np.uint64),
+            state_hashes=self.state_hashes,
+            read_mask=self.read_mask,
+            write_mask=self.write_mask,
+            write_log=self.write_log.astype(np.uint64),
+            stimulus=np.array(self.stimulus.values, dtype=np.uint64))
+        entries[_CHECKSUM] = _checksum(entries)
+        # Writer-unique temp + rename: pool workers, and threads of one
+        # process, may race to populate the same entry, and a crash must
+        # not leave a torn file.
+        tmp = path.with_name(
+            f"{path.stem}.tmp{os.getpid()}-{threading.get_ident()}.npz")
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, meta=meta, port_matrix=self.port_matrix,
-                         state_matrix=self.state_matrix,
-                         state_hashes=self.state_hashes,
-                         read_mask=self.read_mask,
-                         write_mask=self.write_mask,
-                         write_log=write_log, stimulus=stimulus)
+                np.savez(fh, **entries)
             os.replace(tmp, path)
         finally:
             if tmp.exists():
@@ -338,7 +347,8 @@ class GoldenTrace:
         program = assemble(workload.source)
         stimulus_values = workload.stimulus(seed)
         try:
-            data = np.load(path, mmap_mode="r", allow_pickle=False)
+            with np.load(path, allow_pickle=False) as npz:
+                data = dict(npz)
             meta = data["meta"]
             if meta.shape != (6,):
                 raise ValueError(f"bad meta shape {meta.shape}")
@@ -373,26 +383,19 @@ class GoldenTrace:
                 raise ValueError(f"bad write mask shape {write_mask.shape}")
             if stimulus.tolist() != list(stimulus_values):
                 raise ValueError("stimulus stream mismatch")
+            # Shapes and the stimulus cannot see damage inside the
+            # matrices (a zeroed mask drops records, a flipped state bit
+            # moves simulated cycles), so the entries carry a checksum.
+            if not np.array_equal(data.get(_CHECKSUM), _checksum(data)):
+                raise ValueError("missing or wrong checksum")
             trace = cls.__new__(cls)
-            trace.workload = workload
-            trace.seed = seed
-            trace.mem_words = mem_words
-            trace.program = program
-            trace.stimulus = InputStream(stimulus_values)
-            trace._initial_words = [0] * mem_words
-            trace._initial_words[: len(program.words)] = program.words
-            trace.n_cycles = n_cycles
-            trace.port_matrix = port_matrix
-            trace.state_matrix = state_matrix
-            trace.state_hashes = state_hashes
-            trace.read_mask = read_mask
-            trace.write_mask = write_mask
-            trace._port_tuples = None
-            trace._state_hash_list = None
-            trace._liveness_cache = {}
-            trace._active_cache = {}
-            trace.reindex_write_log(
-                [tuple(entry) for entry in write_log.tolist()])
+            trace._attach(
+                workload, seed, mem_words, program,
+                InputStream(stimulus_values),
+                port_matrix=port_matrix.astype(np.uint32),
+                state_matrix=state_matrix.astype(np.uint32),
+                state_hashes=state_hashes, read_mask=read_mask,
+                write_mask=write_mask, write_log=write_log)
             reset = Cpu(Memory(16), trace.stimulus,
                         entry=program.entry).snapshot()
             if trace.state_at(0) != reset:
@@ -403,8 +406,12 @@ class GoldenTrace:
             # cheap row-0 probe lets us restore the fast path anyway.
             if hash(reset) != int(trace.state_hashes[0]):
                 trace.state_hashes = np.fromiter(
-                    (hash(s) for s in trace.states), dtype=np.int64,
-                    count=n_cycles)
+                    (hash(tuple(row)) for row in trace.state_matrix.tolist()),
+                    dtype=np.int64, count=n_cycles)
+            problems = cross_check(trace)
+            if problems:
+                raise ValueError("failed the architectural cross-check: "
+                                 + "; ".join(problems))
             return trace
         except Exception as exc:
             warnings.warn(
@@ -414,112 +421,80 @@ class GoldenTrace:
 
     # -- memory reconstruction & activation search ---------------------------
 
-    def reindex_write_log(self, log: list[tuple[int, int, int]]) -> None:
-        """Attach ``log`` and rebuild the reconstruction index.
+    def reindex_write_log(self, log) -> None:
+        """Attach ``log`` and drop the reconstruction index.
 
-        The log must be cycle-sorted (which a recorded trace is by
-        construction).  Checkpoints are rebuilt lazily on the next
-        :meth:`memory_at` call.
+        ``log`` holds ``(cycle, word index, value after)`` rows and must
+        be cycle-sorted (which a recorded trace is by construction).
+        The index is rebuilt on the next :meth:`memory_rows_at` call.
         """
-        self.write_log = log
-        self._log_cycles = [entry[0] for entry in log]
-        self._mem_checkpoints: list[list[int]] | None = None
-        self._np_mem: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.write_log = np.array(log, dtype=np.int64).reshape(-1, 3)
+        self._mem_index: tuple | None = None
 
-    def _checkpoints(self) -> list[list[int]]:
-        """Memory images after each ``MEMORY_CHECKPOINT_EVERY`` writes.
+    def _memory_index(self) -> tuple[int, np.ndarray, np.ndarray,
+                                     np.ndarray, np.ndarray]:
+        """The reconstruction index, built once on first use.
 
-        ``_checkpoints()[k]`` is the word array after applying
-        ``write_log[:(k + 1) * MEMORY_CHECKPOINT_EVERY]``.  Built once,
-        on first use, in a single pass over the log.
+        Returns ``(stride, images, cycles, words, values)``:
+        ``images[k]`` is the uint32 memory image after
+        ``write_log[:k * stride]`` (the initial image, then one
+        checkpoint every :data:`MEMORY_CHECKPOINT_EVERY` writes), and
+        the rest are the write log's columns.
         """
-        ckpts = self._mem_checkpoints
-        if ckpts is None:
-            ckpts = []
-            words = list(self._initial_words)
+        index = self._mem_index
+        if index is None:
             log = self.write_log
+            cycles = np.ascontiguousarray(log[:, 0])
+            words = np.ascontiguousarray(log[:, 1])
+            values = log[:, 2].astype(np.uint32)
             stride = MEMORY_CHECKPOINT_EVERY
-            for k in range(stride, len(log) + 1, stride):
-                for _, idx, value in log[k - stride:k]:
-                    words[idx] = value
-                ckpts.append(list(words))
-            self._mem_checkpoints = ckpts
-        return ckpts
+            images = np.empty((len(log) // stride + 1, self.mem_words),
+                              dtype=np.uint32)
+            images[0] = self._initial_image
+            for k in range(1, len(images)):
+                span = slice((k - 1) * stride, k * stride)
+                last = span.start + _last_occurrences(words[span])
+                images[k] = images[k - 1]
+                images[k, words[last]] = values[last]
+            index = self._mem_index = (stride, images, cycles, words, values)
+        return index
 
     def memory_at(self, cycle: int, out: Memory | None = None) -> Memory:
-        """Reconstruct the memory image as of the start of ``cycle``.
-
-        Starts from the nearest preceding checkpoint and replays only
-        the delta, so reconstruction is O(image + stride) instead of
-        O(image + whole log).
+        """The memory image as of the start of ``cycle``: one row of
+        :meth:`memory_rows_at`, as a :class:`Memory`.
 
         Args:
             out: optional scratch :class:`Memory` of ``mem_words`` size
-                to overwrite in place and return, saving the per-call
-                word-list allocation (the injection engine reuses one
-                scratch buffer across all experiments).
+                to refill and return (the scalar injection engine reuses
+                one scratch memory across experiments).
         """
-        # Entries with when < cycle are committed before `cycle` starts.
-        j = bisect_left(self._log_cycles, cycle)
-        k = j // MEMORY_CHECKPOINT_EVERY
-        if k:
-            src = self._checkpoints()[k - 1]
-            base = k * MEMORY_CHECKPOINT_EVERY
-        else:
-            src = self._initial_words
-            base = 0
-        if out is None:
-            mem = Memory.__new__(Memory)
-            mem.size = self.mem_words
-            mem.words = list(src)
-        else:
-            mem = out
-            mem.words[:] = src
-        words = mem.words
-        for _, idx, value in self.write_log[base:j]:
-            words[idx] = value
+        row = np.empty((1, self.mem_words), dtype=np.uint32)
+        self.memory_rows_at((cycle,), row, (0,))
+        mem = Memory(self.mem_words) if out is None else out
+        mem.words = row[0].tolist()
         return mem
-
-    def _np_mem_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Numpy mirror of the reconstruction index (built lazily once).
-
-        Returns ``(images, cycles, idxs, vals)``: the ``(k + 1,
-        mem_words)`` uint32 matrix of the initial image followed by the
-        ``k`` checkpoints, and the write log's cycle, word-index and
-        value columns.  Backs :meth:`memory_rows_at`, so the batch engine
-        seeds lane memories without a :class:`Memory` object.
-        """
-        cached = self._np_mem
-        if cached is None:
-            log = np.array(self.write_log, dtype=np.int64).reshape(-1, 3)
-            images = np.array([self._initial_words, *self._checkpoints()],
-                              dtype=np.uint32)
-            cached = (images, np.ascontiguousarray(log[:, 0]),
-                      np.ascontiguousarray(log[:, 1]),
-                      log[:, 2].astype(np.uint32))
-            self._np_mem = cached
-        return cached
 
     def memory_rows_at(self, cycles, out: np.ndarray, rows) -> np.ndarray:
         """Memory images at the start of each of ``cycles``, in place.
 
         Row ``rows[j]`` of the ``(_, mem_words)`` matrix ``out`` (rows
-        must be distinct) becomes the image at ``cycles[j]``: the same
-        reconstruction as
-        :meth:`memory_at` for every row at once, as one gather of
-        checkpoint images and one scatter of the write-log entries each
-        row replays past its checkpoint.  The scatter keeps only the
-        last write per (row, word), because numpy does not promise the
-        order in which one fancy assignment applies repeated indices.
+        must be distinct) becomes the image at ``cycles[j]``: the
+        nearest preceding checkpoint plus the write-log entries past it,
+        so each row costs O(image + stride) instead of O(image + whole
+        log).  All rows are rebuilt at once, as one gather of checkpoint
+        images and one scatter of the entries each row replays.  The
+        scatter keeps only the last write per (row, word), because numpy
+        does not promise the order in which one fancy assignment applies
+        repeated indices.
         """
-        images, log_cycles, idxs, vals = self._np_mem_index()
+        stride, images, log_cycles, words, values = self._memory_index()
         cycles = np.asarray(cycles, dtype=np.int64)
         rows = np.asarray(rows)
         # Entries with when < cycle are committed before `cycle` starts.
         j = np.searchsorted(log_cycles, cycles, side="left")
-        k = j // MEMORY_CHECKPOINT_EVERY
+        k = j // stride
         out[rows] = images[k]
-        counts = j - k * MEMORY_CHECKPOINT_EVERY
+        counts = j - k * stride
         total = int(counts.sum())
         if total:
             owner = np.repeat(rows, counts)
@@ -527,9 +502,9 @@ class GoldenTrace:
             # base plus its rank within the row's span.
             ends = np.cumsum(counts)
             entry = np.arange(total) + np.repeat(j - ends, counts)
-            word = idxs[entry]
+            word = words[entry]
             last = _last_occurrences(owner * self.mem_words + word)
-            out[owner[last], word[last]] = vals[entry[last]]
+            out[owner[last], word[last]] = values[entry[last]]
         return out
 
     def _active_cycles(self, reg: str, bit: int, value: int,
@@ -546,7 +521,7 @@ class GoldenTrace:
         arr = self._active_cache.get(key)
         if arr is None:
             col = self.state_matrix[:, REG_INDEX[reg]]
-            active = ((col >> np.uint64(bit)) & np.uint64(1)) != value
+            active = ((col >> bit) & 1) != value
             if used_only:
                 active &= self._liveness(reg)[0]
             arr = np.nonzero(active)[0].astype(np.int32)
@@ -640,3 +615,59 @@ class GoldenTrace:
         if i == len(hits):
             return None
         return int(hits[i])
+
+
+# -- validation ----------------------------------------------------------------
+
+# Imported below GoldenTrace, not at the top: repro.verify imports
+# faultfuzz, which imports faults.injector, which needs GoldenTrace.
+from ..verify.refmodel import RefModel  # noqa: E402
+
+
+def cross_check(trace: GoldenTrace) -> list[str]:
+    """Validate a flop-accurate trace against the ISA reference model.
+
+    Runs :class:`~repro.verify.refmodel.RefModel` once on the trace's
+    own program, stimulus and memory size, and returns a list of
+    human-readable problems (empty = consistent).  The checks are
+    strong against the realistic failure modes — a stale cache file
+    the checksum cannot see, a pipeline regression — while staying
+    independent of micro-architectural timing:
+
+    * the strobe-sampled OUT stream recovered from the port matrix
+      must equal the architectural OUT stream value for value;
+    * the pipeline cannot retire more instructions than cycles
+      (``n_steps <= n_cycles``).
+    """
+    ref = RefModel(Memory.from_program(trace.program, trace.mem_words),
+                   trace.stimulus, entry=trace.program.entry)
+    # One step past the trace is enough to see it exceed the cycles.
+    ref.run(trace.n_cycles + 1)
+    problems: list[str] = []
+    if ref.n_steps > trace.n_cycles:
+        problems.append(
+            f"{ref.n_steps} architectural steps exceed "
+            f"{trace.n_cycles} pipeline cycles")
+
+    # Port rows hold pre-step state, so an OUT executed in cycle t
+    # shows as a strobe toggle between rows t and t+1.  The trace
+    # ends at the cycle HALT commits, so OUTs still in flight during
+    # the final cycles toggle after the last recorded row: the
+    # recovered stream may be short by up to a pipeline's worth of
+    # trailing values, and is compared as a prefix.
+    strobe = trace.port_matrix[:, _IO_OUT_V_COL]
+    toggles = np.nonzero(strobe[1:] != strobe[:-1])[0] + 1
+    pipeline_out = trace.port_matrix[toggles, _IO_OUT_COL].tolist()
+    missing = len(ref.outputs) - len(pipeline_out)
+    if not 0 <= missing <= _PIPELINE_DEPTH:
+        problems.append(
+            f"OUT stream length mismatch: pipeline trace recovered "
+            f"{len(pipeline_out)} values, arch produced "
+            f"{len(ref.outputs)}")
+    else:
+        for i, (p, a) in enumerate(zip(pipeline_out, ref.outputs)):
+            if p != a:
+                problems.append(f"OUT stream mismatch (first diff at "
+                                f"#{i}: pipeline {p} != arch {a})")
+                break
+    return problems

@@ -56,7 +56,7 @@ import numpy as np
 
 from ..cpu.units import FlopRef
 from ..workloads.kernels import KERNELS
-from .arch import TieredGolden
+from .golden import GoldenTrace
 from .injector import InjectionEngine
 from .kernels import cext_available, cext_module, resolve_threads, usable_cpus
 from .models import FAULT_KINDS, ErrorRecord, FaultColumns, FaultKind
@@ -207,26 +207,27 @@ def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-process golden-trace cache: (benchmark, seed) -> two-tier handle.
-#: Worker processes are reused across shards, so each benchmark's
-#: golden run is simulated (or loaded and cross-checked) at most once
-#: per process, for either engine.  Library callers may run shards
-#: from several threads of one process; the lock only serialises
-#: construction (a miss), never a hit.
-_TIERED_CACHE: dict[tuple[str, int], TieredGolden] = {}
+#: Per-process golden-trace cache: (benchmark, seed) -> cross-checked
+#: trace.  Worker processes are reused across shards, so each
+#: benchmark's golden run is simulated (or loaded and cross-checked) at
+#: most once per process, for either engine.  Library callers may run
+#: shards from several threads of one process: a miss builds the trace
+#: under the lock (pure Python holding the GIL, so serialising misses
+#: costs nothing), a hit never takes it.
+_GOLDEN_TRACES: dict[tuple[str, int], GoldenTrace] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _tiered_for(benchmark: str, seed: int) -> TieredGolden:
+def _golden_for(benchmark: str, seed: int) -> GoldenTrace:
     key = (benchmark, seed)
-    tiered = _TIERED_CACHE.get(key)
-    if tiered is None:
+    golden = _GOLDEN_TRACES.get(key)
+    if golden is None:
         with _CACHE_LOCK:
-            tiered = _TIERED_CACHE.get(key)
-            if tiered is None:
-                tiered = TieredGolden(KERNELS[benchmark], seed=seed)
-                _TIERED_CACHE[key] = tiered
-    return tiered
+            golden = _GOLDEN_TRACES.get(key)
+            if golden is None:
+                golden = GoldenTrace.cached(KERNELS[benchmark], seed=seed)
+                _GOLDEN_TRACES[key] = golden
+    return golden
 
 
 def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
@@ -246,26 +247,17 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
     :mod:`repro.faults.batch`) on the shard's fault columns,
     ``batch=0`` the scalar engine on :class:`~repro.faults.models.Fault`
     objects.  Records and pruning stats are bit-identical for either.
-    Both engines go through the same
-    :class:`~repro.faults.arch.TieredGolden`: scheduling uses the cheap
-    ``n_cycles`` peek and the flop-accurate trace is loaded —
-    architecturally cross-checked — only when the shard has faults to
-    simulate.
+    Both engines read the process's one cross-checked trace of the
+    benchmark (:meth:`~repro.faults.golden.GoldenTrace.cached`), and
+    the shard is scheduled on its length.
     """
     plan = plan or ExecPlan().resolve()
     batch = plan.batch
-    tiered = _tiered_for(shard.benchmark, config.seed)
-    n_cycles = tiered.n_cycles
+    golden = _golden_for(shard.benchmark, config.seed)
+    n_cycles = golden.n_cycles
     faults, injected = _schedule_shard(config, shard, n_cycles, batch)
     if not len(faults):
         return [], injected, n_cycles, {}
-    golden = tiered.full
-    if golden.n_cycles != n_cycles:
-        # The trace cache's header disagreed with its trace, which
-        # ``full`` then rebuilt: schedule on the real length, so a
-        # corrupt cache never changes the answer.
-        n_cycles = golden.n_cycles
-        faults, injected = _schedule_shard(config, shard, n_cycles, batch)
     options = dict(max_observe=config.max_observe,
                    mask_check_stride=config.mask_check_stride,
                    prune=config.prune)

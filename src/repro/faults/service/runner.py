@@ -21,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from ..campaign import CampaignConfig, CampaignResult, sample_flops
+from ..campaign import (CampaignConfig, CampaignResult, records_digest,
+                        sample_flops)
 from ..parallel import ExecPlan, print_progress, run_shards, sampling_rng
-from ..store import IncrementalResultStore, streaming_digest, unit_counts
+from ..store import IncrementalResultStore, unit_counts
 from .ledger import DEFAULT_LEASE_TTL, CampaignLedger
 
 
@@ -63,7 +64,7 @@ def ledger_digest(ledger: CampaignLedger) -> str:
         for _shard_id, outcome in ledger.iter_committed():
             yield from outcome[0]
 
-    return streaming_digest(_stream())
+    return records_digest(_stream())
 
 
 def run_resumable_campaign(config: CampaignConfig | None = None,

@@ -3,5 +3,4 @@
 :mod:`repro.faults.store`, because every campaign driver merges
 through it."""
 
-from ..store import (IncrementalResultStore, sampled_flop_counts,  # noqa: F401
-                     streaming_digest)
+from ..store import IncrementalResultStore  # noqa: F401

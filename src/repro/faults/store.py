@@ -18,8 +18,6 @@ while a campaign runs.
 
 from __future__ import annotations
 
-import hashlib
-
 from .campaign import CampaignConfig, CampaignResult
 from .models import ErrorRecord
 
@@ -125,18 +123,3 @@ def sampled_flop_counts(config: CampaignConfig) -> dict[str, int]:
     from .parallel import sampling_rng
 
     return unit_counts(sample_flops(config, sampling_rng(config.seed)))
-
-
-def streaming_digest(records_iter) -> str:
-    """The campaign record digest, computed from a record stream.
-
-    Byte-identical to :func:`repro.faults.campaign.records_digest`
-    without materialising the list — the server computes a finished
-    campaign's digest straight off the ledger files.
-    """
-    h = hashlib.sha256()
-    for r in records_iter:
-        h.update(repr((r.benchmark, r.flop.reg, r.flop.bit, r.kind.value,
-                       r.inject_cycle, r.detect_cycle,
-                       sorted(r.diverged))).encode())
-    return h.hexdigest()

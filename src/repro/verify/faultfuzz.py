@@ -76,6 +76,7 @@ from ..cpu.core import NUM_SCS, Cpu
 from ..cpu.memory import InputStream, Memory
 from ..cpu.units import FINE_UNITS, FlopRef, flops_of_unit
 from ..faults.injector import FaultDriver
+from ..faults.kernels import usable_cpus
 from ..faults.models import Fault, FaultKind
 from ..faults.streams import FAULT_STREAM, MODE_STREAM, TMR_SLOT_STREAM
 from ..lockstep.categories import expand_ports
@@ -580,9 +581,6 @@ def run_faultfuzz(programs: int = 200, seed: int = 0, *,
         raise ValueError(f"duty must be in (0, 1], got {duty}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    # Imported here: repro.faults.arch imports this package.
-    from ..faults.kernels import usable_cpus
-
     workers = min(workers or usable_cpus(), max(programs, 1))
     chunk = max(1, -(-programs // max(1, 4 * workers)))
     shards = [(start, min(chunk, programs - start))

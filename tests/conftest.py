@@ -23,7 +23,9 @@ import pytest
 from hypothesis import settings
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
+from repro.cpu.units import REG_INDEX
 from repro.faults import CampaignConfig, ExecPlan, GoldenTrace, run_campaign
+from repro.faults import golden as golden_mod
 from repro.faults.golden import GOLDEN_CACHE_ENV
 from repro.workloads import KERNELS
 
@@ -87,9 +89,12 @@ loop:
 def corrupt_golden_cache(path: Path, kind: str = "out") -> None:
     """Damage a cached golden trace in place, every shape left valid.
 
-    ``"out"`` flips one OUT value, which only the architectural
-    cross-check catches; ``"header"`` lengthens the cycle count in the
-    header, which the shard scheduler peeks.
+    ``"out"`` flips one OUT value and re-seals the checksum, a stale but
+    intact file that only the architectural cross-check catches;
+    ``"header"`` lengthens the cycle count in the header; ``"mask"``
+    zeroes a stretch of the read masks' first word and ``"state"`` flips
+    ``rf3`` bit 4 in a stretch of state rows, both leaving the checksum
+    stale.
     """
     with np.load(path) as data:
         arrays = dict(data)
@@ -97,9 +102,32 @@ def corrupt_golden_cache(path: Path, kind: str = "out") -> None:
         pm = arrays["port_matrix"]
         toggle = int(np.nonzero(pm[1:, 11] != pm[:-1, 11])[0][0]) + 1
         pm[toggle, 10] ^= 2
-    else:
+        arrays["checksum"] = golden_mod._checksum(arrays)
+    elif kind == "header":
         arrays["meta"][1] += 7
+    elif kind == "mask":
+        arrays["read_mask"][300:900, 0] = 0
+    else:
+        arrays["state_matrix"][200:1200, REG_INDEX["rf3"]] ^= 1 << 4
     np.savez(path, **arrays)
+
+
+def replay_memory(golden: GoldenTrace, cycle: int,
+                  initial: list[int] | None = None) -> list[int]:
+    """The memory image at the start of ``cycle``, replayed from the
+    whole write log over ``initial`` (default: the program image).
+
+    The specification that ``GoldenTrace.memory_at`` and
+    ``memory_rows_at`` are held to.
+    """
+    if initial is None:
+        initial = Memory.from_program(golden.program, golden.mem_words).words
+    words = list(initial)
+    for when, idx, value in golden.write_log.tolist():
+        if when >= cycle:
+            break
+        words[idx] = value
+    return words
 
 
 def make_cpu(source: str, stimulus: list[int] | None = None,

@@ -38,6 +38,7 @@ from repro.faults.batch import TRASH_ROW
 from repro.faults.models import FaultColumns
 from repro.faults.parallel import sampling_rng, schedule_rng
 from repro.workloads import KERNELS
+from tests.conftest import replay_memory
 
 QUICK = CampaignConfig.quick()
 
@@ -217,8 +218,8 @@ def _cycles_around_checkpoints(golden) -> list[int]:
 
 
 def _assert_lane_memory(engine, lane: int, cycle: int) -> None:
-    assert engine.M[lane].tolist() == engine.golden.memory_at(cycle).words, (
-        f"lane {lane}: memory at cycle {cycle} differs from memory_at")
+    assert engine.M[lane].tolist() == replay_memory(engine.golden, cycle), (
+        f"lane {lane}: memory at cycle {cycle} differs from the log replay")
 
 
 @needs_cext
@@ -226,7 +227,7 @@ def test_seed_many_matches_scalar_seed(monkeypatch):
     """Bulk lane seeding reproduces the specification lane for lane: the
     golden state at the start with a soft flip applied (stuck-at lanes
     are forced by ``drive()``), the force masks, the check schedule, and
-    the memory ``GoldenTrace.memory_at`` rebuilds, at starts before, at
+    the memory the whole write log replays to, at starts before, at
     and after a checkpoint."""
     golden = _checkpointed_canrdr(monkeypatch)
     starts = _cycles_around_checkpoints(golden)
@@ -270,7 +271,7 @@ def test_seed_many_matches_scalar_seed(monkeypatch):
 @needs_cext
 def test_fast_forward_reseeds_from_memory_at(monkeypatch):
     """A stuck-at lane back at golden jumps to the bit's next observed
-    activation with the golden state and ``memory_at``'s memory there,
+    activation with the golden state and the replayed memory there,
     at targets before, at and after a checkpoint."""
     golden = _checkpointed_canrdr(monkeypatch)
     targets = [c for c in _cycles_around_checkpoints(golden) if c > 0]
@@ -306,7 +307,8 @@ def test_memory_rows_keep_the_last_write_per_word():
     last value, whether rows are rebuilt together or one at a time."""
     golden = GoldenTrace.__new__(GoldenTrace)
     golden.mem_words = 8
-    golden._initial_words = [100 + i for i in range(8)]
+    initial = [100 + i for i in range(8)]
+    golden._initial_image = np.array(initial, dtype=np.uint32)
     log = [(1, 3, 7), (1, 3, 8), (2, 5, 1), (2, 3, 9), (3, 3, 10),
            (3, 5, 2), (3, 5, 3)]
     # Long spans that write the same three words over and over.
@@ -317,7 +319,7 @@ def test_memory_rows_keep_the_last_write_per_word():
     rows = np.arange(len(cycles)) + 2
     golden.memory_rows_at(cycles, out, rows)
     for row, cycle in zip(rows, cycles):
-        want = golden.memory_at(cycle).words
+        want = replay_memory(golden, cycle, initial)
         assert out[row].tolist() == want
         single = np.zeros((1, 8), dtype=np.int64)
         assert golden.memory_rows_at([cycle], single, [0])[0].tolist() == want

@@ -7,30 +7,31 @@ from repro.cpu.units import REG_INDEX
 from repro.faults import GoldenTrace
 from repro.lockstep.categories import expand_ports
 from repro.workloads import KERNELS
+from tests.conftest import replay_memory
 
 
 class TestTrace:
     def test_lengths_consistent(self, ttsprk_golden):
         g = ttsprk_golden
-        assert g.n_cycles == len(g.outputs) == len(g.states) == len(g.ports)
-        assert g.state_matrix.shape == (g.n_cycles, len(g.states[0]))
-        assert g.port_matrix.shape == (g.n_cycles, len(g.ports[0]))
+        assert g.n_cycles == len(g.port_tuples())
+        assert g.state_matrix.shape == (g.n_cycles, len(g.state_at(0)))
+        assert g.port_matrix.shape == (g.n_cycles, len(g.port_tuples()[0]))
         assert g.state_hashes.shape == (g.n_cycles,)
 
     def test_states_record_pre_step_state(self, ttsprk_golden):
         g = ttsprk_golden
         cpu = Cpu(g.memory_at(0), g.stimulus, entry=g.program.entry)
-        assert cpu.snapshot() == g.states[0]
+        assert cpu.snapshot() == g.state_at(0)
         out = cpu.step()
-        assert out == g.ports[0]
-        assert expand_ports(out) == g.outputs[0]
-        assert cpu.snapshot() == g.states[1]
+        assert out == g.port_tuples()[0]
+        assert expand_ports(out) == expand_ports(g.port_tuples()[0])
+        assert cpu.snapshot() == g.state_at(1)
 
     def test_row_accessors_match_matrices(self, ttsprk_golden):
         g = ttsprk_golden
-        assert g.states[-1] == tuple(g.state_matrix[-1].tolist())
-        assert g.ports[3:5] == [g.ports[3], g.ports[4]]
-        assert g.port_tuples()[:10] == g.ports[:10]
+        assert g.state_at(-1) == tuple(g.state_matrix[-1].tolist())
+        assert g.port_tuples()[:10] == [tuple(row) for row in
+                                        g.port_matrix[:10].tolist()]
         assert g.state_hash_list()[7] == hash(g.state_at(7))
 
     def test_replay_matches_trace_everywhere(self, ttsprk_golden):
@@ -40,7 +41,7 @@ class TestTrace:
             # fast-forward to t
             while cpu.cyc < t:
                 cpu.step()
-            assert cpu.snapshot() == g.states[t]
+            assert cpu.snapshot() == g.state_at(t)
 
     def test_non_halting_program_rejected(self):
         from repro.workloads.kernels import Workload
@@ -86,14 +87,6 @@ class TestMemoryReconstruction:
 
         g = GoldenTrace(KERNELS["canrdr"])
 
-        def naive(cycle):
-            words = list(g._initial_words)
-            for when, idx, value in g.write_log:
-                if when >= cycle:
-                    break
-                words[idx] = value
-            return words
-
         # A dense synthetic log several checkpoint strides long, with
         # write bursts sharing a cycle stamp (as store-buffer drains do).
         rnd = random.Random(42)
@@ -110,12 +103,12 @@ class TestMemoryReconstruction:
             probes = [0, 1, cycle // 3, cycle // 2, cycle - 1, cycle, cycle + 99]
             probes += [rnd.randrange(cycle) for _ in range(25)]
             for c in probes:
-                assert g.memory_at(c).words == naive(c), c
+                assert g.memory_at(c).words == replay_memory(g, c), c
         finally:
             g.reindex_write_log(original)
         # and on the real (sparse) kernel log
         for c in (0, 1, g.n_cycles // 2, g.n_cycles):
-            assert g.memory_at(c).words == naive(c), c
+            assert g.memory_at(c).words == replay_memory(g, c), c
 
 
 class TestActivation:
@@ -176,4 +169,4 @@ def test_all_kernels_produce_traces():
     for name, workload in KERNELS.items():
         g = GoldenTrace(workload, max_cycles=20_000)
         assert g.n_cycles > 500, name
-        assert len({len(o) for o in g.outputs[:50]}) == 1
+        assert len({len(expand_ports(p)) for p in g.port_tuples()[:50]}) == 1

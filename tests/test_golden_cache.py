@@ -21,6 +21,7 @@ from repro.faults.golden import (
 from repro.faults.injector import InjectionEngine
 from repro.faults.models import Fault, FaultKind
 from repro.workloads import KERNELS
+from tests.conftest import corrupt_golden_cache
 
 
 WORKLOAD = KERNELS["ttsprk"]
@@ -47,7 +48,7 @@ class TestRoundTrip:
             fresh.first_active_use("scratch", 3, 1, 0)
         assert loaded.port_tuples() == fresh.port_tuples()
         assert loaded.state_hash_list() == fresh.state_hash_list()
-        assert loaded.write_log == fresh.write_log
+        assert np.array_equal(loaded.write_log, fresh.write_log)
         assert loaded.stimulus.values == fresh.stimulus.values
         assert loaded.program.words == fresh.program.words
         assert loaded.memory_at(fresh.n_cycles).words == \
@@ -69,6 +70,21 @@ class TestRoundTrip:
         ]
         for fault in faults:
             assert eng_a.inject(fault) == eng_b.inject(fault), fault
+
+    def test_file_keeps_v4_entries_plus_a_checksum(self, tmp_path):
+        """Every v4 entry keeps its dtype, so a loader that reads entries
+        by name loads the file; the one addition is the checksum."""
+        trace = GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)
+        with np.load(_cache_path(tmp_path), allow_pickle=False) as data:
+            dtypes = {name: str(data[name].dtype) for name in data.files}
+            state_matrix = data["state_matrix"]
+        assert dtypes == {
+            "meta": "int64", "port_matrix": "uint64",
+            "state_matrix": "uint64", "state_hashes": "int64",
+            "read_mask": "uint64", "write_mask": "uint64",
+            "write_log": "uint64", "stimulus": "uint64",
+            "checksum": "uint8"}
+        assert np.array_equal(state_matrix, trace.state_matrix)
 
     def test_seed_and_mem_words_key_separate_entries(self, tmp_path):
         GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)
@@ -169,6 +185,33 @@ class TestFallback:
             trace = GoldenTrace._load_cached(path, WORKLOAD, fresh.seed,
                                              fresh.mem_words)
         assert trace is None
+
+
+    def test_missing_checksum_is_discarded(self, tmp_path):
+        fresh = GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)
+        path = _cache_path(tmp_path)
+        data = dict(np.load(path, allow_pickle=False))
+        del data["checksum"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            trace = GoldenTrace._load_cached(path, WORKLOAD, fresh.seed,
+                                             fresh.mem_words)
+        assert trace is None
+
+    @pytest.mark.parametrize("kind", ("mask", "state"))
+    def test_damaged_matrix_is_discarded(self, tmp_path, kind):
+        """Damage inside a matrix keeps every shape and the stimulus;
+        the stale checksum catches it, and the file is rewritten."""
+        fresh = GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)
+        path = _cache_path(tmp_path)
+        corrupt_golden_cache(path, kind)
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            recovered = GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)
+        assert np.array_equal(recovered.read_mask, fresh.read_mask)
+        assert np.array_equal(recovered.state_matrix, fresh.state_matrix)
+        assert GoldenTrace._load_cached(path, WORKLOAD, fresh.seed,
+                                        fresh.mem_words) is not None
 
 
 class TestCacheDirResolution:

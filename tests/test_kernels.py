@@ -429,7 +429,7 @@ def test_triage_matches_golden_queries_on_random_traces(n, seed, p_read,
     writes = rng.random((n, N_REGS)) < p_write
     golden = GoldenTrace.__new__(GoldenTrace)
     golden.n_cycles = n
-    golden.state_matrix = states.astype(np.uint64)
+    golden.state_matrix = states.astype(np.uint32)
     golden.read_mask, golden.write_mask = (
         _pack_mask_rows([sum(1 << b for b in np.flatnonzero(row).tolist())
                          for row in bits], n)
@@ -450,8 +450,7 @@ def test_triage_matches_golden_queries_on_random_traces(n, seed, p_read,
     got = tuple(np.empty(len(faults), dtype=dtype)
                 for dtype in (np.uint8, np.int64, np.int64, np.int64))
     kernels.cext_module().triage(
-        np.ascontiguousarray(states, dtype=np.uint32), golden.read_mask,
-        golden.write_mask, _FULL_WRITE,
+        golden.state_matrix, golden.read_mask, golden.write_mask, _FULL_WRITE,
         np.array([REG_INDEX[f.flop.reg] for f in faults], dtype=np.int64),
         np.array([f.flop.bit for f in faults], dtype=np.int64),
         columns.kind, columns.cycle, *got, prune,

@@ -32,6 +32,7 @@ from repro.faults.injector import InjectionEngine
 from repro.faults.models import Fault, FaultKind
 from repro.faults.parallel import schedule_rng
 from repro.workloads import KERNELS
+from tests.conftest import replay_memory
 
 #: Registers the compact port tuple reads at the top of every step().
 PORT_REGS = ("imc_addr", "imc_valid", "imc_pred", "dmc_addr", "dmc_wdata",
@@ -248,17 +249,14 @@ class TestMemoryScratchReuse:
         monkeypatch.setattr(golden_mod, "MEMORY_CHECKPOINT_EVERY", 16)
         g.reindex_write_log(g.write_log)  # rebuild checkpoints at new stride
         target = None
+        log_cycles = g.write_log[:, 0].tolist()
         for cycle in range(g.n_cycles + 1):
-            j = bisect_left(g._log_cycles, cycle)
+            j = bisect_left(log_cycles, cycle)
             if j and j % 16 == 0:
                 target = cycle
                 break
         assert target is not None, "no exact-boundary cycle in the log"
-        words = list(g._initial_words)
-        for when, idx, value in g.write_log:
-            if when >= target:
-                break
-            words[idx] = value
+        words = replay_memory(g, target)
         assert g.memory_at(target).words == words
         scratch = Memory(g.mem_words)
         assert g.memory_at(target, out=scratch).words == words

@@ -1,8 +1,12 @@
 """Parallel campaign engine tests: sharding, seeding, determinism."""
 
+import dataclasses
 import os
 import pickle
+import threading
 import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from repro.faults import (
     CampaignConfig,
     CampaignResult,
     ExecPlan,
+    GoldenTrace,
     cached_campaign,
     cext_available,
     plan_shards,
@@ -331,23 +336,61 @@ class TestGoldenCacheCorruption:
     """Both engines read one cross-checked trace per process, so a
     corrupt golden cache gives the same answer, only slower."""
 
-    @pytest.mark.parametrize("kind", ("out", "header"))
+    @pytest.mark.parametrize("kind", ("out", "header", "mask", "state"))
     @pytest.mark.parametrize("batch", (0, None), ids=("scalar", "default"))
     def test_same_answer(self, tmp_path, monkeypatch, quick_campaign,
                          kind, batch):
         monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
+        monkeypatch.setattr(parallel, "_GOLDEN_TRACES", {})
         plan = ExecPlan(batch=batch)
         run_campaign(SMALL, plan=plan)  # populates the cache
         for path in tmp_path.glob("*.npz"):
             corrupt_golden_cache(path, kind)
-        monkeypatch.setattr(parallel, "_TIERED_CACHE", {})
+        monkeypatch.setattr(parallel, "_GOLDEN_TRACES", {})
         with pytest.warns(RuntimeWarning):
             result = run_campaign(CampaignConfig.quick(), plan=plan)
         assert result.digest() == quick_campaign.digest()
         assert result.meta["pruning"] == quick_campaign.meta["pruning"]
         assert result.injected == quick_campaign.injected
         assert result.golden_cycles == quick_campaign.golden_cycles
+
+
+class TestGoldenTracePerProcess:
+    def test_threads_build_a_cold_trace_once(self, tmp_path, monkeypatch):
+        """Shards of one benchmark run from 4 threads of one process on
+        a cold cache simulate its trace once, and write the cache file
+        without a warning."""
+        monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
+        builds = []
+        build = GoldenTrace.__init__
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(GoldenTrace, "__init__", counting_build)
+        # A seed no other test runs, so the process's own trace cache
+        # is cold for it too.
+        config = dataclasses.replace(SMALL, seed=20181020)
+        flops = sample_flops(config, sampling_rng(config.seed))
+        shard = parallel.Shard(0, "ttsprk", 0, tuple(flops[:2]))
+        plan = ExecPlan(batch=0).resolve()
+        barrier = threading.Barrier(4)
+
+        def run():
+            barrier.wait()
+            return parallel.run_shard(config, shard, plan)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run) for _ in range(4)]
+                outcomes = [future.result() for future in futures]
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert len(builds) == 1
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+        assert len(list(tmp_path.glob("*.npz"))) == 1
 
 
 class TestCli:
