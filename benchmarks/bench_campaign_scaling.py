@@ -279,72 +279,6 @@ def test_batch_speedup_report(report):
     report("campaign_batch", "\n".join(lines))
 
 
-THREAD_COUNTS = (1, 2, 4, 8)
-
-
-def test_cstep_threads_report(report):
-    """Multithreaded drive-loop sweep; appends a ``cstep_threads`` entry
-    to the root BENCH_campaign.json.
-
-    Rows: drive-loop threads 1/2/4/8 at workers=1 (pure kernel
-    scaling).  The headline multithread ratio follows the PR 7
-    methodology — interleaved (threads=1, threads=4) rounds, median of
-    per-round pair ratios — so it normalises host-frequency drift, and
-    the host core count is recorded alongside: on a single-core runner
-    the honest ratio is ~1.0 and the entry says so.  Every row's digest is
-    asserted identical to the single-thread run.
-    """
-    if not cext_available():
-        pytest.skip("compiled kernel unavailable")
-    cores = os.cpu_count() or 1
-
-    def timed(threads):
-        start = time.perf_counter()
-        result = run_campaign(BATCH_SWEEP_CONFIG,
-                              plan=ExecPlan(batch=256, threads=threads))
-        return time.perf_counter() - start, result
-
-    timed(1)  # warm goldens + build
-    t_ref, ref = timed(1)
-    n = ref.n_injected
-    thread_rows = {"1": round(n / t_ref, 1)}
-    for threads in THREAD_COUNTS[1:]:
-        t_n, r = timed(threads)
-        assert r.digest() == ref.digest()
-        assert r.meta["pruning"] == ref.meta["pruning"]
-        thread_rows[str(threads)] = round(n / t_n, 1)
-
-    # Interleaved rounds for the headline threads=4 ratio.
-    pair_ratios = []
-    for _ in range(3):
-        t_1, r1 = timed(1)
-        t_4, r4 = timed(4)
-        assert r1.digest() == ref.digest() and r4.digest() == ref.digest()
-        pair_ratios.append(t_1 / t_4)
-    pair_ratios.sort()
-    ratio = round(pair_ratios[len(pair_ratios) // 2], 2)
-
-    append_bench_entry("cstep_threads", {
-        "config": {"benchmarks": ["ttsprk"], "soft_per_flop": 8,
-                   "hard_per_flop": 1, "flop_fraction": 0.35,
-                   "max_observe": 2000},
-        "batch": 256,
-        "host_cores": cores,
-        "injections": n,
-        "injections_per_s": {"threads": thread_rows},
-        "threads4_vs_threads1": ratio,
-        "digest": ref.digest(),
-    })
-    lines = [f"Multithreaded cext drive — batch=256, host cores={cores}"]
-    lines += [f"  threads={t}  {thread_rows[str(t)]:8.0f} inj/s  "
-              f"({thread_rows[str(t)] / thread_rows['1']:4.2f}x)"
-              for t in THREAD_COUNTS]
-    lines += [f"  threads=4 vs 1: {ratio:4.2f}x "
-              f"(median of {len(pair_ratios)} interleaved pairs)"]
-    lines += [f"  appended to {ROOT_BENCH_JSON.name}"]
-    report("campaign_cstep_threads", "\n".join(lines))
-
-
 def test_memory_at_checkpointed(benchmark):
     """The optimised reconstruction on a dense write log."""
     golden = _write_heavy_golden()

@@ -3,20 +3,14 @@
 ``pip install -e .`` compiles ``repro.faults._cstep._cstep`` from the
 single C translation unit below; the extension is *optional* — any
 build failure (no compiler, broken headers) is swallowed and the
-install completes with the pure-numpy kernel as the runtime fallback
-(see repro/faults/kernels.py).  The dev flow without an install
+install completes without it, in which case the campaign drivers run
+the scalar injection engine (same records, scalar speed; see
+repro/faults/kernels.py).  The dev flow without an install
 (``PYTHONPATH=src``) doesn't need this file at all: the ``_cstep``
 package auto-builds into a user cache with the system cc on first use.
 """
-import sys
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
-
-# The drive loop dispatches lane slices to a persistent pthread pool;
-# -pthread must reach both the compile and the link step (MSVC's CRT
-# is always thread-capable, so Windows needs no flag).
-_THREAD_FLAGS = [] if sys.platform == "win32" else ["-pthread"]
 
 
 class optional_build_ext(build_ext):
@@ -37,7 +31,8 @@ class optional_build_ext(build_ext):
     @staticmethod
     def _warn(exc):
         print(f"WARNING: building the optional _cstep extension failed "
-              f"({exc}); the numpy kernel will be used instead.")
+              f"({exc}); campaigns will run the scalar injection engine "
+              "instead.")
 
 
 setup(
@@ -45,8 +40,6 @@ setup(
         Extension(
             "repro.faults._cstep._cstep",
             sources=["src/repro/faults/_cstep/_cstepmodule.c"],
-            extra_compile_args=_THREAD_FLAGS,
-            extra_link_args=_THREAD_FLAGS,
             optional=True,
         ),
     ],

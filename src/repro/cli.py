@@ -83,12 +83,6 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "which also runs when the kernel cannot be "
                              "built; records are bit-identical for any "
                              "value")
-    parser.add_argument("--cstep-threads", type=int, default=None,
-                        metavar="N", dest="cstep_threads",
-                        help="threads for the compiled kernel's drive "
-                             "loop (default: min(usable CPUs / workers, "
-                             "lanes/16)); results are bit-identical for "
-                             "any value")
 
 
 def _cli_config(args: argparse.Namespace) -> CampaignConfig:
@@ -100,7 +94,7 @@ def _cli_config(args: argparse.Namespace) -> CampaignConfig:
 
 #: ExecPlan field -> the option that sets it, on the commands that have it.
 _PLAN_OPTIONS = {"workers": "workers", "batch": "batch",
-                 "threads": "cstep_threads", "chunk_flops": "chunk_flops"}
+                 "chunk_flops": "chunk_flops"}
 
 
 def _exec_plan(args: argparse.Namespace) -> ExecPlan:
@@ -454,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None, metavar="N",
                    help=f"batch-engine lane count (default: {DEFAULT_BATCH}; "
                         "0 = scalar engine, as in campaign)")
-    p.add_argument("--cstep-threads", type=int, default=None, metavar="N",
-                   dest="cstep_threads",
-                   help="compiled-kernel drive-loop threads (as in campaign)")
     p.add_argument("--ttl", type=float, default=None, metavar="S",
                    help="requested lease TTL per shard")
     p.add_argument("--max-shards", type=int, default=0, metavar="K",

@@ -14,7 +14,6 @@ an average hard-vs-soft BC of ~0.6 at the same unit.
 from __future__ import annotations
 
 import math
-import statistics
 
 from ..faults.models import ErrorRecord, ErrorType
 from .signatures import DivergedSet, SignatureStats
@@ -91,8 +90,3 @@ def average_type_bc(stats: SignatureStats, records: list[ErrorRecord]) -> float:
     """Mean hard-vs-soft BC over units (paper: ~0.6)."""
     values = list(type_bc_per_unit(stats, records).values())
     return sum(values) / len(values) if values else 0.0
-
-
-def median_of(values: list[float]) -> float:
-    """Convenience wrapper (re-exported for report code)."""
-    return statistics.median(values) if values else 0.0

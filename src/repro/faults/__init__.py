@@ -18,12 +18,7 @@ from .golden import (
     golden_cache_dir,
 )
 from .injector import InjectionEngine, PruneStats
-from .kernels import (
-    cext_available,
-    cext_build_error,
-    resolve_kernel,
-    resolve_threads,
-)
+from .kernels import cext_available, cext_build_error, resolve_kernel
 from .parallel import (
     DEFAULT_BATCH,
     ExecPlan,
@@ -53,7 +48,7 @@ __all__ = [
     "CAMPAIGN_MEM_WORDS", "GOLDEN_CACHE_ENV", "GoldenTrace", "LoggingMemory",
     "golden_cache_dir",
     "InjectionEngine", "PruneStats",
-    "cext_available", "cext_build_error", "resolve_kernel", "resolve_threads",
+    "cext_available", "cext_build_error", "resolve_kernel",
     "DEFAULT_BATCH", "ExecPlan", "Shard", "plan_shards", "resolve_chunk",
     "sampling_rng", "schedule_rng",
     "ErrorRecord", "ErrorType", "Fault", "FaultKind", "error_type_of",

@@ -111,9 +111,7 @@ def _compile(built: Path) -> None:
     cc = os.environ.get("CC", "cc")
     include = sysconfig.get_paths()["include"]
     tmp = built.with_name(f".{built.name}.{os.getpid()}.tmp")
-    # -pthread on both compile and link: the drive loop dispatches lane
-    # slices to a persistent pthread worker pool.
-    cmd = [cc, "-O3", "-shared", "-fPIC", "-pthread", f"-I{include}",
+    cmd = [cc, "-O3", "-shared", "-fPIC", f"-I{include}",
            "-o", str(tmp), str(_SOURCE)]
     try:
         proc = subprocess.run(

@@ -35,10 +35,8 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
-#include <unistd.h>
 
 typedef uint32_t u32;
 
@@ -674,19 +672,13 @@ done_s:
  * the three events above; the Python driver re-derives which from the
  * lane state itself and retires, fast-forwards or records.
  *
- * Threading: drive() drops the GIL for the whole loop and, for
- * n_threads > 1, statically partitions the lane range into contiguous
- * slices run by a persistent process-wide pthread pool (the caller
- * runs slice 0).  Lanes never share mutable state — S/M columns, t,
- * check bookkeeping are all per-lane, and the golden matrices and
- * decode tables are read-only — so the slices need no locks; each
- * slice accumulates its own (cycles_run, diverged, error) triple and
- * the caller sums them after the join, which keeps the return value
- * (and every lane's parked state) bit-identical to the single-thread
- * loop for any thread count.
+ * Threading: drive() runs every lane on the calling thread and drops
+ * the GIL for the whole loop, so other Python threads of the process
+ * (the service's event loop beside a worker, or library callers
+ * running shards from several threads) keep running meanwhile.
  */
 
-/* Everything one drive call's slices share, all borrowed from the
+/* Everything one drive call's lanes share, all borrowed from the
  * caller's Py_buffer views (valid for the call's lifetime). */
 typedef struct {
     Ctx *x;
@@ -698,14 +690,8 @@ typedef struct {
     const uint8_t *is_hard;
     const int64_t *force_row;
     const u32 *force_and, *force_or;
-    Py_ssize_t n, stride, max_cycles, n_regs;
+    Py_ssize_t stride, max_cycles, n_regs;
 } DriveJob;
-
-typedef struct {
-    Py_ssize_t cycles_run;
-    int diverged;
-    int error;                  /* 0 ok, else a DRIVE_ERR_* code */
-} SliceResult;
 
 enum { DRIVE_ERR_STATE = 1, DRIVE_ERR_PORTS = 2 };
 
@@ -716,8 +702,7 @@ static const char *const DRIVE_ERR_MSG[] = {
 };
 
 /* One lane to its next park event.  Pure function of per-lane state:
- * no Python API, no shared writes — callable with the GIL released
- * from any pool thread. */
+ * no Python API, no shared writes — callable with the GIL released. */
 static int drive_lane(const DriveJob *d, Py_ssize_t i,
                       Py_ssize_t *cycles_run, int *diverged)
 {
@@ -797,195 +782,18 @@ static int drive_lane(const DriveJob *d, Py_ssize_t i,
     return 0;
 }
 
-/* Slice k of n_slices: the contiguous lane range
- * [k*floor + min(k, rem), ...) so widths differ by at most one lane
- * and each thread walks adjacent SoA columns (L1-friendly, no false
- * sharing except at the two slice-boundary cache lines). */
-static void run_slice(const DriveJob *d, int k, int n_slices,
-                      SliceResult *res)
-{
-    Py_ssize_t lo, hi, i;
-    Py_ssize_t width = d->n / n_slices, rem = d->n % n_slices;
-    lo = (Py_ssize_t)k * width + (k < rem ? k : rem);
-    hi = lo + width + (k < rem ? 1 : 0);
-    res->cycles_run = 0;
-    res->diverged = 0;
-    res->error = 0;
-    for (i = lo; i < hi; i++) {
-        int err = drive_lane(d, i, &res->cycles_run, &res->diverged);
-        if (err) {
-            res->error = err;
-            return;
-        }
-    }
-}
-
-/* -- persistent worker-thread pool ------------------------------------------
- *
- * Created lazily on the first multithreaded drive() and reused for the
- * life of the process (workers are detached and park in
- * pthread_cond_wait between jobs, so an idle pool costs nothing).  One
- * job slot: the dispatching thread holds `busy` for the whole
- * dispatch/join, and a concurrent drive() that finds the pool busy
- * (several Python threads each running an engine) simply
- * runs its own call single-threaded inline — never blocked, never
- * deadlocked.  A fork invalidates inherited workers; the owner-pid
- * check reinitialises the (then thread-free) child's pool state from
- * scratch on its first drive.
- */
-#define MAX_DRIVE_THREADS 64
-
-static struct {
-    pthread_mutex_t busy;       /* held across one job's dispatch+join */
-    pthread_mutex_t lock;       /* protects everything below */
-    pthread_cond_t work_cv;     /* a new job generation is available */
-    pthread_cond_t done_cv;     /* pending hit zero */
-    pid_t owner;                /* pid the pool threads belong to */
-    int spawned;                /* worker threads created (caller excluded) */
-    int ready;                  /* workers parked in their loop (<= spawned) */
-    unsigned long gen;          /* job generation counter */
-    int pending;                /* workers still to finish current gen */
-    const DriveJob *job;
-    int n_slices;
-    int claimed;                /* slices 1..claimed handed out this gen */
-    SliceResult results[MAX_DRIVE_THREADS];   /* slice k -> results[k-1] */
-} pool = {
-    PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER,
-    PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
-    0, 0, 0, 0, 0, NULL, 0, 0, {{0, 0, 0}},
-};
-
-static void *drive_worker(void *arg)
-{
-    unsigned long seen;
-    (void)arg;
-    pthread_mutex_lock(&pool.lock);
-    /* A worker spawned while a job is in flight (ensure_pool growing
-     * the pool for a different caller) must not join that job — its
-     * dispatcher counted only the workers ready at dispatch time. */
-    seen = pool.gen;
-    pool.ready += 1;
-    for (;;) {
-        while (pool.gen == seen)
-            pthread_cond_wait(&pool.work_cv, &pool.lock);
-        seen = pool.gen;
-        {
-            /* Slices go to whichever ready workers wake first, not by
-             * spawn order: a worker spawned but not yet parked at
-             * dispatch is not counted in `ready`, and a slice tied to
-             * its id would never run while the caller merged the
-             * stale result left in its slot (after a fork, the
-             * parent's). */
-            const DriveJob *job = pool.job;
-            int n_slices = pool.n_slices;
-            int k = 0;
-            if (job != NULL && pool.claimed + 1 < n_slices)
-                k = ++pool.claimed;
-            pthread_mutex_unlock(&pool.lock);
-            if (k)
-                run_slice(job, k, n_slices, &pool.results[k - 1]);
-            pthread_mutex_lock(&pool.lock);
-        }
-        if (--pool.pending == 0)
-            pthread_cond_signal(&pool.done_cv);
-    }
-    return NULL;                /* unreachable: workers live forever */
-}
-
-/* Grow the pool to `want` workers.  Called with the GIL held, so calls
- * are serialised; returns the worker count actually available (spawn
- * failure degrades the call, it never fails it). */
-static int ensure_pool(int want)
-{
-    if (pool.owner != getpid()) {
-        /* First use in this process — or a fork, which copies the
-         * bookkeeping but none of the threads.  No pool thread of ours
-         * can exist yet, so reinitialising the primitives is safe. */
-        pthread_mutex_init(&pool.busy, NULL);
-        pthread_mutex_init(&pool.lock, NULL);
-        pthread_cond_init(&pool.work_cv, NULL);
-        pthread_cond_init(&pool.done_cv, NULL);
-        pool.spawned = 0;
-        pool.ready = 0;
-        pool.gen = 0;
-        pool.pending = 0;
-        pool.owner = getpid();
-    }
-    while (pool.spawned < want && pool.spawned < MAX_DRIVE_THREADS) {
-        pthread_t tid;
-        pthread_attr_t attr;
-        if (pthread_attr_init(&attr) != 0)
-            break;
-        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
-        if (pthread_create(&tid, &attr, drive_worker, NULL) != 0) {
-            pthread_attr_destroy(&attr);
-            break;              /* degrade to the threads we have */
-        }
-        pthread_attr_destroy(&attr);
-        pool.spawned += 1;
-    }
-    return pool.spawned;
-}
-
-/* Run one job across at most want_slices slices (slice 0 always on
- * the calling thread), merging the per-slice triples.  The live slice
- * count is clamped, under the lock, to the workers actually parked in
- * their loop — a freshly spawned worker that hasn't reached its wait
- * yet must not be counted on to run a slice.  Every ready worker joins
- * the generation barrier, and each claims at most one slice, so the
- * n_slices - 1 <= ready slices are all run.
- * Called with the GIL released and pool.busy held. */
-static void run_job(const DriveJob *job, int want_slices,
-                    SliceResult *out)
-{
-    SliceResult mine;
-    int n_slices, dispatched = 0, k;
-
-    pthread_mutex_lock(&pool.lock);
-    n_slices = pool.ready + 1;
-    if (n_slices > want_slices)
-        n_slices = want_slices;
-    if (n_slices > 1) {
-        pool.job = job;
-        pool.n_slices = n_slices;
-        pool.claimed = 0;
-        pool.pending = pool.ready;
-        pool.gen += 1;
-        dispatched = 1;
-        pthread_cond_broadcast(&pool.work_cv);
-    }
-    pthread_mutex_unlock(&pool.lock);
-
-    run_slice(job, 0, n_slices, &mine);
-
-    if (dispatched) {
-        pthread_mutex_lock(&pool.lock);
-        while (pool.pending != 0)
-            pthread_cond_wait(&pool.done_cv, &pool.lock);
-        pool.job = NULL;
-        pthread_mutex_unlock(&pool.lock);
-    }
-    *out = mine;
-    for (k = 1; k < n_slices; k++) {
-        out->cycles_run += pool.results[k - 1].cycles_run;
-        out->diverged |= pool.results[k - 1].diverged;
-        if (out->error == 0)
-            out->error = pool.results[k - 1].error;
-    }
-}
-
 static PyObject *py_drive(PyObject *self, PyObject *args)
 {
     PyObject *s_obj, *m_obj, *sm_obj, *pm_obj, *stim_obj;
     PyObject *t_obj, *end_obj, *chk_obj, *iv_obj, *hard_obj;
     PyObject *frow_obj, *fand_obj, *for_obj, *tables;
-    Py_ssize_t n, stride, max_cycles, n_threads;
+    Py_ssize_t n, stride, max_cycles;
 
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOnnnn", &s_obj, &m_obj,
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOnnn", &s_obj, &m_obj,
                           &sm_obj, &pm_obj, &stim_obj, &t_obj, &end_obj,
                           &chk_obj, &iv_obj, &hard_obj, &frow_obj,
                           &fand_obj, &for_obj, &tables, &n, &stride,
-                          &max_cycles, &n_threads))
+                          &max_cycles))
         return NULL;
 
     enum { B_S, B_M, B_SM, B_PM, B_STIM, B_T, B_END, B_CHK, B_IV,
@@ -1066,60 +874,27 @@ static PyObject *py_drive(PyObject *self, PyObject *args)
     DriveJob job = {
         x, sm, pm, sm_cols, sm_cycles, pm_cols, pm_cycles,
         t, end, next_chk, chk_iv, is_hard, force_row, force_and,
-        force_or, n, stride, max_cycles, n_regs,
+        force_or, stride, max_cycles, n_regs,
     };
-    SliceResult total;
-    int n_slices = 1;
+    Py_ssize_t cycles_run = 0, i;
+    int diverged = 0, error = 0;
 
-    if (n_threads > (Py_ssize_t)(MAX_DRIVE_THREADS + 1))
-        n_threads = MAX_DRIVE_THREADS + 1;
-    if (n_threads > n)
-        n_threads = n;          /* never hand a thread an empty slice */
-    if (n_threads > 1) {
-        /* GIL still held: serialised pool growth, then claim the job
-         * slot.  A concurrent drive() (another Python thread) that
-         * loses the trylock runs inline single-threaded instead of
-         * blocking on the pool. */
-        int avail = ensure_pool((int)n_threads - 1);
-        if (avail > (int)n_threads - 1)
-            avail = (int)n_threads - 1;  /* pool may have grown larger */
-        if (avail > 0 && pthread_mutex_trylock(&pool.busy) == 0)
-            n_slices = avail + 1;
-    }
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n && !error; i++)
+        error = drive_lane(&job, i, &cycles_run, &diverged);
+    Py_END_ALLOW_THREADS
 
-    if (n_slices > 1) {
-        Py_BEGIN_ALLOW_THREADS
-        run_job(&job, n_slices, &total);
-        Py_END_ALLOW_THREADS
-        pthread_mutex_unlock(&pool.busy);
-    } else {
-        Py_BEGIN_ALLOW_THREADS
-        run_slice(&job, 0, 1, &total);
-        Py_END_ALLOW_THREADS
-    }
-
-    if (total.error != 0) {
-        PyErr_SetString(PyExc_ValueError, DRIVE_ERR_MSG[total.error]);
+    if (error != 0) {
+        PyErr_SetString(PyExc_ValueError, DRIVE_ERR_MSG[error]);
         goto cleanup;
     }
-    ret = Py_BuildValue("(ni)", total.cycles_run, total.diverged);
+    ret = Py_BuildValue("(ni)", cycles_run, diverged);
 
 cleanup:
     if (tables_held)
         release_all(tv, 13);
     release_all(views, NBUF);
     return ret;
-}
-
-/* Worker threads created in this process so far (0 after a fork until
- * the next multithreaded drive).  Introspection for tests/benchmarks. */
-static PyObject *py_pool_size(PyObject *self, PyObject *args)
-{
-    (void)self;
-    (void)args;
-    if (pool.owner != getpid())
-        return PyLong_FromLong(0);
-    return PyLong_FromLong((long)pool.spawned);
 }
 
 /* -- triage(): liveness triage of a shard's faults -------------------------
@@ -1677,12 +1452,9 @@ static PyMethodDef methods[] = {
      "step(S, M, stim, tables, n): advance lanes 0..n-1 one cycle."},
     {"drive", py_drive, METH_VARARGS,
      "drive(S, M, sm, pm, stim, t, end, next_chk, chk_iv, is_hard, "
-     "force_row, force_and, force_or, tables, n, stride, max_cycles, "
-     "n_threads) -> (cycles_run, diverged): fused force/compare/step "
-     "loop; lanes are sliced across a persistent thread pool (GIL "
-     "released) when n_threads > 1."},
-    {"pool_size", py_pool_size, METH_NOARGS,
-     "pool_size() -> worker threads alive in this process's pool."},
+     "force_row, force_and, force_or, tables, n, stride, max_cycles) "
+     "-> (cycles_run, diverged): fused force/compare/step loop over "
+     "lanes 0..n-1, with the GIL released."},
     {"triage", py_triage, METH_VARARGS,
      "triage(sm, read_mask, write_mask, full_write, reg, bit, kind, cycle, "
      "decision, act, start, end, prune, max_observe): write each fault's "

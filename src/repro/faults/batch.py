@@ -240,7 +240,7 @@ class BatchInjectionEngine:
 
     def __init__(self, golden: GoldenTrace, max_observe: int | None = None,
                  mask_check_stride: int = 4, prune: bool = True,
-                 batch: int = DEFAULT_BATCH, threads: int | None = None):
+                 batch: int = DEFAULT_BATCH):
         self._cext = _kernels.cext_module()
         if self._cext is None:
             raise RuntimeError(
@@ -251,10 +251,6 @@ class BatchInjectionEngine:
         self.mask_check_stride = max(1, mask_check_stride)
         self.prune = prune
         self.batch = max(1, batch)
-        #: Drive-loop thread count.  Any value is digest-identical —
-        #: lane slices merge in lane order — so this is purely a
-        #: wall-clock knob; see DESIGN §5.17 for the slice-width math.
-        self.threads = _kernels.resolve_threads(threads, lanes=self.batch)
         self.stats = PruneStats()
 
         B = self.batch
@@ -507,7 +503,7 @@ class BatchInjectionEngine:
                 t, self.end, self.next_chk, self.chk_iv,
                 self.is_hard, self.force_row, self.force_and,
                 self.force_or, self._tables, n,
-                self.mask_check_stride, 1 << 30, self.threads)
+                self.mask_check_stride, 1 << 30)
             stats.sim_cycles += ran
 
             # (a) lanes past their observation horizon: masked.

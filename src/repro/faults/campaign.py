@@ -281,7 +281,7 @@ def cached_campaign(config: CampaignConfig | None = None,
     cache, keyed by the configuration hash.  ``plan`` executes a run as
     in :func:`run_campaign`.  The key is independent of the plan — a
     result computed with any worker count, engine (scalar / batch) or
-    thread count is identical, so it is shared by all of them.
+    batch width is identical, so it is shared by all of them.
     """
     config = config or CampaignConfig.default()
     path = Path(cache_dir) / f"campaign_{config.cache_key()}.pkl"

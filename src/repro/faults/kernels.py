@@ -33,25 +33,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_threads(threads: int | None = None,
-                    lanes: int | None = None, workers: int = 1) -> int:
-    """Resolve a drive-loop thread-count request to a concrete count.
-
-    ``None`` auto-sizes to ``min(cpus // workers, lanes // 16)``: the
-    usable CPUs shared among the ``workers`` shard runners that drive
-    at once, but never slicing below 16 lanes/thread (a slice narrower
-    than that is dominated by dispatch, see DESIGN §5.17).  Always
-    >= 1.  The result only affects wall-clock: lane slices are merged
-    in lane order, so any value is digest-identical.
-    """
-    if threads is None:
-        cpus = max(1, usable_cpus() // max(1, workers))
-        threads = min(cpus, lanes // 16) if lanes else cpus
-    if threads < 1:
-        threads = 1
-    return threads
-
-
 def cext_module():
     """The compiled kernel module, or None when unavailable."""
     from . import _cstep

@@ -58,7 +58,7 @@ from ..cpu.units import FlopRef
 from ..workloads.kernels import KERNELS
 from .golden import GoldenTrace
 from .injector import InjectionEngine
-from .kernels import cext_available, cext_module, resolve_threads, usable_cpus
+from .kernels import cext_available, cext_module, usable_cpus
 from .models import FAULT_KINDS, ErrorRecord, FaultColumns, FaultKind
 
 #: spawn_key stream tags (first element of every derived key); minted
@@ -120,8 +120,7 @@ DEFAULT_BATCH = 64
 
 #: The least value of each :class:`ExecPlan` field; None (auto) is
 #: always allowed.
-_PLAN_FLOORS = (("workers", 0), ("batch", 0), ("threads", 1),
-                ("chunk_flops", 1))
+_PLAN_FLOORS = (("workers", 0), ("batch", 0), ("chunk_flops", 1))
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,6 @@ class ExecPlan:
             them on a process pool, ``0`` one per usable CPU.
         batch: lanes of the batch engine; None means
             :data:`DEFAULT_BATCH`, ``0`` the scalar engine.
-        threads: drive-loop threads of the compiled kernel per shard
-            runner; None sizes them with
-            :func:`~repro.faults.kernels.resolve_threads`.
         chunk_flops: flops per shard; None sizes them with
             :func:`resolve_chunk`.
 
@@ -149,7 +145,6 @@ class ExecPlan:
 
     workers: int = 1
     batch: int | None = None
-    threads: int | None = None
     chunk_flops: int | None = None
 
     def __post_init__(self) -> None:
@@ -163,10 +158,8 @@ class ExecPlan:
 
         ``workers=0`` becomes the usable CPU count.  The batch engine
         runs when the lane count is non-zero and the compiled kernel
-        loaded; then ``threads`` becomes the drive-loop thread count
-        (the usable CPUs shared among the workers).  Otherwise the
-        scalar engine runs: ``batch`` becomes ``0`` and ``threads``
-        None.  ``n_flops``, the run's sampled-flop count, sizes a
+        loaded; otherwise the scalar engine runs and ``batch`` becomes
+        ``0``.  ``n_flops``, the run's sampled-flop count, sizes a
         default ``chunk_flops``; a worker that plans no shards leaves
         it out.  Resolving a resolved plan returns an equal plan.
         """
@@ -174,24 +167,20 @@ class ExecPlan:
         batch = DEFAULT_BATCH if self.batch is None else self.batch
         if batch and not cext_available():
             batch = 0
-        threads = (resolve_threads(self.threads, lanes=batch, workers=workers)
-                   if batch else None)
         chunk_flops = self.chunk_flops
         if chunk_flops is None and n_flops is not None:
             chunk_flops = resolve_chunk(n_flops, workers, batch)
-        return ExecPlan(workers, batch, threads, chunk_flops)
+        return ExecPlan(workers, batch, chunk_flops)
 
     def meta(self) -> dict:
         """The result meta of a run on this resolved plan.
 
-        ``batch``/``kernel``/``threads`` name the engine that ran: the
-        lane count, ``"cext"`` and the drive-loop thread count, or all
-        None for the scalar engine.
+        ``batch``/``kernel`` name the engine that ran: the lane count
+        and ``"cext"``, or both None for the scalar engine.
         """
         return {"workers": self.workers, "chunk_flops": self.chunk_flops,
                 "batch": self.batch or None,
-                "kernel": "cext" if self.batch else None,
-                "threads": self.threads}
+                "kernel": "cext" if self.batch else None}
 
 
 def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
@@ -242,9 +231,8 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
     list, are identical for any sharding.
 
     ``plan`` is the run's resolved :class:`ExecPlan` (default: the
-    default plan, resolved): ``plan.batch`` lanes and ``plan.threads``
-    drive-loop threads run the batch engine (see
-    :mod:`repro.faults.batch`) on the shard's fault columns,
+    default plan, resolved): ``plan.batch`` lanes run the batch engine
+    (see :mod:`repro.faults.batch`) on the shard's fault columns,
     ``batch=0`` the scalar engine on :class:`~repro.faults.models.Fault`
     objects.  Records and pruning stats are bit-identical for either.
     Both engines read the process's one cross-checked trace of the
@@ -264,8 +252,7 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
     if batch:
         from .batch import BatchInjectionEngine
 
-        engine = BatchInjectionEngine(golden, batch=batch,
-                                      threads=plan.threads, **options)
+        engine = BatchInjectionEngine(golden, batch=batch, **options)
         outcomes = engine.inject_all(faults)
     else:
         engine = InjectionEngine(golden, **options)

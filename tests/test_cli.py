@@ -42,10 +42,9 @@ class TestParser:
     @pytest.mark.parametrize("argv,field", (
         (["campaign", "--batch", "-5"], "batch"),
         (["campaign", "--workers", "-3"], "workers"),
-        (["campaign", "--cstep-threads", "0"], "threads"),
         (["work", "--url", "http://127.0.0.1:9", "--batch", "-1"], "batch"),
         (["serve", "--chunk-flops", "0"], "chunk_flops"),
-    ), ids=("batch", "workers", "threads", "work-batch", "serve-chunk"))
+    ), ids=("batch", "workers", "work-batch", "serve-chunk"))
     def test_out_of_range_execution_value_is_a_usage_error(
             self, tmp_path, monkeypatch, capsys, argv, field):
         """Nothing is clamped or run: the value is named, exit status 2."""

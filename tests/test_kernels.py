@@ -13,8 +13,8 @@ Three layers of guarantee around the C extension:
   and on generated programs that arm traps, MPU regions, watchpoints,
   IRQs and store-buffer bursts;
 * **engine parity** — the fused ``drive`` loop reproduces the scalar
-  engine's records and PruneStats for any batch and thread count, on
-  the workloads and on golden traces of generated and directed corner
+  engine's records and PruneStats for any batch width, on the
+  workloads and on golden traces of generated and directed corner
   programs;
 * **scheduling** — the kernel's ``schedule`` writes the fault cycles
   the specification, ``schedule_faults``, draws from each cell's keyed
@@ -45,7 +45,6 @@ from repro.faults import (
     InjectionEngine,
     cext_available,
     resolve_kernel,
-    resolve_threads,
     run_campaign,
     sample_flops,
     schedule_faults,
@@ -58,6 +57,7 @@ from repro.faults.injector import triage_fault
 from repro.faults.models import FaultColumns
 from repro.faults.parallel import Shard, sampling_rng, schedule_rng
 from repro.faults.streams import SCHEDULE_STREAM
+from repro.verify import Coverage, cosim, generate_program
 from repro.verify.diff import DEFAULT_MAX_CYCLES
 from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
                                  program_strategy)
@@ -234,15 +234,12 @@ _CORNER_PROGRAMS = {
 }
 
 
-@needs_cext
-@pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
-def test_step_matches_cpu_step_on_corner_programs(name):
-    """Every cycle of a directed program, one lane per cycle, equals
+def _pin_every_cycle(source: str, stimulus: list[int]) -> None:
+    """Every cycle of a program up to HALT, one lane per cycle, equals
     ``Cpu.step`` after one kernel step."""
-    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
     program = assemble(source)
     cpu = Cpu(Memory.from_program(program, size_words=FUZZ_MEM_WORDS),
-              InputStream([0]), entry=program.entry)
+              InputStream(stimulus), entry=program.entry)
     states, memories = [], []
     while not cpu.halted:
         states.append(cpu.snapshot())
@@ -251,8 +248,31 @@ def test_step_matches_cpu_step_on_corner_programs(name):
     S = np.zeros((N_ROWS, len(states)), dtype=np.uint32)
     S[:N_REGS] = np.array(states, dtype=np.uint32).T
     M = np.array(memories, dtype=np.uint32)
-    assert _kernel_step_matches_cpu(S, M, np.zeros(1, dtype=np.uint32),
+    assert _kernel_step_matches_cpu(S, M, np.array(stimulus, dtype=np.uint32),
                                     len(states), cpu) == len(states)
+
+
+@needs_cext
+@pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
+def test_step_matches_cpu_step_on_corner_programs(name):
+    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
+    _pin_every_cycle(source, [0])
+
+
+@needs_cext
+def test_pinned_programs_reach_every_event_bin():
+    """The kernel is pinned on every cycle of generated programs that
+    together reach every ``REQUIRED_EVENT_BINS`` bin (traps, MPU, IRQ,
+    watchpoints, stalls, store-buffer drains), which the random draws
+    of the properties above do not guarantee."""
+    coverage = Coverage()
+    for i in range(12):
+        prog = generate_program(f"kernel-pin-{i}")
+        result = cosim(prog, coverage=coverage)
+        assert result.ok and not result.hung_both
+        _pin_every_cycle(prog.source(), prog.stimulus)
+    bins = coverage.event_bins()
+    assert all(bins.values()), f"event bins not reached: {bins}"
 
 
 # -- engine-level parity through the fused drive loop ------------------------
@@ -512,51 +532,7 @@ def test_campaign_meta_kernel_none_for_scalar(quick_campaign):
     assert quick_campaign.meta.get("kernel") is None
 
 
-# -- drive-loop thread resolution ---------------------------------------------
-
-def test_resolve_threads_explicit_and_clamped():
-    assert resolve_threads(4) == 4
-    assert resolve_threads(1) == 1
-    assert resolve_threads(0) == 1
-    assert resolve_threads(-3) == 1
-
-
-def _pin_cpus(monkeypatch, n: int) -> None:
-    """Pretend this process may run on ``n`` CPUs (of a larger host)."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4 * n)
-
-
-def test_resolve_threads_autosize(monkeypatch):
-    _pin_cpus(monkeypatch, 8)
-    # One thread per usable CPU, but never slices below 16 lanes/thread.
-    assert resolve_threads(None, lanes=256) == 8
-    assert resolve_threads(None, lanes=64) == 4
-    assert resolve_threads(None, lanes=16) == 1
-    assert resolve_threads(None, lanes=8) == 1
-
-
-def test_resolve_threads_counts_affinity_not_host(monkeypatch):
-    """A process pinned to one CPU of a bigger host drives one thread."""
-    _pin_cpus(monkeypatch, 1)
-    assert kernels.usable_cpus() == 1
-    assert resolve_threads(None, lanes=256) == 1
-    assert resolve_threads(None) == 1
-
-
-def test_resolve_threads_divides_cpus_among_workers(monkeypatch):
-    """``workers`` shard runners share the usable CPUs, so the automatic
-    count never oversubscribes them; an explicit count is kept."""
-    _pin_cpus(monkeypatch, 8)
-    assert resolve_threads(None, lanes=256, workers=2) == 4
-    assert resolve_threads(None, lanes=256, workers=8) == 1
-    assert resolve_threads(None, lanes=256, workers=16) == 1
-    assert resolve_threads(3, lanes=256, workers=8) == 3
-    plan = ExecPlan(workers=4).resolve()
-    assert (plan.batch, plan.threads) == (
-        (DEFAULT_BATCH, 2) if cext_available() else (0, None))
-
+# -- usable CPUs --------------------------------------------------------------
 
 def test_usable_cpus_without_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -566,45 +542,7 @@ def test_usable_cpus_without_affinity_call(monkeypatch):
     assert kernels.usable_cpus() == 1
 
 
-@needs_cext
-def test_engine_records_threads(ttsprk_golden):
-    engine = BatchInjectionEngine(ttsprk_golden, batch=64, threads=5)
-    assert engine.threads == 5
-    auto = BatchInjectionEngine(ttsprk_golden, batch=32)
-    assert auto.threads >= 1
-
-
-# -- multithreaded drive parity ----------------------------------------------
-
-@needs_cext
-@pytest.mark.parametrize("threads,batch", (
-    (1, 32),    # single-thread path
-    (4, 17),    # odd remainder: slices of 5/4/4/4 lanes
-    (4, 3),     # threads > lanes: clamps to one slice per lane
-    (8, 64),
-))
-def test_cext_threaded_parity(ttsprk_golden, threads, batch):
-    """Records + PruneStats identical to the scalar engine for any
-    (threads, batch) — lane slices merge in lane order, so the thread
-    count is a pure wall-clock knob."""
-    cfg = QUICK
-    faults = _shard_faults(ttsprk_golden, range(12), cfg)
-    assert faults
-    _assert_cext_parity(ttsprk_golden, faults, cfg, batch=batch,
-                        threads=threads)
-
-
-@needs_cext
-def test_cext_pool_spawns_workers(ttsprk_golden):
-    """A multithreaded drive actually stands up pool workers."""
-    cfg = QUICK
-    faults = _shard_faults(ttsprk_golden, range(6), cfg)
-    engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
-                                  mask_check_stride=cfg.mask_check_stride,
-                                  batch=32, threads=3)
-    engine.inject_all(faults)
-    assert kernels.cext_module().pool_size() >= 2
-
+# -- any batch width reproduces the scalar engine -----------------------------
 
 _SERIAL_REFERENCE: dict = {}
 
@@ -622,16 +560,15 @@ def _serial_reference(golden, cfg):
 
 @needs_cext
 @settings(max_examples=12, deadline=None)
-@given(threads=st.integers(min_value=1, max_value=9),
-       batch=st.integers(min_value=1, max_value=48))
-def test_any_threads_batch_reproduces_serial(ttsprk_golden, threads, batch):
-    """Property: every (threads, batch) pair reproduces the serial
-    outcome sequence and pruning stats exactly."""
+@given(batch=st.integers(min_value=1, max_value=48))
+def test_any_batch_reproduces_serial(ttsprk_golden, batch):
+    """Property: every batch width reproduces the serial outcome
+    sequence and pruning stats exactly."""
     cfg = QUICK
     faults, records, stats = _serial_reference(ttsprk_golden, cfg)
     engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
-                                  batch=batch, threads=threads)
+                                  batch=batch)
     assert engine.inject_all(faults) == records
     assert engine.stats.as_dict() == stats
 

@@ -21,7 +21,6 @@ from repro.faults import (
     cext_available,
     plan_shards,
     resolve_chunk,
-    resolve_threads,
     run_campaign,
     sample_flops,
     sampling_rng,
@@ -38,8 +37,7 @@ SMALL = CampaignConfig(benchmarks=("ttsprk",), soft_per_flop=1,
                        hard_per_flop=1, flop_fraction=0.02, max_observe=300)
 
 #: Meta keys that describe how a run executed, not what it found.
-PLAN_KEYS = ("workers", "n_shards", "chunk_flops", "batch", "kernel",
-             "threads")
+PLAN_KEYS = ("workers", "n_shards", "chunk_flops", "batch", "kernel")
 
 
 def _plan(result) -> dict:
@@ -134,8 +132,7 @@ class TestSharding:
 
 class TestExecPlan:
     @pytest.mark.parametrize("field,value", (
-        ("workers", -3), ("batch", -5), ("threads", 0), ("threads", -1),
-        ("chunk_flops", 0)))
+        ("workers", -3), ("batch", -5), ("chunk_flops", 0)))
     def test_out_of_range_value_names_its_field(self, field, value):
         """Nothing is clamped: ``--batch -5`` used to run 1 lane."""
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
@@ -146,17 +143,15 @@ class TestExecPlan:
         engine."""
         scalar = ExecPlan(workers=0, batch=0).resolve(n_flops=100)
         assert scalar.workers >= 1
-        assert (scalar.batch, scalar.threads) == (0, None)
+        assert scalar.batch == 0
         assert scalar.chunk_flops == resolve_chunk(100, scalar.workers)
         assert scalar.meta()["batch"] is scalar.meta()["kernel"] is None
 
     def test_resolve_is_idempotent(self):
         for plan in (ExecPlan(), ExecPlan(workers=2, batch=0),
-                     ExecPlan(workers=0, threads=3, chunk_flops=7)):
+                     ExecPlan(workers=0, chunk_flops=7)):
             resolved = plan.resolve(n_flops=50)
             assert resolved.resolve(n_flops=999) == resolved
-            if resolved.batch:
-                assert resolved.threads >= 1
 
 
 class TestShardLoop:
@@ -209,14 +204,14 @@ class TestDeterminism:
     @pytest.mark.skipif(not cext_available(),
                         reason="compiled kernel unavailable")
     def test_process_pool_batch_cext_matches_serial(self, quick_campaign):
-        """Process-pool shard runners × multithreaded compiled kernel:
-        the full fan-out still reproduces the serial digest, merged by
-        order_key, never by completion."""
+        """Process-pool shard runners × compiled kernel: the full
+        fan-out still reproduces the serial digest, merged by order_key,
+        never by completion."""
         pooled = run_campaign(CampaignConfig.quick(), plan=ExecPlan(
-            workers=2, batch=32, threads=2, chunk_flops=3))
+            workers=2, batch=32, chunk_flops=3))
         assert pooled.digest() == quick_campaign.digest()
         assert pooled.meta["pruning"] == quick_campaign.meta["pruning"]
-        assert (pooled.meta["workers"], pooled.meta["threads"]) == (2, 2)
+        assert pooled.meta["workers"] == 2
 
     def test_meta_records_planned_chunk_not_first_shard_len(self):
         """chunk_flops must report the planned chunk size even when the
@@ -245,7 +240,6 @@ class TestEngineResolution:
         zero, default = run(0), run(None)
         n_flops = len(sample_flops(SMALL, sampling_rng(SMALL.seed)))
         assert zero.meta["batch"] is zero.meta["kernel"] is None
-        assert zero.meta["threads"] is None
         assert zero.meta["chunk_flops"] == resolve_chunk(n_flops, 2)
         if cext_available():
             assert default.meta["batch"] == DEFAULT_BATCH
@@ -285,14 +279,6 @@ class TestEngineResolution:
         assert _plan(default) == _plan(scalar)
         assert default.meta["pruning"] == scalar.meta["pruning"]
         assert default.digest() == scalar.digest()
-
-    @pytest.mark.skipif(not cext_available(),
-                        reason="compiled kernel unavailable")
-    def test_meta_records_threads_that_ran(self):
-        result = run_campaign(SMALL, plan=ExecPlan(batch=64))
-        assert result.meta["kernel"] == "cext"
-        assert result.meta["batch"] == 64
-        assert result.meta["threads"] == resolve_threads(None, lanes=64)
 
 
 class TestCacheHardening:
@@ -403,10 +389,3 @@ class TestCli:
         from repro.cli import build_parser
         args = build_parser().parse_args(["campaign"])
         assert args.workers == 1
-
-    def test_threads_flag_parsed(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(["campaign", "--cstep-threads", "4"])
-        assert args.cstep_threads == 4
-        args = build_parser().parse_args(["campaign"])
-        assert args.cstep_threads is None
