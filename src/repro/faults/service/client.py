@@ -7,24 +7,26 @@ needs from the server — the campaign config comes from ``GET /config``
 (cache-key-checked), the shard's flop list rides in the lease — so a
 worker needs zero local state and can be killed at any time; its lease
 simply expires and another worker picks the shard up.
+
+:class:`ServiceClient` speaks HTTP/1.1 on a plain socket: each request
+goes out as one ``sendall`` of head and body, and the answer is read
+as a status line, headers and exactly ``Content-Length`` body bytes.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 from ..campaign import CampaignConfig
 from ..parallel import ExecPlan, run_shards
 from .wire import config_from_wire, outcome_to_wire, shard_from_wire
 
-#: How a reused connection fails when the server closed it before
-#: answering (idle timeout, restart).  Never a timeout: a request that
-#: timed out may still be running.
-_CLOSED_BY_SERVER = (http.client.RemoteDisconnected, ConnectionResetError,
-                     BrokenPipeError)
+#: Longest status or header line the client reads.
+_MAX_LINE = 64 * 1024
 
 
 class ServiceError(RuntimeError):
@@ -36,25 +38,39 @@ class ServiceError(RuntimeError):
         self.retry_after = retry_after
 
 
+class ConnectionLost(ConnectionError):
+    """The connection closed, or carried no well-framed answer."""
+
+
+#: How a reused connection fails when the server closed it before
+#: answering (idle timeout, restart).  Never a timeout: a request that
+#: timed out may still be running.
+_CLOSED_BY_SERVER = (ConnectionLost, ConnectionResetError, BrokenPipeError)
+
+
 class ServiceClient:
     """Minimal synchronous JSON client for one service base URL.
 
     Keeps one persistent connection, which the threads sharing a client
     take in turn, and drops it when the server says ``Connection:
-    close``.  When a *reused* connection fails before any response byte
-    arrives, the request is sent once more on a fresh connection: the
-    server closed it first (idle timeout, restart), and every endpoint
-    tolerates a repeat (``/commit`` is idempotent, and a ``/lease``
-    whose answer was lost expires after its TTL).  ``close()``, or
-    leaving a ``with`` block, closes the connection.
+    close`` or answers in HTTP/1.0, and on any error mid-exchange.
+    When a *reused* connection fails before any response byte arrives
+    (reset or broken on send, or closed before the status line), the
+    request is sent once more on a fresh connection: the server closed
+    it first (idle timeout, restart), and every endpoint tolerates a
+    repeat (``/commit`` is idempotent, and a ``/lease`` whose answer was
+    lost expires after its TTL).  A timeout is never retried.
+    ``close()``, or leaving a ``with`` block, closes the connection.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
-        if "://" in base_url:
-            base_url = base_url.split("://", 1)[1]
-        self.netloc = base_url.rstrip("/")
+        url = urlsplit(base_url if "://" in base_url else f"//{base_url}")
+        self.host = url.hostname
+        self.port = url.port or 80
         self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        self._host_header = url.netloc
+        self._sock: socket.socket | None = None
+        self._reader = None
         self._lock = threading.Lock()
 
     def __enter__(self) -> ServiceClient:
@@ -69,47 +85,84 @@ class ServiceClient:
             self._drop()
 
     def _drop(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
-    def _send(self, method: str, path: str, payload: bytes | None,
-              headers: dict) -> http.client.HTTPResponse:
-        """Send one request; return the response with its head read."""
-        reused = self._conn is not None
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _send(self, message: bytes) -> bytes:
+        """Send one request; return its answer's status line."""
+        reused = self._sock is not None
         if not reused:
-            self._conn = http.client.HTTPConnection(self.netloc,
-                                                    timeout=self.timeout)
+            self._connect()
         try:
-            self._conn.request(method, path, body=payload, headers=headers)
-            return self._conn.getresponse()
+            self._sock.sendall(message)
+            line = self._reader.readline(_MAX_LINE)
+            if not line:
+                raise ConnectionLost("server closed the connection "
+                                     "before answering")
+            return line
         except _CLOSED_BY_SERVER:
             self._drop()
             if not reused:
                 raise
         # The server had closed the reused connection: once more, fresh.
-        return self._send(method, path, payload, headers)
+        return self._send(message)
+
+    def _read_answer(self, status_line: bytes) -> tuple[int, dict, bytes, bool]:
+        """Read the rest of an answer: (status, headers, body, keep-alive)."""
+        parts = status_line.split(None, 2)
+        if (len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+                or len(parts[1]) != 3 or not parts[1].isdigit()):
+            raise ConnectionLost(f"malformed status line: {status_line!r}")
+        headers = {}
+        while (line := self._reader.readline(_MAX_LINE)) not in (b"\r\n", b"\n"):
+            if not line.endswith(b"\n"):
+                raise ConnectionLost("connection closed in the answer's head")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise ConnectionLost(f"malformed header line: {line!r}")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "")
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionLost(f"answer without a valid Content-Length: "
+                                 f"{length!r}")
+        body = self._reader.read(int(length))
+        if len(body) < int(length):
+            raise ConnectionLost(f"connection closed {len(body)} bytes "
+                                 f"into a {length}-byte body")
+        tokens = {token.strip().lower()
+                  for token in headers.get("connection", "").split(",")}
+        keep_alive = parts[0] == b"HTTP/1.1" and "close" not in tokens
+        return int(parts[1]), headers, body, keep_alive
 
     def request(self, method: str, path: str, body: dict | None = None) -> dict:
-        payload = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
+        payload = json.dumps(body).encode() if body is not None else b""
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+        if payload:
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(payload)}\r\n")
+        message = (head + "\r\n").encode("latin-1") + payload
         with self._lock:
             try:
-                response = self._send(method, path, payload, headers)
-                raw = response.read()
+                status, headers, raw, keep_alive = self._read_answer(
+                    self._send(message))
             except BaseException:
                 # Mid-exchange the connection's state is unknown.
                 self._drop()
                 raise
-            if response.will_close:
+            if not keep_alive:
                 self._drop()
-        data = json.loads(raw) if raw else {}
-        if response.status >= 300:
-            retry_after = response.getheader("Retry-After")
-            raise ServiceError(
-                response.status, data.get("error", raw.decode("latin-1")),
-                retry_after=float(retry_after) if retry_after else None)
-        return data
+        if status >= 300:
+            raise ServiceError(status, _error_message(raw),
+                               retry_after=_seconds(headers.get("retry-after")))
+        return json.loads(raw) if raw else {}
 
     # -- typed endpoints ----------------------------------------------------
 
@@ -141,6 +194,24 @@ class ServiceClient:
 
     def table(self) -> dict:
         return self.request("GET", "/table")
+
+
+def _error_message(raw: bytes) -> str:
+    """A non-2xx body's message: its JSON ``error`` field, else its text."""
+    text = raw.decode("latin-1")
+    try:
+        data = json.loads(raw)
+    except ValueError:
+        return text
+    return data.get("error", text) if isinstance(data, dict) else text
+
+
+def _seconds(retry_after: str | None) -> float | None:
+    """A ``Retry-After`` in seconds; None when absent or an HTTP date."""
+    try:
+        return float(retry_after)
+    except (TypeError, ValueError):
+        return None
 
 
 def run_worker(base_url: str, worker_id: str = "worker",

@@ -1,8 +1,8 @@
 """Asyncio HTTP API: campaign status, shard leasing, prediction lookups.
 
-Dependency-free: a small HTTP/1.1 server over ``asyncio.start_server``
-that keeps each connection open for the client's next request, serving
-JSON.  Endpoints:
+Dependency-free: a small HTTP/1.1 server on ``loop.create_server``, one
+:class:`asyncio.Protocol` per connection, that keeps each connection
+open for the client's next request, serving JSON.  Endpoints:
 
 ====================  ======================================================
 ``GET  /status``      queue progress, campaign config, digest when complete,
@@ -17,6 +17,14 @@ JSON.  Endpoints:
                       (:func:`repro.core.table.table_to_payload`)
 ====================  ======================================================
 
+A connection buffers what it receives.  Once a request's head is
+complete (lines end in CRLF or a bare LF; at most
+:data:`MAX_HEAD_BYTES`) it is parsed once, and once exactly
+``Content-Length`` body bytes follow, the request is answered inside
+``data_received`` with one write; pipelined requests are answered in
+order.  While the transport's write buffer is full, the connection
+stops reading and answering until it drains.
+
 A connection serves requests until the client sends ``Connection:
 close`` or speaks HTTP/1.0, a request is mis-framed, the client goes
 away, it sits idle for :data:`IDLE_TIMEOUT_S`, or the server shuts
@@ -24,7 +32,8 @@ down; every response says ``Connection: keep-alive`` or ``close`` to
 match.  Framing is strict, because a mis-framed body would be read as
 the next request: ``Content-Length`` must be one non-negative integer
 (else 400), ``Transfer-Encoding`` is refused (501), a body over
-:data:`MAX_BODY_BYTES` is refused (413), and each of these closes the
+:data:`MAX_BODY_BYTES` is refused (413), a longer head than
+:data:`MAX_HEAD_BYTES` too (400), and each of these closes the
 connection.  Errors found once a request has been read in full (bad
 JSON, a bad ``dsr``, 404, 405, 409, 503) leave it open.
 
@@ -45,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -66,6 +76,9 @@ RETRY_AFTER_TRAINING = 5
 #: Hard cap on request body size (a commit for a deep shard is well
 #: under this; anything larger is a broken or hostile client).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Hard cap on a request head, request line and headers together.
+MAX_HEAD_BYTES = 64 * 1024
 
 #: Seconds a connection may go without a request before the server
 #: closes it.  A client that comes back later finds it closed and
@@ -89,6 +102,19 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 409: "Conflict",
             413: "Payload Too Large", 500: "Internal Server Error",
             501: "Not Implemented", 503: "Service Unavailable"}
+
+#: Every endpoint: (method, path) -> handler(service, query, body).  The
+#: handler is looked up on the service at each call, so a patched
+#: method is the one served.
+_ROUTES = {
+    ("GET", "/status"): lambda service, query, body: service.handle_status(),
+    ("GET", "/config"): lambda service, query, body: service.handle_config(),
+    ("POST", "/lease"): lambda service, query, body: service.handle_lease(body),
+    ("POST", "/commit"): lambda service, query, body: service.handle_commit(body),
+    ("GET", "/predict"): lambda service, query, body: service.handle_predict(query),
+    ("GET", "/table"): lambda service, query, body: service.handle_table(),
+}
+_PATHS = frozenset(path for _method, path in _ROUTES)
 
 
 class CampaignService:
@@ -120,8 +146,8 @@ class CampaignService:
         #: connections accepted, connections open now, requests read;
         #: like every field here, touched on the event loop thread only.
         self.http = {"connections": 0, "open": 0, "requests": 0}
-        #: each open connection's handler task and its writer.
-        self._open: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: every open connection.
+        self._open: set[_Connection] = set()
 
     # -- training -----------------------------------------------------------
 
@@ -249,21 +275,12 @@ class CampaignService:
     # -- HTTP plumbing ------------------------------------------------------
 
     def dispatch(self, method: str, path: str, query: dict, body: dict) -> dict:
-        routes = {
-            ("GET", "/status"): lambda: self.handle_status(),
-            ("GET", "/config"): lambda: self.handle_config(),
-            ("POST", "/lease"): lambda: self.handle_lease(body),
-            ("POST", "/commit"): lambda: self.handle_commit(body),
-            ("GET", "/predict"): lambda: self.handle_predict(query),
-            ("GET", "/table"): lambda: self.handle_table(),
-        }
-        handler = routes.get((method, path))
-        if handler is None:
-            known = {route_path for _m, route_path in routes}
-            if path in known:
+        route = _ROUTES.get((method, path))
+        if route is None:
+            if path in _PATHS:
                 raise HttpError(405, f"{method} not allowed on {path}")
             raise HttpError(404, f"no such endpoint: {path}")
-        return handler()
+        return route(self, query, body)
 
     def _respond(self, request: _Request) -> tuple[int, dict, dict]:
         """Answer one fully read request: (status, headers, payload)."""
@@ -280,71 +297,23 @@ class CampaignService:
                            request.method, request.target)
             return 500, {}, {"error": f"{type(exc).__name__}: {exc}"}
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        """Serve requests on one connection until either side ends it."""
-        loop = asyncio.get_running_loop()
-        task = asyncio.current_task()
-        self._open[task] = writer
-        self.http["connections"] += 1
-        self.http["open"] += 1
-        last_active = loop.time()
-
-        # One timer per connection, re-armed lazily: each request only
-        # stamps ``last_active``, and the timer, when it fires, either
-        # closes the connection or sleeps for the time left.
-        def expire() -> None:
-            nonlocal idle_timer
-            left = last_active + IDLE_TIMEOUT_S - loop.time()
-            if left > 0:
-                idle_timer = loop.call_later(left, expire)
-            else:
-                writer.close()
-
-        idle_timer = loop.call_later(IDLE_TIMEOUT_S, expire)
-        try:
-            keep_alive = True
-            while keep_alive:
-                try:
-                    request = await _read_request(reader)
-                except HttpError as exc:
-                    # The framing is in doubt: answer, then close.
-                    self.http["requests"] += 1
-                    keep_alive = False
-                    status, headers = exc.status, exc.headers
-                    payload = {"error": exc.message}
-                else:
-                    if request is None:
-                        break
-                    self.http["requests"] += 1
-                    keep_alive = request.keep_alive
-                    status, headers, payload = self._respond(request)
-                last_active = loop.time()
-                _write_response(writer, status, payload, headers, keep_alive)
-                await writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        finally:
-            idle_timer.cancel()
-            writer.close()
-            self.http["open"] -= 1
-            del self._open[task]
-
     async def close_connections(self) -> None:
-        """Abort every open connection and wait for its handler to end.
+        """Abort every open connection and wait until each has closed.
 
         A server must do this before ``Server.wait_closed()``: since
         Python 3.12 that waits for open connections too, so one idle
         keep-alive client would hold a shutdown forever.
         """
         while self._open:
-            for writer in self._open.values():
-                writer.transport.abort()
-            await asyncio.wait(list(self._open))
+            for connection in self._open:
+                connection.transport.abort()
+            await asyncio.wait([connection.closed
+                                for connection in self._open])
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Bind and return the ``asyncio.Server`` (caller drives the loop)."""
-        return await asyncio.start_server(self._serve_connection, host, port)
+        loop = asyncio.get_running_loop()
+        return await loop.create_server(lambda: _Connection(self), host, port)
 
 
 class _Request(NamedTuple):
@@ -354,39 +323,159 @@ class _Request(NamedTuple):
     keep_alive: bool
 
 
-async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
-    """Read one request's head and body; None when the client hung up.
+class _Connection(asyncio.Protocol):
+    """One client connection, answered inside ``data_received``.
+
+    Received bytes collect in ``buffer``.  Each complete request, a
+    head and then exactly ``Content-Length`` body bytes, is taken off
+    its front and answered at once, so pipelined requests are answered
+    in order.  While the transport's write buffer is over its
+    high-water mark (``pause_writing``), the connection reads nothing
+    and leaves buffered requests for ``resume_writing``.
+    """
+
+    def __init__(self, service: CampaignService):
+        self.service = service
+        self.loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: where the search for the head's blank line resumes.
+        self.scanned = 0
+        #: a parsed head waiting for its body.
+        self.head: _Head | None = None
+        self.paused = False
+        self.last_active = self.loop.time()
+        self.idle_timer: asyncio.TimerHandle | None = None
+        #: done once ``connection_lost`` has run.
+        self.closed = self.loop.create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.service._open.add(self)
+        self.service.http["connections"] += 1
+        self.service.http["open"] += 1
+        # One timer per connection, re-armed lazily: each answer only
+        # stamps ``last_active``, and the timer, when it fires, either
+        # closes the connection or sleeps for the time left.
+        self.idle_timer = self.loop.call_later(IDLE_TIMEOUT_S, self._expire)
+
+    def _expire(self) -> None:
+        left = self.last_active + IDLE_TIMEOUT_S - self.loop.time()
+        if left > 0:
+            self.idle_timer = self.loop.call_later(left, self._expire)
+        else:
+            self.transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.idle_timer.cancel()
+        self.service.http["open"] -= 1
+        self.service._open.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._answer()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._answer()
+        if not self.paused:
+            self.transport.resume_reading()
+
+    def _answer(self) -> None:
+        """Answer the buffered requests in order, as far as they go."""
+        while not (self.paused or self.transport.is_closing()):
+            try:
+                request = self._take_request()
+            except HttpError as exc:
+                # The framing is in doubt: answer, then close.
+                self.service.http["requests"] += 1
+                self._send(exc.status, exc.headers, {"error": exc.message},
+                           keep_alive=False)
+                return
+            if request is None:
+                return
+            self.service.http["requests"] += 1
+            status, headers, payload = self.service._respond(request)
+            self._send(status, headers, payload, request.keep_alive)
+
+    def _send(self, status: int, headers: dict, payload: dict,
+              keep_alive: bool) -> None:
+        self.last_active = self.loop.time()
+        self.transport.write(_response(status, payload, headers, keep_alive))
+        if not keep_alive:
+            self.transport.close()
+
+    def _take_request(self) -> _Request | None:
+        """Take the next complete request off the buffer; None if there
+        is none yet.
+
+        Raises :class:`HttpError` for anything that leaves the framing
+        in doubt (the caller answers and closes the connection).
+        """
+        buffer = self.buffer
+        if self.head is None:
+            end = _HEAD_END.search(buffer, self.scanned, MAX_HEAD_BYTES)
+            if end is None:
+                if len(buffer) >= MAX_HEAD_BYTES:
+                    raise HttpError(400, "request head exceeds "
+                                    f"{MAX_HEAD_BYTES} bytes")
+                # The blank line may straddle the next read.
+                self.scanned = max(len(buffer) - 2, 0)
+                return None
+            self.head = _parse_head(bytes(buffer[:end.end()]))
+            del buffer[:end.end()]
+            self.scanned = 0
+        if len(buffer) < self.head.length:
+            return None
+        method, target, keep_alive, length = self.head
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        self.head = None
+        return _Request(method, target, body, keep_alive)
+
+
+class _Head(NamedTuple):
+    method: str
+    target: str
+    keep_alive: bool
+    length: int
+
+
+#: The blank line that ends a request head; lines end in CRLF or LF.
+_HEAD_END = re.compile(rb"\n\r?\n")
+
+
+def _parse_head(raw: bytes) -> _Head:
+    """Parse a complete request head, blank line included.
 
     Raises :class:`HttpError` for anything that leaves the framing in
-    doubt (the caller answers and closes the connection).
+    doubt.
     """
-    try:
-        line = await reader.readline()
-        if not line.endswith(b"\n"):
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise HttpError(400, f"malformed request line: {line!r}")
-        method, target, version = parts
-        keep_alive = version == "HTTP/1.1"
-        lengths: set[str] = set()
-        chunked = False
-        while (line := await reader.readline()) not in (b"\r\n", b"\n"):
-            if not line.endswith(b"\n"):
-                return None
-            name, colon, value = line.decode("latin-1").partition(":")
-            if not colon:
-                raise HttpError(400, f"malformed header line: {line!r}")
-            name = name.strip().lower()
-            if name == "content-length":
-                lengths.update(part.strip() for part in value.split(","))
-            elif name == "transfer-encoding":
-                chunked = True
-            elif name == "connection":
-                tokens = {token.strip().lower() for token in value.split(",")}
-                keep_alive = keep_alive and "close" not in tokens
-    except ValueError as exc:  # a line over the stream's limit
-        raise HttpError(400, f"request head line too long: {exc}") from exc
+    request_line, *header_lines = raw.decode("latin-1").split("\n")[:-2]
+    parts = request_line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        raise HttpError(400, f"malformed request line: {request_line!r}")
+    method, target, version = parts
+    keep_alive = version == "HTTP/1.1"
+    lengths: set[str] = set()
+    chunked = False
+    for line in header_lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise HttpError(400, f"malformed header line: {line!r}")
+        name = name.strip().lower()
+        if name == "content-length":
+            lengths.update(part.strip() for part in value.split(","))
+        elif name == "transfer-encoding":
+            chunked = True
+        elif name == "connection":
+            tokens = {token.strip().lower() for token in value.split(",")}
+            keep_alive = keep_alive and "close" not in tokens
     if chunked:
         raise HttpError(501, "Transfer-Encoding is not supported; "
                         "send the body with a Content-Length")
@@ -398,8 +487,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body of {length} bytes exceeds "
                         f"{MAX_BODY_BYTES}")
-    body = await reader.readexactly(length) if length else b""
-    return _Request(method.upper(), target, body, keep_alive)
+    return _Head(method.upper(), target, keep_alive, length)
 
 
 def _parse_body(raw: bytes) -> dict:
@@ -414,15 +502,16 @@ def _parse_body(raw: bytes) -> dict:
     return body
 
 
-def _write_response(writer: asyncio.StreamWriter, status: int, payload: dict,
-                    extra_headers: dict, keep_alive: bool) -> None:
+def _response(status: int, payload: dict, extra_headers: dict,
+              keep_alive: bool) -> bytes:
+    """One response, head and body, for one write."""
     body = json.dumps(payload, separators=(",", ":")).encode()
     head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
     head += [f"{name}: {value}" for name, value in extra_headers.items()]
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
 # -- threaded host (for the CLI, tests and benchmarks) -----------------------

@@ -733,6 +733,151 @@ def test_client_asked_close_answers_close_then_eof(live_service,
         assert _at_eof(sock)
 
 
+def _read_answers(sock: socket.socket, n: int) -> list[tuple[int, str, dict]]:
+    """Read ``n`` answers in a row: (status, Connection header, payload)."""
+    answers = []
+    with sock.makefile("rb") as reader:
+        for _ in range(n):
+            status = int(reader.readline().split()[1])
+            headers = {}
+            while (line := reader.readline()) != b"\r\n":
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.lower()] = value.strip()
+            payload = json.loads(reader.read(int(headers["content-length"])))
+            answers.append((status, headers["connection"], payload))
+    return answers
+
+
+def _send_in_pieces(sock: socket.socket, pieces) -> None:
+    """Send each piece on its own, so the server reads them apart."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for piece in pieces:
+        sock.sendall(piece)
+        time.sleep(0.002)
+
+
+def test_request_delivered_one_byte_per_send(live_service):
+    _service, handle = live_service
+    request = _post("/lease", b'{"worker": "bytewise", "ttl": 60}')
+    with _connect(handle) as sock:
+        _send_in_pieces(sock, [request[i:i + 1] for i in range(len(request))])
+        [(status, connection, granted)] = _read_answers(sock, 1)
+        assert (status, connection) == (200, "keep-alive")
+        assert granted["shard_id"] == 0
+        _status, _connection, payload = _exchange(sock, STATUS)
+        assert payload["progress"]["leased"] == 1
+        assert payload["http"] == {"connections": 1, "open": 1, "requests": 2}
+
+
+def test_pipelined_requests_are_answered_in_order(live_service):
+    _service, handle = live_service
+    with _connect(handle) as sock:
+        sock.sendall(_post("/lease", b'{"worker": "piped"}') + STATUS)
+        (lease_status, _, granted), (status, connection, payload) = \
+            _read_answers(sock, 2)
+        assert (lease_status, granted["shard_id"]) == (200, 0)
+        assert (status, connection) == (200, "keep-alive")
+        assert payload["progress"]["leased"] == 1
+        assert payload["http"]["requests"] == 2
+
+
+def test_commit_body_split_across_sends(live_service):
+    service, handle = live_service
+    with ServiceClient(handle.base_url) as client:
+        grant = client.lease("splitter")
+    outcome = run_shard(CRASH_CONFIG, shard_from_wire(grant["shard"]))
+    body = json.dumps({"shard_id": grant["shard_id"],
+                       "outcome": outcome_to_wire(outcome)}).encode()
+    request = _post("/commit", body)
+    head = len(request) - len(body)
+    quarter = len(body) // 4
+    cuts = [0, head + 10, head + quarter, head + 3 * quarter, len(request)]
+    with _connect(handle) as sock:
+        _send_in_pieces(sock, [request[a:b] for a, b in zip(cuts, cuts[1:])])
+        [(status, connection, payload)] = _read_answers(sock, 1)
+    assert (status, connection) == (200, "keep-alive"), payload
+    assert payload["status"] == "committed"
+    assert service.ledger.n_committed == 1
+
+
+def test_head_over_the_limit_answers_400_then_closes(live_service):
+    """A head must end within ``MAX_HEAD_BYTES``; one that ends exactly
+    there is served."""
+    _service, handle = live_service
+    limit = service_http.MAX_HEAD_BYTES
+    start = b"GET /status HTTP/1.1\r\nX-Pad: "
+    with _connect(handle) as sock:
+        fits = start + b"a" * (limit - len(start) - 4) + b"\r\n\r\n"
+        assert len(fits) == limit
+        assert _exchange(sock, fits)[:2] == (200, "keep-alive")
+        status, connection, payload = _exchange(
+            sock, start + b"a" * (limit - len(start)))
+        assert (status, connection) == (400, "close"), payload
+        assert _at_eof(sock)
+
+
+def _settled(read, deadline_s: float = 10.0):
+    """Poll ``read()`` until it returns the same value four times running."""
+    deadline = time.monotonic() + deadline_s
+    values = [read()]
+    while len(values) < 4 or len(set(values[-4:])) > 1:
+        assert time.monotonic() < deadline, f"never settled: {values[-4:]}"
+        time.sleep(0.05)
+        values.append(read())
+    return values[-1]
+
+
+def test_backpressure_stops_reading_until_the_client_reads(live_service):
+    """Requests sent without reading the answers: once the transport's
+    write buffer is full the server stops reading and answering, and it
+    answers every request, in order, once the client reads."""
+    service, handle = live_service
+    n = 2000
+    with socket.socket() as sock:
+        # Small socket buffers at both ends, so the answers back up into
+        # the server's transport instead of the kernel's (loopback grows
+        # a send buffer to megabytes).
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(10)
+        sock.connect((handle.host, handle.port))
+        deadline = time.monotonic() + 10
+        while not service._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        [connection] = service._open
+        connection.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.sendall(STATUS * n)
+        answered = _settled(lambda: service.http["requests"])
+        assert 0 < answered < n
+        assert not connection.transport.is_reading()
+        answers = _read_answers(sock, n)
+    assert {status for status, _connection, _payload in answers} == {200}
+    assert [payload["http"]["requests"] for _status, _connection, payload
+            in answers] == list(range(1, n + 1))
+
+
+def test_stdlib_client_gets_a_get_and_a_post_over_one_connection(live_service):
+    """An independent client, ``http.client``, interoperates."""
+    _service, handle = live_service
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+    try:
+        conn.request("GET", "/config")
+        response = conn.getresponse()
+        assert (response.status, response.will_close) == (200, False)
+        payload = json.loads(response.read())
+        assert config_from_wire(payload["config"]) == CRASH_CONFIG
+        conn.request("POST", "/lease", body=json.dumps({"worker": "stdlib"}),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert (response.status, response.will_close) == (200, False)
+        assert json.loads(response.read())["shard_id"] == 0
+        conn.request("GET", "/status")
+        counters = json.loads(conn.getresponse().read())["http"]
+    finally:
+        conn.close()
+    assert counters == {"connections": 1, "open": 1, "requests": 3}
+
+
 def test_predict_decodes_percent_encoded_query(trained_service, reference):
     """``urlencode`` spells a DSR ``3%2C17``; both spellings, and a
     blank ``dsr=`` for the empty set, answer alike."""
@@ -786,21 +931,12 @@ def test_idle_connection_is_closed_and_the_client_retries(live_service,
 def test_timed_out_request_is_not_retried(live_service, monkeypatch):
     """A timeout may leave the request running: never sent twice."""
     _service, handle = live_service
-    sent = []
-    real_request = http.client.HTTPConnection.request
-
-    def counting_request(self, method, url, *args, **kwargs):
-        sent.append(url)
-        return real_request(self, method, url, *args, **kwargs)
-
     release = threading.Event()
 
     def stalled_config(self):
         release.wait(timeout=30)
         return {}
 
-    monkeypatch.setattr(http.client.HTTPConnection, "request",
-                        counting_request)
     with ServiceClient(handle.base_url, timeout=1.0) as client:
         client.status()  # the next request reuses this connection
         monkeypatch.setattr(CampaignService, "handle_config", stalled_config)
@@ -809,7 +945,11 @@ def test_timed_out_request_is_not_retried(live_service, monkeypatch):
                 client.request("GET", "/config")
         finally:
             release.set()
-    assert sent == ["/status", "/config"]
+    # Any repeat reached the server before this client connected, on
+    # the old connection or an earlier new one, so it would show here.
+    with ServiceClient(handle.base_url) as client:
+        counters = client.status()["http"]
+    assert (counters["connections"], counters["requests"]) == (2, 3)
 
 
 def test_restarted_server_is_reached_through_a_stale_connection(tmp_path):
@@ -844,3 +984,151 @@ def test_stop_closes_idle_connections(tmp_path, caplog):
     assert elapsed < 1.0
     assert not handle._thread.is_alive()
     assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+# -- the client against a raw-socket server -----------------------------------
+
+def _reply(status: int, body: bytes, **headers: str) -> bytes:
+    head = [f"HTTP/1.1 {status} Reason", f"Content-Length: {len(body)}",
+            *(f"{name.replace('_', '-')}: {value}"
+              for name, value in headers.items())]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+OK = _reply(200, b"{}")
+
+
+class FakeServer:
+    """Answers the n-th request it reads, on any connection, with the
+    n-th scripted ``(reply bytes, close after it)``, and records each
+    request line with the number of the connection it came on."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests: list[tuple[int, bytes]] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.conns: list[socket.socket] = []
+        self.stop = threading.Event()
+        self.threads = [threading.Thread(target=self._accept)]
+        self.lock = threading.Lock()
+        self.threads[0].start()
+
+    def _accept(self) -> None:
+        while not self.stop.is_set():
+            try:
+                conn, _addr = self.listener.accept()
+            except TimeoutError:
+                continue
+            with self.lock:
+                self.conns.append(conn)
+                thread = threading.Thread(target=self._serve,
+                                          args=(conn, len(self.conns) - 1))
+                self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket, number: int) -> None:
+        with conn, conn.makefile("rb") as reader:
+            while line := reader.readline():
+                length = 0
+                while (header := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = header.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                with self.lock:
+                    self.requests.append((number, line.rstrip()))
+                    if not self.script:
+                        return
+                    reply, close = self.script.pop(0)
+                conn.sendall(reply)
+                if close:
+                    return
+
+    def __enter__(self) -> FakeServer:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop.set()
+        self.threads[0].join(timeout=10)
+        self.listener.close()
+        with self.lock:
+            for conn in self.conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes its reader
+                except OSError:  # its thread has closed it already
+                    pass
+        for thread in self.threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+
+STATUS_LINE = b"GET /status HTTP/1.1"
+
+
+def test_answer_cut_mid_body_raises_and_is_not_retried():
+    cut = _reply(200, b'{"progress": {}}' + b" " * 84)[:-60]
+    with FakeServer([(OK, False), (cut, True)]) as server:
+        with ServiceClient(server.url, timeout=5) as client:
+            assert client.status() == {}
+            with pytest.raises(ConnectionError, match="into a 100-byte body"):
+                client.status()
+    assert server.requests == [(0, STATUS_LINE), (0, STATUS_LINE)]
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+], ids=["malformed-status-line", "no-content-length"])
+def test_malformed_answer_raises_and_drops_the_connection(reply):
+    with FakeServer([(OK, False), (reply, False), (OK, False)]) as server:
+        with ServiceClient(server.url, timeout=5) as client:
+            client.status()
+            with pytest.raises(ConnectionError):
+                client.status()
+            client.status()
+    assert [number for number, _line in server.requests] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("reply", [
+    _reply(200, b"{}", Connection="close"),
+    OK.replace(b"HTTP/1.1", b"HTTP/1.0"),
+], ids=["connection-close", "http-1.0"])
+def test_answer_saying_close_drops_the_connection(reply):
+    """The server leaves the connection open; the client drops it."""
+    with FakeServer([(reply, False), (OK, False)]) as server:
+        with ServiceClient(server.url, timeout=5) as client:
+            client.status()
+            client.status()
+    assert [number for number, _line in server.requests] == [0, 1]
+
+
+@pytest.mark.parametrize("reply,message,retry_after", [
+    (_reply(502, b"<html><body>Bad Gateway</body></html>",
+            Content_Type="text/html"),
+     "<html><body>Bad Gateway</body></html>", None),
+    (_reply(503, b'{"error": "busy"}', Retry_After="7"), "busy", 7.0),
+    (_reply(503, b"down", Retry_After="Wed, 21 Oct 2026 07:28:00 GMT"),
+     "down", None),
+], ids=["html-502", "json-503", "dated-retry-after"])
+def test_non_2xx_answer_raises_service_error(reply, message, retry_after):
+    with FakeServer([(reply, False)]) as server:
+        with ServiceClient(server.url, timeout=5) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.status()
+    status = int(reply.split()[1])
+    assert str(excinfo.value) == f"HTTP {status}: {message}"
+    assert (excinfo.value.status, excinfo.value.retry_after) == \
+        (status, retry_after)
+
+
+@pytest.mark.parametrize("base_url", [
+    "127.0.0.1:8322", "http://127.0.0.1:8322", "http://127.0.0.1:8322/",
+    "localhost", "http://localhost/", "[::1]:8322", "http://[::1]:8322/",
+])
+def test_url_forms_parse_as_http_client_parses_them(base_url):
+    netloc = base_url.split("://", 1)[-1].rstrip("/")
+    reference = http.client.HTTPConnection(netloc)
+    client = ServiceClient(base_url)
+    assert (client.host, client.port) == (reference.host, reference.port)
