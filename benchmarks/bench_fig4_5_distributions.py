@@ -18,7 +18,7 @@ from repro.faults import ErrorType, diverged_set_size_ratio
 
 def test_fig4_hard_distributions(benchmark, campaign, report):
     stats = benchmark(SignatureStats.from_records, campaign.records)
-    bc = average_bc(stats, campaign.records, ErrorType.HARD)
+    bc = average_bc(stats, ErrorType.HARD)
     assert 0.0 < bc < 0.7, "unit signatures must be distinguishable"
     report("fig4_hard_distributions",
            render_fig4_5(campaign.records, ErrorType.HARD))
@@ -27,7 +27,7 @@ def test_fig4_hard_distributions(benchmark, campaign, report):
 def test_fig5_soft_distributions(benchmark, campaign, report):
     stats = SignatureStats.from_records(campaign.records)
     bc = benchmark.pedantic(average_bc,
-                            args=(stats, campaign.records, ErrorType.SOFT),
+                            args=(stats, ErrorType.SOFT),
                             rounds=1, iterations=1)
     assert 0.0 < bc < 0.7
     report("fig5_soft_distributions",
@@ -39,7 +39,7 @@ def test_hard_spreads_wider_than_soft(benchmark, campaign, report):
     ratio = benchmark(diverged_set_size_ratio, campaign)
     assert ratio > 1.0, "hard errors must diverge more SCs (paper: 1.54x)"
     stats = SignatureStats.from_records(campaign.records)
-    type_bc = average_type_bc(stats, campaign.records)
+    type_bc = average_type_bc(stats)
     assert 0.0 < type_bc < 1.0
     report("sec3b_type_signal", "\n".join([
         "Section III-B — error type signal",

@@ -75,19 +75,19 @@ def test_service_overhead_and_lookup_latency(tmp_path, report):
     service = CampaignService(ledger, top_k=3)
     handle = start_service(service)
     try:
-        client = ServiceClient(handle.base_url)
         signatures = sorted(
             {rec.diverged for rec in mono.records if rec.diverged},
             key=sorted)[:8] or [frozenset()]
 
         # Serial latency: median over LOOKUP_ROUNDS round-robin queries.
-        client.predict(signatures[0])  # force training before timing
-        laps = []
-        for i in range(LOOKUP_ROUNDS):
-            dsr = signatures[i % len(signatures)]
-            start = time.perf_counter()
-            client.predict(dsr)
-            laps.append(time.perf_counter() - start)
+        with ServiceClient(handle.base_url) as client:
+            client.predict(signatures[0])  # force training before timing
+            laps = []
+            for i in range(LOOKUP_ROUNDS):
+                dsr = signatures[i % len(signatures)]
+                start = time.perf_counter()
+                client.predict(dsr)
+                laps.append(time.perf_counter() - start)
         p50 = statistics.median(laps)
         p99 = sorted(laps)[int(len(laps) * 0.99)]
 
@@ -95,10 +95,10 @@ def test_service_overhead_and_lookup_latency(tmp_path, report):
         errors = []
 
         def hammer():
-            local = ServiceClient(handle.base_url)
             try:
-                for i in range(LOOKUPS_PER_CLIENT):
-                    local.predict(signatures[i % len(signatures)])
+                with ServiceClient(handle.base_url) as local:
+                    for i in range(LOOKUPS_PER_CLIENT):
+                        local.predict(signatures[i % len(signatures)])
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 

@@ -51,11 +51,11 @@ def main() -> None:
     print(render_fig4_5(campaign.records, ErrorType.SOFT))
 
     stats = SignatureStats.from_records(campaign.records)
-    per_unit = type_bc_per_unit(stats, campaign.records)
+    per_unit = type_bc_per_unit(stats)
     print("\nHard-vs-soft signature similarity per unit (Section III-B):")
     for unit, bc in sorted(per_unit.items(), key=lambda kv: kv[1]):
         print(f"  BC({unit:5s}) = {bc:.2f}")
-    print(f"  average: {average_type_bc(stats, campaign.records):.2f} (paper: ~0.6)")
+    print(f"  average: {average_type_bc(stats):.2f} (paper: ~0.6)")
 
 
 if __name__ == "__main__":

@@ -46,16 +46,3 @@ def kfold(items: Sequence[T], k: int = 5,
     for train, test in fold_indices(len(items), k, seed):
         yield [items[j] for j in train], [items[j] for j in test]
 
-
-def train_test_split(items: Sequence[T], test_fraction: float = 0.2,
-                     seed: int = 0) -> tuple[list[T], list[T]]:
-    """A single random split (for examples and quick experiments)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(items))
-    n_test = max(1, int(round(test_fraction * len(items))))
-    test_idx = set(int(i) for i in order[:n_test])
-    train = [items[i] for i in range(len(items)) if i not in test_idx]
-    test = [items[int(i)] for i in order[:n_test]]
-    return train, test

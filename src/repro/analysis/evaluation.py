@@ -17,6 +17,7 @@ it equals bit for bit, random draws included: ``kfold``,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from ..core.table import (
     build_default_entry,
 )
 from ..faults.campaign import CampaignResult
-from ..faults.models import ErrorRecord
 from ..reaction.context import ReactionContext, build_context
 from ..reaction.lert import StrategyResult, merge_results
 from .crossval import fold_indices
@@ -135,8 +135,8 @@ def _evaluate(data: ErrorDataset, folds: list[Fold], ctx: ReactionContext,
     }
 
     per_model: dict[str, list[StrategyResult]] = {name: [] for name in MODEL_NAMES}
-    loc_parts: list[tuple[float, int]] = []
-    type_parts: list[tuple[dict[str, float], int]] = []
+    # Accuracy hits and counts, pooled over the folds.
+    pooled: Counter = Counter()
     table_bytes = 0.0
     invocations = {"pred-location-only": 0.0, "pred-comb": 0.0}
 
@@ -180,22 +180,22 @@ def _evaluate(data: ErrorDataset, folds: list[Fold], ctx: ReactionContext,
                 invocations[part.name] += part.sbist_invocation_rate * part.n_errors
 
         in_order = np.argmax(ranking == unit[:, None], axis=1) < width
-        loc_parts.append((_ratio(np.count_nonzero(in_order & hard),
-                                 np.count_nonzero(hard)), n))
-        type_parts.append((_type_accuracy(hard, pred_hard), n))
+        pooled.update(located=np.count_nonzero(in_order & hard),
+                      hard=np.count_nonzero(hard),
+                      soft=np.count_nonzero(~hard),
+                      hard_right=np.count_nonzero(hard & pred_hard),
+                      soft_right=np.count_nonzero(~hard & ~pred_hard))
 
-    n_total = sum(n for _, n in loc_parts)
-    loc_acc = sum(a * n for a, n in loc_parts) / n_total if n_total else 0.0
-    type_acc = {
-        key: sum(part[key] * n for part, n in type_parts) / n_total if n_total else 0.0
-        for key in ("soft", "hard", "overall")
-    }
+    right = pooled["soft_right"] + pooled["hard_right"]
+    type_acc = {"soft": _ratio(pooled["soft_right"], pooled["soft"]),
+                "hard": _ratio(pooled["hard_right"], pooled["hard"]),
+                "overall": _ratio(right, pooled["soft"] + pooled["hard"])}
     loc_inv = invocations["pred-location-only"]
     reduction = 1.0 - invocations["pred-comb"] / loc_inv if loc_inv else 0.0
 
     return EvaluationResult(
         strategies={name: merge_results(parts) for name, parts in per_model.items()},
-        location_accuracy=loc_acc,
+        location_accuracy=_ratio(pooled["located"], pooled["hard"]),
         type_accuracy=type_acc,
         n_diverged_sets=len(data.sets),
         table_bytes=table_bytes,
@@ -213,17 +213,6 @@ def _means(name: str, lert: np.ndarray, tested: np.ndarray,
 
 def _ratio(hits, total) -> float:
     return int(hits) / int(total) if total else 0.0
-
-
-def _type_accuracy(hard: np.ndarray, pred_hard: np.ndarray) -> dict[str, float]:
-    """``type_accuracy``'s soft/hard/overall split over one fold."""
-    correct_soft = np.count_nonzero(~hard & ~pred_hard)
-    correct_hard = np.count_nonzero(hard & pred_hard)
-    return {
-        "soft": _ratio(correct_soft, np.count_nonzero(~hard)),
-        "hard": _ratio(correct_hard, np.count_nonzero(hard)),
-        "overall": _ratio(correct_soft + correct_hard, len(hard)),
-    }
 
 
 class _Sbist:
@@ -283,10 +272,3 @@ class _Sbist:
         lert = np.where(found, cost[np.arange(len(orders)), at], cost[:, -1] + restart)
         return lert, np.where(found, at + 1, orders.shape[1])
 
-
-def split_errors_by_benchmark(records: list[ErrorRecord]) -> dict[str, list[ErrorRecord]]:
-    """Group an error dataset by originating benchmark."""
-    grouped: dict[str, list[ErrorRecord]] = {}
-    for record in records:
-        grouped.setdefault(record.benchmark, []).append(record)
-    return grouped

@@ -3,15 +3,12 @@
 The benchmark harness reports series as rows (see
 :mod:`repro.analysis.reports`); this module additionally draws the
 paper's figures as terminal bar/line charts so the *shapes* — the bar
-ordering of Figure 11, the saturating accuracy curves of Figures
-12/15, the per-unit histograms of Figures 4/5 — are visible at a
-glance without a plotting stack.
+ordering of Figure 11 and the saturating accuracy curves of Figures
+12/15 — are visible at a glance without a plotting stack.
 """
 
 from __future__ import annotations
 
-from ..core.signatures import SignatureStats
-from ..faults.models import ErrorRecord, ErrorType
 from .evaluation import MODEL_NAMES, EvaluationResult
 
 _BAR = "█"
@@ -72,18 +69,3 @@ def topk_chart(sweep: dict[int, EvaluationResult], fine: bool = False) -> str:
         line_chart([float(k) for k in ks], lert, y_label="avg LERT (cycles)"),
     ])
 
-
-def signature_histogram(records: list[ErrorRecord], unit: str,
-                        error_type: ErrorType, fine: bool = False,
-                        top: int = 10) -> str:
-    """One panel of Figure 4/5: a unit's diverged-SC-set histogram."""
-    stats = SignatureStats.from_records(records, fine=fine)
-    dist = stats.unit_distribution(unit, error_type, records)
-    ranked = sorted(dist.items(), key=lambda kv: -kv[1])[:top]
-    rows = [
-        ("{" + ",".join(str(i) for i in sorted(key)) + "}", prob)
-        for key, prob in ranked
-    ]
-    label = "hard" if error_type is ErrorType.HARD else "soft"
-    return (f"P(diverged SC set | {label} fault in {unit}) — top {len(rows)} sets\n"
-            + hbar_chart(rows, fmt="{:.3f}"))

@@ -49,9 +49,9 @@ def render_table2(restart_cycles: dict[str, int]) -> str:
     return "\n".join(lines)
 
 
-def _render_distribution(stats: SignatureStats, records: list[ErrorRecord],
-                         unit: str, etype: ErrorType, top: int = 6) -> str:
-    dist = stats.unit_distribution(unit, etype, records)
+def _render_distribution(stats: SignatureStats, unit: str, etype: ErrorType,
+                         top: int = 6) -> str:
+    dist = stats.unit_distribution(unit, etype)
     ranked = sorted(dist.items(), key=lambda kv: -kv[1])[:top]
     parts = [f"set{{{','.join(str(i) for i in sorted(key))}}}={p:.2f}"
              for key, p in ranked]
@@ -64,15 +64,15 @@ def render_fig4_5(records: list[ErrorRecord], etype: ErrorType,
     stats = SignatureStats.from_records(records, fine=fine)
     label = "hard" if etype is ErrorType.HARD else "soft"
     fig = "Fig 4" if etype is ErrorType.HARD else "Fig 5"
-    bcs = cross_unit_bc(stats, records, etype)
-    lo, mid, hi = bc_extremes(stats, records, etype)
+    bcs = cross_unit_bc(stats, etype)
+    lo, mid, hi = bc_extremes(stats, etype)
     lines = [f"{fig} — {label} error distributions "
              f"(min/median/max cross-unit BC units)"]
     for unit in (lo, mid, hi):
         lines.append(f"  BC({unit}) = {bcs[unit]:.2f}")
-        lines.append(_render_distribution(stats, records, unit, etype))
+        lines.append(_render_distribution(stats, unit, etype))
     lines.append(f"  Average cross-unit BC over all units: "
-                 f"{average_bc(stats, records, etype):.2f}")
+                 f"{average_bc(stats, etype):.2f}")
     return "\n".join(lines)
 
 

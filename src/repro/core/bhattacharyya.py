@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ..faults.models import ErrorRecord, ErrorType
+from ..faults.models import ErrorType
 from .signatures import DivergedSet, SignatureStats
 
 
@@ -27,19 +27,14 @@ def bhattacharyya(p: dict[DivergedSet, float], q: dict[DivergedSet, float]) -> f
     return sum(math.sqrt(p[key] * q[key]) for key in support)
 
 
-def cross_unit_bc(stats: SignatureStats, records: list[ErrorRecord],
-                  error_type: ErrorType) -> dict[str, float]:
+def cross_unit_bc(stats: SignatureStats, error_type: ErrorType) -> dict[str, float]:
     """Average BC of each unit's signature against every other unit.
 
     A low value means the unit's error manifestations are unlike other
     units' — i.e. its origin is predictable from the DSR (Figs 4/5).
     """
-    units = [u for u in stats.unit_totals if stats.unit_totals[u]]
-    dists = {
-        u: stats.unit_distribution(u, error_type=error_type, records=records)
-        for u in units
-    }
-    units = [u for u in units if dists[u]]
+    dists = {u: stats.unit_distribution(u, error_type) for u in stats.units}
+    units = [u for u in dists if dists[u]]
     result: dict[str, float] = {}
     for unit in units:
         others = [bhattacharyya(dists[unit], dists[other])
@@ -48,28 +43,26 @@ def cross_unit_bc(stats: SignatureStats, records: list[ErrorRecord],
     return result
 
 
-def average_bc(stats: SignatureStats, records: list[ErrorRecord],
-               error_type: ErrorType) -> float:
+def average_bc(stats: SignatureStats, error_type: ErrorType) -> float:
     """Mean cross-unit BC over all units (paper: ~0.39 hard, ~0.32 soft)."""
-    values = list(cross_unit_bc(stats, records, error_type).values())
+    values = list(cross_unit_bc(stats, error_type).values())
     return sum(values) / len(values) if values else 0.0
 
 
-def bc_extremes(stats: SignatureStats, records: list[ErrorRecord],
-                error_type: ErrorType) -> tuple[str, str, str]:
+def bc_extremes(stats: SignatureStats, error_type: ErrorType) -> tuple[str, str, str]:
     """Units with minimum, median and maximum cross-unit BC.
 
-    These are the three units the paper plots in Figures 4 and 5.
+    These are the three units the paper plots in Figures 4 and 5; ties
+    go to the unit the records showed first.
     """
-    bcs = cross_unit_bc(stats, records, error_type)
+    bcs = cross_unit_bc(stats, error_type)
     if not bcs:
         raise ValueError("no units with errors of this type")
     ranked = sorted(bcs, key=bcs.get)
     return ranked[0], ranked[len(ranked) // 2], ranked[-1]
 
 
-def type_bc_per_unit(stats: SignatureStats,
-                     records: list[ErrorRecord]) -> dict[str, float]:
+def type_bc_per_unit(stats: SignatureStats) -> dict[str, float]:
     """BC between a unit's hard and soft signatures (Section III-B).
 
     High values (e.g. the paper's 0.95 for the Data Processing Unit)
@@ -78,15 +71,15 @@ def type_bc_per_unit(stats: SignatureStats,
     the type is predictable.
     """
     result: dict[str, float] = {}
-    for unit in stats.unit_totals:
-        hard = stats.unit_distribution(unit, ErrorType.HARD, records)
-        soft = stats.unit_distribution(unit, ErrorType.SOFT, records)
+    for unit in stats.units:
+        hard = stats.unit_distribution(unit, ErrorType.HARD)
+        soft = stats.unit_distribution(unit, ErrorType.SOFT)
         if hard and soft:
             result[unit] = bhattacharyya(hard, soft)
     return result
 
 
-def average_type_bc(stats: SignatureStats, records: list[ErrorRecord]) -> float:
+def average_type_bc(stats: SignatureStats) -> float:
     """Mean hard-vs-soft BC over units (paper: ~0.6)."""
-    values = list(type_bc_per_unit(stats, records).values())
+    values = list(type_bc_per_unit(stats).values())
     return sum(values) / len(values) if values else 0.0

@@ -57,16 +57,10 @@ class ErrorCorrelationPredictor:
 
     def predict(self, diverged: DivergedSet) -> Prediction:
         """Predict unit order and error type from a diverged SC set."""
-        index = self.table.mapper.map(diverged)
-        if index >= len(self.table.entries):
-            entry = self.table.default_entry
-            from_default = True
-        else:
-            entry = self.table.entries[index]
-            from_default = False
+        entry = self.table.lookup(diverged)
         etype = ErrorType.HARD if entry.predict_hard else ErrorType.SOFT
         return Prediction(units=entry.units, error_type=etype,
-                          from_default=from_default)
+                          from_default=entry is self.table.default_entry)
 
     def predict_record(self, record: ErrorRecord) -> Prediction:
         """Convenience: predict from an error record's DSR."""

@@ -9,7 +9,7 @@ from the DSR alone; if soft and hard signatures differ, so is its type.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from ..faults.models import ErrorRecord, ErrorType
@@ -22,17 +22,26 @@ DivergedSet = frozenset
 class SignatureStats:
     """Histograms over diverged SC sets, per unit and per error type.
 
+    Every Section III statistic reads these three histograms; none
+    needs the records they were counted from.  Keys keep the order in
+    which the records first showed them, which breaks ties where a
+    figure ranks units or sets.
+
     Attributes:
         fine: whether units follow the 13-unit taxonomy.
         set_unit_counts: diverged set -> unit -> error count.
         set_type_counts: diverged set -> error type -> count.
-        unit_totals: unit -> total errors.
+        unit_type_sets: (unit, error type) -> diverged set -> error
+            count, the per-unit histograms of Figs 4/5.
     """
 
     fine: bool = False
-    set_unit_counts: dict[DivergedSet, Counter] = field(default_factory=dict)
-    set_type_counts: dict[DivergedSet, Counter] = field(default_factory=dict)
-    unit_totals: Counter = field(default_factory=Counter)
+    set_unit_counts: dict[DivergedSet, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
+    set_type_counts: dict[DivergedSet, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
+    unit_type_sets: dict[tuple[str, ErrorType], Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
 
     @classmethod
     def from_records(cls, records: list[ErrorRecord], fine: bool = False) -> "SignatureStats":
@@ -46,11 +55,17 @@ class SignatureStats:
         """Add one error to the histograms."""
         key = record.diverged
         unit = record.unit_for(self.fine)
-        self.set_unit_counts.setdefault(key, Counter())[unit] += 1
-        self.set_type_counts.setdefault(key, Counter())[record.error_type] += 1
-        self.unit_totals[unit] += 1
+        etype = record.error_type
+        self.set_unit_counts[key][unit] += 1
+        self.set_type_counts[key][etype] += 1
+        self.unit_type_sets[unit, etype][key] += 1
 
     # -- distributions --------------------------------------------------------
+
+    @property
+    def units(self) -> list[str]:
+        """Units with at least one error, in first-seen order."""
+        return list(dict.fromkeys(unit for unit, _ in self.unit_type_sets))
 
     @property
     def diverged_sets(self) -> list[DivergedSet]:
@@ -61,17 +76,13 @@ class SignatureStats:
         """Number of distinct diverged SC sets (paper: ~1200)."""
         return len(self.set_unit_counts)
 
-    def unit_distribution(self, unit: str,
-                          error_type: ErrorType | None = None,
-                          records: list[ErrorRecord] | None = None,
+    def unit_distribution(self, unit: str, error_type: ErrorType | None = None,
                           ) -> dict[DivergedSet, float]:
         """P(diverged set | fault in ``unit`` [, error type]).
 
         This is the per-unit probability distribution plotted in the
-        paper's Figures 4 and 5.  When ``error_type`` is given the
-        distribution is restricted to that class, which requires the
-        originating records (pass ``records``); otherwise it is
-        computed from the accumulated histograms.
+        paper's Figures 4 and 5; ``error_type`` restricts it to that
+        class.
         """
         if error_type is None:
             counts = {
@@ -80,12 +91,7 @@ class SignatureStats:
                 if units[unit]
             }
         else:
-            if records is None:
-                raise ValueError("per-type distributions need the error records")
-            counts = Counter(
-                r.diverged for r in records
-                if r.unit_for(self.fine) == unit and r.error_type is error_type
-            )
+            counts = self.unit_type_sets.get((unit, error_type), {})
         total = sum(counts.values())
         if not total:
             return {}

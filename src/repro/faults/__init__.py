@@ -33,9 +33,7 @@ from .stats import (
     Spread,
     diverged_set_size_ratio,
     manifestation_rates,
-    manifestation_times,
     mean_detection_time,
-    overall_manifestation_rate,
     rate_spread,
     table1,
     time_spread,
@@ -53,6 +51,5 @@ __all__ = [
     "sampling_rng", "schedule_rng",
     "ErrorRecord", "ErrorType", "Fault", "FaultKind", "error_type_of",
     "Spread", "diverged_set_size_ratio", "manifestation_rates",
-    "manifestation_times", "mean_detection_time", "overall_manifestation_rate",
-    "rate_spread", "table1", "time_spread",
+    "mean_detection_time", "rate_spread", "table1", "time_spread",
 ]

@@ -34,8 +34,13 @@ the next request: ``Content-Length`` must be one non-negative integer
 (else 400), ``Transfer-Encoding`` is refused (501), a body over
 :data:`MAX_BODY_BYTES` is refused (413), a longer head than
 :data:`MAX_HEAD_BYTES` too (400), and each of these closes the
-connection.  Errors found once a request has been read in full (bad
-JSON, a bad ``dsr``, 404, 405, 409, 503) leave it open.
+connection.  The client may still be sending that request's body, and
+closing a socket with unread bytes resets the connection, which can
+lose the answer.  So the server half-closes and reads what still
+arrives away until the client closes or :data:`LINGER_S` or
+:data:`LINGER_BYTES` run out, and only then closes.  Errors found once
+a request has been read in full (bad JSON, a bad ``dsr``, 404, 405,
+409, 503) leave it open.
 
 The prediction path is the fleet-facing hot path: a lookup is a dict
 probe against the trained table plus two small posterior dicts, no
@@ -84,6 +89,11 @@ MAX_HEAD_BYTES = 64 * 1024
 #: closes it.  A client that comes back later finds it closed and
 #: reconnects (:class:`~.client.ServiceClient` retries once).
 IDLE_TIMEOUT_S = 30.0
+
+#: After a framing error, the server discards what still arrives for
+#: at most this many seconds and bytes before it closes anyway.
+LINGER_S = 5.0
+LINGER_BYTES = 256 * 1024 * 1024
 
 _log = logging.getLogger(__name__)
 
@@ -343,6 +353,8 @@ class _Connection(asyncio.Protocol):
         self.scanned = 0
         #: a parsed head waiting for its body.
         self.head: _Head | None = None
+        #: bytes read away since a framing error; None before one.
+        self.discarded: int | None = None
         self.paused = False
         self.last_active = self.loop.time()
         self.idle_timer: asyncio.TimerHandle | None = None
@@ -373,6 +385,11 @@ class _Connection(asyncio.Protocol):
         self.closed.set_result(None)
 
     def data_received(self, data: bytes) -> None:
+        if self.discarded is not None:
+            self.discarded += len(data)
+            if self.discarded > LINGER_BYTES:
+                self.transport.close()
+            return
         self.buffer += data
         self._answer()
 
@@ -392,16 +409,29 @@ class _Connection(asyncio.Protocol):
             try:
                 request = self._take_request()
             except HttpError as exc:
-                # The framing is in doubt: answer, then close.
                 self.service.http["requests"] += 1
-                self._send(exc.status, exc.headers, {"error": exc.message},
-                           keep_alive=False)
+                self._refuse(exc)
                 return
             if request is None:
                 return
             self.service.http["requests"] += 1
             status, headers, payload = self.service._respond(request)
             self._send(status, headers, payload, request.keep_alive)
+
+    def _refuse(self, exc: HttpError) -> None:
+        """Answer a request whose framing is in doubt, then linger.
+
+        Nothing more is parsed: the connection half-closes and discards
+        what arrives until the client closes (``eof_received``) or a
+        linger bound runs out.
+        """
+        self.transport.write(_response(exc.status, {"error": exc.message},
+                                       exc.headers, keep_alive=False))
+        self.transport.write_eof()
+        self.buffer.clear()
+        self.discarded = 0
+        self.idle_timer.cancel()
+        self.idle_timer = self.loop.call_later(LINGER_S, self.transport.close)
 
     def _send(self, status: int, headers: dict, payload: dict,
               keep_alive: bool) -> None:

@@ -235,10 +235,6 @@ class CampaignLedger:
             return grant
         return None
 
-    def release(self, shard_id: int) -> None:
-        """Voluntarily return a lease (worker shutting down cleanly)."""
-        self._leases.pop(shard_id, None)
-
     # -- commits ------------------------------------------------------------
 
     def commit(self, shard_id: int, outcome: tuple) -> bool:

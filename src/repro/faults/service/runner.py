@@ -39,22 +39,6 @@ def hydrate_store(ledger: CampaignLedger, keep_records: bool = True,
     return store
 
 
-def result_from_ledger(ledger: CampaignLedger, wall_seconds: float = 0.0,
-                       meta: dict | None = None) -> CampaignResult:
-    """Assemble the full result of a complete ledger.
-
-    Streams every committed shard file once; raises if shards are
-    still outstanding (a partial dataset would silently bias every
-    downstream statistic).
-    """
-    if not ledger.complete:
-        done = ledger.n_committed
-        raise RuntimeError(
-            f"campaign incomplete: {done}/{ledger.n_shards} shards committed")
-    store = hydrate_store(ledger, keep_records=True)
-    return store.result(wall_seconds=wall_seconds, meta=meta)
-
-
 def ledger_digest(ledger: CampaignLedger) -> str:
     """Digest of a complete ledger, streamed off the shard files."""
     if not ledger.complete:

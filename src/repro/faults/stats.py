@@ -8,6 +8,7 @@ lockstep detection.  Both are reported per fault class with the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..cpu.units import COARSE_UNITS, FINE_UNITS, coarse_unit
@@ -35,38 +36,21 @@ def _spread(values: list[float]) -> Spread:
     return Spread(min(values), sum(values) / len(values), max(values))
 
 
-def manifestation_rates(result: CampaignResult, error_type: ErrorType,
+def manifestation_rates(result: CampaignResult, error_type: ErrorType | None,
                         fine: bool = False) -> dict[str, float]:
-    """Per-unit manifestation rate (errors / injections) for a class."""
+    """Per-unit manifestation rate (errors / injections) for a class.
+
+    ``error_type=None`` counts every fault, whatever its class.
+    """
     units = FINE_UNITS if fine else COARSE_UNITS
-    injected = {u: 0 for u in units}
+    hard = error_type is ErrorType.HARD
+    injected = Counter()
     for (unit, kind), count in result.injected.items():
-        is_hard = kind != "soft"
-        if (error_type is ErrorType.HARD) != is_hard:
-            continue
-        key = unit if fine else coarse_unit(unit)
-        injected[key] += count
-    manifested = {u: 0 for u in units}
-    for record in result.records:
-        if record.error_type is not error_type:
-            continue
-        manifested[record.unit_for(fine)] += 1
+        if error_type is None or (kind != "soft") == hard:
+            injected[unit if fine else coarse_unit(unit)] += count
+    manifested = Counter(record.unit_for(fine) for record in result.records
+                         if error_type is None or record.error_type is error_type)
     return {u: (manifested[u] / injected[u] if injected[u] else 0.0) for u in units}
-
-
-def manifestation_times(result: CampaignResult, error_type: ErrorType,
-                        fine: bool = False) -> dict[str, float]:
-    """Per-unit mean manifestation time in cycles for a class."""
-    units = FINE_UNITS if fine else COARSE_UNITS
-    sums = {u: 0 for u in units}
-    counts = {u: 0 for u in units}
-    for record in result.records:
-        if record.error_type is not error_type:
-            continue
-        unit = record.unit_for(fine)
-        sums[unit] += record.latency
-        counts[unit] += 1
-    return {u: (sums[u] / counts[u] if counts[u] else 0.0) for u in units}
 
 
 def rate_spread(result: CampaignResult, error_type: ErrorType,
@@ -80,12 +64,6 @@ def time_spread(result: CampaignResult, error_type: ErrorType) -> Spread:
     """[min, mean, max] manifestation time across all errors of a class."""
     latencies = [float(r.latency) for r in result.records if r.error_type is error_type]
     return _spread(latencies)
-
-
-def overall_manifestation_rate(result: CampaignResult) -> float:
-    """Fraction of all injected faults that manifested as errors."""
-    total = result.n_injected
-    return result.n_errors / total if total else 0.0
 
 
 def mean_detection_time(result: CampaignResult) -> float:

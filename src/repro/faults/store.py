@@ -83,13 +83,14 @@ class IncrementalResultStore:
                meta: dict | None = None) -> CampaignResult:
         """Assemble the merged :class:`CampaignResult`.
 
-        Requires ``keep_records=True``; ledger-backed callers use
-        :func:`~repro.faults.service.runner.result_from_ledger` instead.
+        Requires ``keep_records=True``: a complete ledger's result is
+        ``hydrate_store(ledger).result()``
+        (:func:`~repro.faults.service.runner.hydrate_store`).
         """
         if not self.keep_records:
             raise RuntimeError(
-                "store was built with keep_records=False; assemble via "
-                "result_from_ledger")
+                "store was built with keep_records=False; assemble from "
+                "a store that keeps them (hydrate_store(ledger))")
         sampled_flops = self.sampled_flops
         if sampled_flops is None:
             sampled_flops = sampled_flop_counts(self.config)

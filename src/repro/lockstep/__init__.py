@@ -9,25 +9,19 @@ from .categories import (
     SignalCategory,
     diverged_ports,
     diverged_set,
-    dsr_to_set,
     dsr_value,
     expand_ports,
 )
 from .checker import CheckerState, LockstepChecker, VotingChecker
 from .dmr import DmrLockstep
-from .dynamic import (
-    DynamicDmrLockstep,
-    ModeSchedule,
-    ModeWindow,
-    sample_schedule,
-)
+from .dynamic import ModeSchedule, ModeWindow, sample_schedule
 from .tmr import TmrLockstep
 
 __all__ = [
     "PORT_FIELDS", "SC_INDEX", "SIGNAL_CATEGORIES", "TOTAL_PORT_SIGNALS",
     "PortField", "SignalCategory",
-    "diverged_ports", "diverged_set", "dsr_to_set", "dsr_value", "expand_ports",
+    "diverged_ports", "diverged_set", "dsr_value", "expand_ports",
     "CheckerState", "LockstepChecker", "VotingChecker",
     "DmrLockstep", "TmrLockstep",
-    "DynamicDmrLockstep", "ModeSchedule", "ModeWindow", "sample_schedule",
+    "ModeSchedule", "ModeWindow", "sample_schedule",
 ]

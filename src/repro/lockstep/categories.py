@@ -224,7 +224,3 @@ def dsr_value(diverged: frozenset[int]) -> int:
         value |= 1 << idx
     return value
 
-
-def dsr_to_set(value: int) -> frozenset[int]:
-    """Unpack a DSR bit value back into a diverged SC set."""
-    return frozenset(i for i in range(NUM_SCS) if (value >> i) & 1)

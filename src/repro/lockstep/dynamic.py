@@ -21,11 +21,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..cpu.assembler import Program
-from ..cpu.core import Cpu
-from ..cpu.memory import InputStream, Memory
-from .checker import CheckerState, LockstepChecker
-
 #: Window kinds.  ``check`` windows are locked windows that exist
 #: because software asked for one (FlexStep on-demand checking); the
 #: checker treats them identically to scheduled locked windows, the
@@ -89,39 +84,6 @@ class ModeSchedule:
         """Is the comparator active on ``cycle``?"""
         window = self.window_at(cycle)
         return True if window is None else window.locked
-
-    def next_locked(self, cycle: int) -> int:
-        """First cycle >= ``cycle`` on which the comparator is active."""
-        window = self.window_at(cycle)
-        while window is not None and not window.locked:
-            cycle = window.end
-            window = self.window_at(cycle)
-        return cycle
-
-    def with_check(self, cycle: int, length: int) -> "ModeSchedule":
-        """FlexStep on-demand request: a locked check window at ``cycle``.
-
-        Returns a new schedule with ``[cycle, cycle + length)`` forced
-        to ``check`` mode; locked spans already covering part of the
-        range stay locked.  Requests beyond the horizon are no-ops
-        (post-horizon cycles are locked anyway).
-        """
-        if length <= 0 or cycle >= self.horizon:
-            return self
-        lo, hi = cycle, min(cycle + length, self.horizon)
-        out: list[ModeWindow] = []
-        for w in self.windows:
-            if w.end <= lo or w.start >= hi or w.locked:
-                out.append(w)
-                continue
-            # A split window intersecting the request: carve it up.
-            if w.start < lo:
-                out.append(ModeWindow(w.start, lo - w.start, SPLIT))
-            out.append(ModeWindow(max(w.start, lo),
-                                  min(w.end, hi) - max(w.start, lo), CHECK))
-            if w.end > hi:
-                out.append(ModeWindow(hi, w.end - hi, SPLIT))
-        return ModeSchedule(out)
 
     def locked_cycles(self) -> int:
         """Locked (comparing) cycles within the horizon."""
@@ -189,60 +151,3 @@ def sample_schedule(rng, n_cycles: int, duty: float, *,
                                   w.kind))
     return ModeSchedule(trimmed)
 
-
-class DynamicDmrLockstep:
-    """A DMR pair whose checker only runs during locked windows.
-
-    Behaviourally identical to :class:`~repro.lockstep.dmr.DmrLockstep`
-    under :meth:`ModeSchedule.always_locked`; under a partial-duty
-    schedule, divergence during split windows goes unobserved until the
-    next locked (or on-demand check) cycle.  ``error_cycle`` of the
-    latched state is the *wall* cycle of detection, not the count of
-    compared cycles.
-    """
-
-    def __init__(self, program: Program, schedule: ModeSchedule,
-                 stimulus: InputStream | None = None):
-        stimulus = stimulus if stimulus is not None else InputStream()
-        self.schedule = schedule
-        self.core_a = Cpu(Memory.from_program(program), stimulus,
-                          entry=program.entry)
-        self.core_b = Cpu(Memory.from_program(program), stimulus,
-                          entry=program.entry)
-        self.checker = LockstepChecker()
-        self.cycle = 0
-        self.stopped = False
-
-    @property
-    def cores(self) -> tuple[Cpu, Cpu]:
-        return (self.core_a, self.core_b)
-
-    @property
-    def error(self) -> CheckerState:
-        return self.checker.state
-
-    def step(self) -> bool:
-        """Advance one cycle; compare only when the schedule says so."""
-        if self.stopped:
-            return self.checker.state.error
-        out_a = self.core_a.step()
-        out_b = self.core_b.step()
-        compared = self.schedule.locked_at(self.cycle)
-        self.cycle += 1
-        if compared and self.checker.compare(out_a, out_b):
-            # Re-latch with the wall-clock detection cycle: the checker
-            # counted only the cycles it actually compared.
-            self.checker.state.error_cycle = self.cycle - 1
-            self.stopped = True
-            return True
-        return False
-
-    def run(self, max_cycles: int = 1_000_000) -> CheckerState:
-        """Run until an error, both cores halt, or the cycle bound."""
-        for _ in range(max_cycles):
-            if self.stopped:
-                break
-            if self.core_a.halted and self.core_b.halted:
-                break
-            self.step()
-        return self.checker.state

@@ -6,7 +6,7 @@ from .context import (
     build_context,
     manifestation_order,
 )
-from .lert import StrategyResult, evaluate_strategies, evaluate_strategy, merge_results
+from .lert import StrategyResult, evaluate_strategy, merge_results
 from .system_controller import (
     AvailabilityModel,
     DeadlineViolation,
@@ -27,7 +27,7 @@ from .strategies import (
 
 __all__ = [
     "RESET_PENALTY_CYCLES", "ReactionContext", "build_context", "manifestation_order",
-    "StrategyResult", "evaluate_strategies", "evaluate_strategy", "merge_results",
+    "StrategyResult", "evaluate_strategy", "merge_results",
     "BaseAscending", "BaseManifest", "BaseRandom", "PredCombined",
     "PredLocationOnly", "Reaction", "ReactionStrategy", "baseline_strategies",
     "AvailabilityModel", "DeadlineViolation", "ReactionLogEntry",

@@ -9,6 +9,7 @@ import numpy as np
 from ..bist.stl import StlModel
 from ..faults.campaign import CampaignResult
 from ..faults.models import ErrorRecord
+from ..faults.stats import manifestation_rates
 
 #: Cycles to reset the lockstep CPUs and re-synchronise their state
 #: before the real-time task restarts.
@@ -46,20 +47,11 @@ def manifestation_order(result: CampaignResult, fine: bool) -> tuple[str, ...]:
     """Units sorted by descending error manifestation rate.
 
     The rate is a design-time property of the CPU (measured over the
-    whole campaign), which is exactly what the paper's base-manifest
-    strategy assumes is known.
+    whole campaign, every fault class together), which is exactly what
+    the paper's base-manifest strategy assumes is known.
     """
-    from ..cpu.units import COARSE_UNITS, FINE_UNITS, coarse_unit
-
-    units = FINE_UNITS if fine else COARSE_UNITS
-    injected = {u: 0 for u in units}
-    for (unit, _kind), count in result.injected.items():
-        injected[unit if fine else coarse_unit(unit)] += count
-    manifested = {u: 0 for u in units}
-    for record in result.records:
-        manifested[record.unit_for(fine)] += 1
-    rates = {u: (manifested[u] / injected[u] if injected[u] else 0.0) for u in units}
-    return tuple(sorted(units, key=lambda u: -rates[u]))
+    rates = manifestation_rates(result, None, fine)
+    return tuple(sorted(rates, key=lambda u: -rates[u]))
 
 
 def build_context(result: CampaignResult, fine: bool = False,

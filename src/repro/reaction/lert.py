@@ -54,13 +54,6 @@ def evaluate_strategy(strategy: ReactionStrategy, records: list[ErrorRecord],
     )
 
 
-def evaluate_strategies(strategies: list[ReactionStrategy],
-                        records: list[ErrorRecord],
-                        ctx: ReactionContext) -> dict[str, StrategyResult]:
-    """Evaluate several strategies over the same test errors."""
-    return {s.name: evaluate_strategy(s, records, ctx) for s in strategies}
-
-
 def merge_results(parts: list[StrategyResult]) -> StrategyResult:
     """Error-count-weighted merge across cross-validation folds."""
     parts = [p for p in parts if p.n_errors]

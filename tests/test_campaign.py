@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu import FlopRef
-from repro.cpu.units import FINE_UNITS, unit_flop_counts
+from repro.cpu.units import FINE_UNITS, coarse_unit, unit_flop_counts
 from repro.faults import (
     CampaignConfig,
     CampaignResult,
@@ -14,13 +14,13 @@ from repro.faults import (
     diverged_set_size_ratio,
     manifestation_rates,
     mean_detection_time,
-    overall_manifestation_rate,
     rate_spread,
     sample_flops,
     schedule_faults,
     table1,
     time_spread,
 )
+from repro.reaction import manifestation_order
 
 
 class TestConfig:
@@ -163,7 +163,7 @@ class TestSchedule:
 class TestCampaignRun:
     def test_quick_campaign_manifests_errors(self, quick_campaign):
         assert quick_campaign.n_errors > 20
-        assert 0.0 < overall_manifestation_rate(quick_campaign) < 1.0
+        assert 0 < quick_campaign.n_errors < quick_campaign.n_injected
 
     def test_injection_accounting(self, quick_campaign):
         assert quick_campaign.n_injected == sum(quick_campaign.injected.values())
@@ -213,6 +213,16 @@ class TestStats:
         for etype in (ErrorType.SOFT, ErrorType.HARD):
             for rate in manifestation_rates(quick_campaign, etype).values():
                 assert 0.0 <= rate <= 1.0
+
+    def test_all_kinds_rates_order_base_manifest(self, quick_campaign):
+        rates = manifestation_rates(quick_campaign, None)
+        for unit, rate in rates.items():
+            injected = sum(n for (fine, _kind), n in quick_campaign.injected.items()
+                           if coarse_unit(fine) == unit)
+            errors = sum(r.coarse_unit == unit for r in quick_campaign.records)
+            assert rate == (errors / injected if injected else 0.0)
+        order = manifestation_order(quick_campaign, fine=False)
+        assert [rates[u] for u in order] == sorted(rates.values(), reverse=True)
 
     def test_rate_spread_ordered(self, quick_campaign):
         spread = rate_spread(quick_campaign, ErrorType.HARD)

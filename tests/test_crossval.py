@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.analysis import fold_indices, kfold, train_test_split
+from repro.analysis import fold_indices, kfold
 
 
 class TestKfold:
@@ -71,19 +71,3 @@ class TestFoldIndices:
             assert test.tolist() == expected.tolist()
             assert train.tolist() == sorted(set(range(n)) - set(expected.tolist()))
 
-
-class TestTrainTestSplit:
-    def test_split_sizes(self):
-        train, test = train_test_split(list(range(100)), test_fraction=0.2, seed=0)
-        assert len(test) == 20
-        assert len(train) == 80
-
-    def test_disjoint(self):
-        train, test = train_test_split(list(range(50)), seed=3)
-        assert not set(train) & set(test)
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            train_test_split([1, 2, 3], test_fraction=0.0)
-        with pytest.raises(ValueError):
-            train_test_split([1, 2, 3], test_fraction=1.0)

@@ -1,9 +1,8 @@
-"""Dynamic lockstep: mode schedules, gated comparison, shadow replay.
+"""Dynamic lockstep: mode schedules, fault-fuzz gating, shadow replay.
 
 The load-bearing assertions: a :class:`ModeSchedule` is a gapless
 window cover whose beyond-horizon default is the *safe* mode (locked),
-on-demand check windows carve split spans without moving any locked
-cycle, the 100%-duty dynamic session is record-identical to classic
+the 100%-duty dynamic session is record-identical to classic
 always-locked DMR (Hypothesis property over seeds), and — by replaying
 the faulty core raw — every dynamic detection happens at exactly the
 first *locked* cycle with divergent ports while masked/escaped faults
@@ -18,14 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import Cpu, InputStream, Memory, assemble
+from repro.cpu import Cpu, InputStream, Memory
 from repro.cpu.assembler import assemble as _assemble
 from repro.faults.injector import FaultDriver
 from repro.lockstep.dynamic import (
     CHECK,
     LOCKED,
     SPLIT,
-    DynamicDmrLockstep,
     ModeSchedule,
     ModeWindow,
     sample_schedule,
@@ -37,7 +35,6 @@ from repro.verify.faultfuzz import (
     sample_mode_schedule,
 )
 from repro.verify.progen import generate_program
-from tests.conftest import SUM_LOOP
 
 DYN = dict(programs=10, seed=0, faults_per_program=3,
            lockstep_mode="dynamic", duty=0.4)
@@ -75,14 +72,6 @@ class TestModeSchedule:
         assert not s.locked_at(5)
         assert s.locked_at(10)
         assert s.locked_at(10_000)
-        assert s.next_locked(3) == 10
-
-    def test_next_locked_skips_split_spans(self):
-        s = ModeSchedule([ModeWindow(0, 4, LOCKED), ModeWindow(4, 6, SPLIT),
-                          ModeWindow(10, 4, LOCKED)])
-        assert s.next_locked(2) == 2
-        assert s.next_locked(5) == 10
-        assert s.next_locked(12) == 12
 
     def test_check_windows_count_as_locked(self):
         s = ModeSchedule([ModeWindow(0, 4, SPLIT), ModeWindow(4, 2, CHECK),
@@ -90,22 +79,6 @@ class TestModeSchedule:
         assert s.locked_at(4) and s.locked_at(5)
         assert s.locked_cycles() == 2
         assert s.duty == pytest.approx(0.2)
-
-    def test_with_check_carves_a_split_window(self):
-        s = ModeSchedule([ModeWindow(0, 10, LOCKED), ModeWindow(10, 30, SPLIT)])
-        carved = s.with_check(18, 4)
-        assert [w.kind for w in carved.windows] \
-            == [LOCKED, SPLIT, CHECK, SPLIT]
-        assert carved.locked_at(18) and carved.locked_at(21)
-        assert not carved.locked_at(17) and not carved.locked_at(22)
-        # Every previously locked cycle stays locked.
-        assert all(carved.locked_at(t) for t in range(10))
-        assert carved.horizon == s.horizon
-
-    def test_with_check_beyond_horizon_is_noop(self):
-        s = ModeSchedule([ModeWindow(0, 10, SPLIT)])
-        assert s.with_check(10, 4) is s
-        assert s.with_check(5, 0) is s
 
     def test_always_locked_degenerate(self):
         s = ModeSchedule.always_locked()
@@ -148,60 +121,6 @@ class TestSampleSchedule:
         c = sample_mode_schedule(3, 8, 400, 0.5)
         assert [(w.start, w.length, w.kind) for w in a.windows] \
             != [(w.start, w.length, w.kind) for w in c.windows]
-
-
-# ---------------------------------------------------------------------------
-# DynamicDmrLockstep wrapper.
-# ---------------------------------------------------------------------------
-
-class TestDynamicDmr:
-    def test_split_window_defers_detection(self):
-        program = _assemble(SUM_LOOP)
-        schedule = ModeSchedule([ModeWindow(0, 10, LOCKED),
-                                 ModeWindow(10, 40, SPLIT),
-                                 ModeWindow(50, 150, LOCKED)])
-        dmr = DynamicDmrLockstep(program, schedule, InputStream([0]))
-        for _ in range(15):
-            dmr.step()
-        dmr.core_b.pc ^= 4     # upset inside the split window
-        state = dmr.run(2000)
-        assert state.error
-        # Divergence started around cycle 15 but the comparator was
-        # off: detection must wait for the next locked span.
-        assert state.error_cycle >= 50
-        assert schedule.locked_at(state.error_cycle)
-
-    def test_on_demand_check_window_detects_earlier(self):
-        program = _assemble(SUM_LOOP)
-        base = ModeSchedule([ModeWindow(0, 10, LOCKED),
-                             ModeWindow(10, 40, SPLIT),
-                             ModeWindow(50, 150, LOCKED)])
-        late, early = [], []
-        for schedule, sink in ((base, late), (base.with_check(20, 8), early)):
-            dmr = DynamicDmrLockstep(program, schedule, InputStream([0]))
-            for _ in range(15):
-                dmr.step()
-            dmr.core_b.pc ^= 4
-            state = dmr.run(2000)
-            assert state.error
-            assert schedule.locked_at(state.error_cycle)
-            sink.append(state.error_cycle)
-        assert early[0] <= late[0]
-
-    def test_always_locked_matches_plain_dmr(self):
-        from repro.lockstep import DmrLockstep
-
-        program = _assemble(SUM_LOOP)
-        dyn = DynamicDmrLockstep(program, ModeSchedule.always_locked(),
-                                 InputStream([0]))
-        plain = DmrLockstep(program, InputStream([0]))
-        for _ in range(15):
-            dyn.step(), plain.step()
-        dyn.core_b.pc ^= 4
-        plain.core_b.pc ^= 4
-        a, b = dyn.run(2000), plain.run(2000)
-        assert (a.error, a.error_cycle, a.diverged) \
-            == (b.error, b.error_cycle, b.diverged)
 
 
 # ---------------------------------------------------------------------------

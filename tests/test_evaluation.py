@@ -3,13 +3,15 @@
 ``tests/golden/evaluation_medium.json`` pins every
 :class:`EvaluationResult` field (floats as ``float.hex()``) on the
 ``medium_campaign`` fixture.  Regenerate it, only when that campaign's
-records change, with ``PYTHONPATH=src python -m tests.test_evaluation``.
+records or the evaluation's definition change, with
+``PYTHONPATH=src python -m tests.test_evaluation``.
 """
 
 import dataclasses
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,6 @@ from repro.analysis import (
     evaluate_campaign,
     fold_indices,
     kfold,
-    split_errors_by_benchmark,
     topk_sweep,
 )
 from repro.core import (
@@ -36,7 +37,7 @@ from repro.core import (
 )
 from repro.cpu import FlopRef
 from repro.cpu.units import FINE_UNITS, REGISTRY
-from repro.faults import CampaignConfig, CampaignResult, ErrorRecord, FaultKind
+from repro.faults import CampaignConfig, CampaignResult, ErrorRecord, ErrorType, FaultKind
 from repro.reaction import (
     PredCombined,
     PredLocationOnly,
@@ -199,12 +200,6 @@ class TestCoverageAblation:
                 >= full.strategies["base-ascending"].mean_lert)
 
 
-def test_split_errors_by_benchmark(medium_campaign):
-    grouped = split_errors_by_benchmark(medium_campaign.records)
-    assert set(grouped) <= set(medium_campaign.config.benchmarks)
-    assert sum(len(v) for v in grouped.values()) == medium_campaign.n_errors
-
-
 # -- the specification: the record-at-a-time Figure 7 pipeline ------------------
 
 def oracle_evaluation(result: CampaignResult, fine: bool = False,
@@ -220,8 +215,9 @@ def oracle_evaluation(result: CampaignResult, fine: bool = False,
     ctx = build_context(result, fine=fine, seed=seed, coverage=coverage)
 
     per_model: dict[str, list[StrategyResult]] = {}
-    loc_parts: list[tuple[float, int]] = []
-    type_parts: list[tuple[dict[str, float], int]] = []
+    # Accuracy hits and counts, pooled over the folds; each fold's hits
+    # are its accuracy times its count, rounded back to an integer.
+    pooled: Counter = Counter()
     table_bytes = 0.0
     invocations = {"pred-location-only": 0.0, "pred-comb": 0.0}
 
@@ -243,15 +239,22 @@ def oracle_evaluation(result: CampaignResult, fine: bool = False,
                 invocations[model.name] += (
                     fold_result.sbist_invocation_rate * fold_result.n_errors)
 
-        loc_parts.append((location_accuracy(predictor, test), len(test)))
-        type_parts.append((type_accuracy(predictor, test), len(test)))
+        n_hard = sum(r.error_type is ErrorType.HARD for r in test)
+        n_soft = len(test) - n_hard
+        accuracy = type_accuracy(predictor, test)
+        pooled.update(located=round(location_accuracy(predictor, test) * n_hard),
+                      hard=n_hard, soft=n_soft,
+                      hard_right=round(accuracy["hard"] * n_hard),
+                      soft_right=round(accuracy["soft"] * n_soft))
 
-    n_total = sum(n for _, n in loc_parts)
-    loc_acc = sum(a * n for a, n in loc_parts) / n_total if n_total else 0.0
-    type_acc = {
-        key: sum(part[key] * n for part, n in type_parts) / n_total if n_total else 0.0
-        for key in ("soft", "hard", "overall")
-    }
+    def ratio(hits: int, total: int) -> float:
+        return hits / total if total else 0.0
+
+    loc_acc = ratio(pooled["located"], pooled["hard"])
+    type_acc = {"soft": ratio(pooled["soft_right"], pooled["soft"]),
+                "hard": ratio(pooled["hard_right"], pooled["hard"]),
+                "overall": ratio(pooled["soft_right"] + pooled["hard_right"],
+                                 pooled["soft"] + pooled["hard"])}
     loc_inv = invocations["pred-location-only"]
     reduction = 1.0 - invocations["pred-comb"] / loc_inv if loc_inv else 0.0
 

@@ -7,10 +7,8 @@ from repro.analysis.figures import (
     figure11_chart,
     hbar_chart,
     line_chart,
-    signature_histogram,
     topk_chart,
 )
-from repro.faults.models import ErrorType
 
 
 class TestHbar:
@@ -66,8 +64,3 @@ class TestPaperCharts:
         assert "location accuracy %" in text
         assert "avg LERT" in text
 
-    def test_signature_histogram(self, medium_campaign):
-        text = signature_histogram(medium_campaign.records, "DPU",
-                                   ErrorType.HARD)
-        assert "P(diverged SC set | hard fault in DPU)" in text
-        assert "█" in text

@@ -15,7 +15,6 @@ from repro.reaction import (
     PredLocationOnly,
     ReactionContext,
     baseline_strategies,
-    evaluate_strategies,
     evaluate_strategy,
     merge_results,
 )
@@ -165,9 +164,9 @@ class TestEvaluation:
 
     def test_speedup_vs(self, ctx, predictor):
         records = [rec("pc", FaultKind.STUCK1, {1})]
-        results = evaluate_strategies(
-            [BaseAscending(), PredLocationOnly(predictor)], records, ctx)
-        speedup = results["pred-location-only"].speedup_vs(results["base-ascending"])
+        ascending = evaluate_strategy(BaseAscending(), records, ctx)
+        predicted = evaluate_strategy(PredLocationOnly(predictor), records, ctx)
+        speedup = predicted.speedup_vs(ascending)
         assert 0.0 < speedup < 1.0
 
     def test_merge_results_weighted(self):

@@ -52,7 +52,7 @@ from repro.faults.service import (
 )
 from repro.faults.service import http as service_http
 from repro.faults.service.client import ServiceError
-from repro.faults.service.runner import ledger_digest, result_from_ledger
+from repro.faults.service.runner import ledger_digest
 
 #: Small enough that a full crash-recovery sweep stays in seconds,
 #: large enough to produce errors in every shard.
@@ -242,8 +242,8 @@ def test_pooled_worker_matches_reference(tmp_path, reference):
         committed = run_worker(handle.base_url, "pool",
                                plan=ExecPlan(workers=2))
         assert committed == ledger.n_shards
-        assert ServiceClient(handle.base_url).status()["digest"] == \
-            reference.digest()
+        with ServiceClient(handle.base_url) as client:
+            assert client.status()["digest"] == reference.digest()
     finally:
         handle.stop()
 
@@ -323,8 +323,6 @@ def test_ledger_refuses_out_of_range_manifest_config(tmp_path, field, value):
 
 def test_incomplete_ledger_refuses_result(tmp_path):
     ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
-    with pytest.raises(RuntimeError, match="incomplete"):
-        result_from_ledger(ledger)
     with pytest.raises(RuntimeError, match="incomplete"):
         ledger_digest(ledger)
 
@@ -488,12 +486,12 @@ def test_http_full_campaign_through_lease_api(tmp_path, reference):
     ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
     handle = start_service(CampaignService(ledger))
     try:
-        client = ServiceClient(handle.base_url)
-        assert client.status()["training"] is True
-        assert client.config() == CRASH_CONFIG
-        committed = run_worker(handle.base_url, "remote-1")
-        assert committed == ledger.n_shards
-        status = client.status()
+        with ServiceClient(handle.base_url) as client:
+            assert client.status()["training"] is True
+            assert client.config() == CRASH_CONFIG
+            committed = run_worker(handle.base_url, "remote-1")
+            assert committed == ledger.n_shards
+            status = client.status()
         assert status["progress"]["complete"] is True
         assert status["training"] is False
         assert status["digest"] == reference.digest()
@@ -506,41 +504,41 @@ def test_http_503_while_training(tmp_path):
     ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
     handle = start_service(CampaignService(ledger))
     try:
-        client = ServiceClient(handle.base_url)
-        for call in (lambda: client.predict({1, 2}), client.table):
-            with pytest.raises(ServiceError) as excinfo:
-                call()
-            assert excinfo.value.status == 503
-            assert excinfo.value.retry_after is not None
+        with ServiceClient(handle.base_url) as client:
+            for call in (lambda: client.predict({1, 2}), client.table):
+                with pytest.raises(ServiceError) as excinfo:
+                    call()
+                assert excinfo.value.status == 503
+                assert excinfo.value.retry_after is not None
     finally:
         handle.stop()
 
 
 def test_http_error_paths(trained_service):
     _service, handle = trained_service
-    client = ServiceClient(handle.base_url)
-    cases = [
-        ("GET", "/predict", 400),                 # missing dsr
-        ("GET", "/predict?dsr=3,foo", 400),       # malformed signature
-        ("GET", "/predict?dsr=3;4", 400),         # wrong separator
-        ("GET", "/nonsense", 404),
-        ("POST", "/predict", 405),                # wrong method
-        ("GET", "/lease", 405),
-    ]
-    for method, path, expected in cases:
+    with ServiceClient(handle.base_url) as client:
+        cases = [
+            ("GET", "/predict", 400),                 # missing dsr
+            ("GET", "/predict?dsr=3,foo", 400),       # malformed signature
+            ("GET", "/predict?dsr=3;4", 400),         # wrong separator
+            ("GET", "/nonsense", 404),
+            ("POST", "/predict", 405),                # wrong method
+            ("GET", "/lease", 405),
+        ]
+        for method, path, expected in cases:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request(method, path, {} if method == "POST" else None)
+            assert excinfo.value.status == expected, (method, path)
         with pytest.raises(ServiceError) as excinfo:
-            client.request(method, path, {} if method == "POST" else None)
-        assert excinfo.value.status == expected, (method, path)
-    with pytest.raises(ServiceError) as excinfo:
-        client.request("POST", "/commit", {"shard_id": "x", "outcome": {}})
-    assert excinfo.value.status == 400
-    # A TTL that is not a positive finite number; NaN and Infinity are
-    # what ``json`` parses the bare tokens to, and would grant a lease
-    # that never expires.
-    for ttl in (-5, float("nan"), float("inf"), "abc"):
-        with pytest.raises(ServiceError) as excinfo:
-            client.request("POST", "/lease", {"ttl": ttl})
-        assert excinfo.value.status == 400, ttl
+            client.request("POST", "/commit", {"shard_id": "x", "outcome": {}})
+        assert excinfo.value.status == 400
+        # A TTL that is not a positive finite number; NaN and Infinity are
+        # what ``json`` parses the bare tokens to, and would grant a lease
+        # that never expires.
+        for ttl in (-5, float("nan"), float("inf"), "abc"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("POST", "/lease", {"ttl": ttl})
+            assert excinfo.value.status == 400, ttl
 
 
 def test_http_concurrent_lookups_consistent(trained_service, reference):
@@ -557,9 +555,9 @@ def test_http_concurrent_lookups_consistent(trained_service, reference):
 
     def worker(index: int):
         try:
-            client = ServiceClient(handle.base_url)
-            barrier.wait(timeout=30)
-            answers[index] = [client.predict(sig) for sig in signatures]
+            with ServiceClient(handle.base_url) as client:
+                barrier.wait(timeout=30)
+                answers[index] = [client.predict(sig) for sig in signatures]
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -585,16 +583,16 @@ def test_http_concurrent_lookups_consistent(trained_service, reference):
 def test_http_topk_matches_offline_table(trained_service, reference):
     """Offline-trained and HTTP-served tables give identical Top-K orders."""
     _service, handle = trained_service
-    client = ServiceClient(handle.base_url)
     offline = train_predictor(reference.records, top_k=3)
-    # Via /predict:
-    for sig in {r.diverged for r in reference.records}:
-        served = client.predict(sig)
-        prediction = offline.predict(sig)
-        assert tuple(served["units"]) == prediction.units
-        assert served["error_type"] == prediction.error_type.value
-    # Via /table payload round trip:
-    rebuilt, fine = table_from_payload(client.table())
+    with ServiceClient(handle.base_url) as client:
+        # Via /predict:
+        for sig in {r.diverged for r in reference.records}:
+            served = client.predict(sig)
+            prediction = offline.predict(sig)
+            assert tuple(served["units"]) == prediction.units
+            assert served["error_type"] == prediction.error_type.value
+        # Via /table payload round trip:
+        rebuilt, fine = table_from_payload(client.table())
     assert fine is False
     for sig in {r.diverged for r in reference.records} | {frozenset({7, 9})}:
         assert rebuilt.lookup(sig) == offline.table.lookup(sig)
@@ -617,16 +615,17 @@ def test_server_restart_preserves_state(tmp_path, reference):
     """Kill the server (SIGKILL analogue: drop it), restart, resume."""
     ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
     handle = start_service(CampaignService(ledger))
-    client = ServiceClient(handle.base_url)
-    run_worker(handle.base_url, "w1", max_shards=2)
-    assert client.status()["progress"]["committed"] == 2
+    with ServiceClient(handle.base_url) as client:
+        run_worker(handle.base_url, "w1", max_shards=2)
+        assert client.status()["progress"]["committed"] == 2
     handle.stop()  # server gone; ledger survives on disk
     reopened = CampaignLedger(tmp_path, CRASH_CONFIG)
     assert reopened.n_committed == 2
     handle2 = start_service(CampaignService(reopened))
     try:
         run_worker(handle2.base_url, "w2")
-        status = ServiceClient(handle2.base_url).status()
+        with ServiceClient(handle2.base_url) as client:
+            status = client.status()
         assert status["progress"]["complete"] is True
         assert status["digest"] == reference.digest()
     finally:
@@ -696,6 +695,21 @@ def test_framing_error_answers_then_closes(live_service, request_bytes,
         assert _at_eof(sock)
     with ServiceClient(handle.base_url) as client:
         assert client.status()["progress"]["leased"] == 0
+
+
+def test_oversized_body_is_refused_while_it_arrives(live_service, monkeypatch):
+    """A framing error found while the body is still arriving is
+    answered, and the rest of the body read away before the connection
+    closes.  Closing on unread bytes resets the connection: the client
+    then took the reset for an idle close and sent the request again."""
+    service, handle = live_service
+    monkeypatch.setattr(service_http, "MAX_BODY_BYTES", 1024)
+    with ServiceClient(handle.base_url) as client:
+        client.status()
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/commit", {"pad": "x" * (4 << 20)})
+    assert excinfo.value.status == 413
+    assert (service.http["connections"], service.http["requests"]) == (1, 2)
 
 
 @pytest.mark.parametrize("request_bytes,expected", [

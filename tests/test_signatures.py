@@ -1,6 +1,7 @@
 """Signature statistics tests."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,10 @@ def rec(reg: str, kind: FaultKind, diverged, bench="ttsprk",
                        diverged=frozenset(diverged))
 
 
+#: Registers of four coarse units; the three DPU ones are three fine units.
+_REGS = ("pc", "lsu_addr", "rf3", "flags", "mw_val", "status")
+
+
 @pytest.fixture
 def toy_records():
     return [
@@ -42,12 +47,15 @@ class TestAccumulation:
     def test_counts_by_set_and_unit(self, toy_records):
         stats = SignatureStats.from_records(toy_records)
         assert stats.set_unit_counts[frozenset({6})]["LSU"] == 2
-        assert stats.unit_totals["PFU"] == 2
+        assert stats.unit_type_sets["LSU", ErrorType.HARD] == {
+            frozenset({6}): 1, frozenset({6, 7}): 1}
+        assert stats.units == ["PFU", "LSU", "DPU"]
         assert stats.n_sets() == 5
 
     def test_fine_taxonomy_units(self, toy_records):
         stats = SignatureStats.from_records(toy_records, fine=True)
-        assert stats.unit_totals["DPU.RF"] == 1
+        assert stats.unit_type_sets["DPU.RF", ErrorType.SOFT] == {
+            frozenset({50}): 1}
 
     def test_set_probabilities_normalised(self, toy_records):
         stats = SignatureStats.from_records(toy_records)
@@ -73,14 +81,30 @@ class TestAccumulation:
 
     def test_unit_distribution_per_type(self, toy_records):
         stats = SignatureStats.from_records(toy_records)
-        hard = stats.unit_distribution("LSU", ErrorType.HARD, toy_records)
+        hard = stats.unit_distribution("LSU", ErrorType.HARD)
         assert math.isclose(sum(hard.values()), 1.0)
         assert frozenset({6, 7}) in hard
+        assert stats.unit_distribution("DPU", ErrorType.HARD) == {}
+        assert stats.unit_distribution("IMC", ErrorType.SOFT) == {}
 
-    def test_per_type_requires_records(self, toy_records):
-        stats = SignatureStats.from_records(toy_records)
-        with pytest.raises(ValueError):
-            stats.unit_distribution("LSU", ErrorType.HARD)
+    @given(st.lists(st.tuples(st.sampled_from(_REGS), st.sampled_from(list(FaultKind)),
+                              st.frozensets(st.integers(0, 4), max_size=3)),
+                    max_size=40),
+           st.booleans())
+    def test_histogram_equals_record_scan_property(self, rows, fine):
+        """Each (unit, type) histogram is the record scan it replaces,
+        down to the first-seen order of its units and sets, which break
+        ties in Figs 4/5."""
+        records = [rec(reg, kind, diverged) for reg, kind, diverged in rows]
+        stats = SignatureStats.from_records(records, fine)
+        assert stats.units == list(dict.fromkeys(r.unit_for(fine) for r in records))
+        for unit in stats.units:
+            for etype in ErrorType:
+                scan = Counter(r.diverged for r in records
+                               if r.unit_for(fine) == unit and r.error_type is etype)
+                total = sum(scan.values())
+                assert list(stats.unit_distribution(unit, etype).items()) == [
+                    (key, count / total) for key, count in scan.items()]
 
     def test_diverged_sets_canonical_order(self, toy_records):
         stats = SignatureStats.from_records(toy_records)
@@ -126,7 +150,7 @@ class TestUnitBc:
     def test_cross_unit_bc_on_campaign(self, medium_campaign):
         records = medium_campaign.records
         stats = SignatureStats.from_records(records)
-        bcs = cross_unit_bc(stats, records, ErrorType.HARD)
+        bcs = cross_unit_bc(stats, ErrorType.HARD)
         assert bcs
         for value in bcs.values():
             assert 0.0 <= value <= 1.0
@@ -136,25 +160,25 @@ class TestUnitBc:
         records = medium_campaign.records
         stats = SignatureStats.from_records(records)
         for etype in (ErrorType.HARD, ErrorType.SOFT):
-            assert average_bc(stats, records, etype) < 0.7
+            assert average_bc(stats, etype) < 0.7
 
     def test_extremes_ordering(self, medium_campaign):
         records = medium_campaign.records
         stats = SignatureStats.from_records(records)
-        lo, mid, hi = bc_extremes(stats, records, ErrorType.HARD)
-        bcs = cross_unit_bc(stats, records, ErrorType.HARD)
+        lo, mid, hi = bc_extremes(stats, ErrorType.HARD)
+        bcs = cross_unit_bc(stats, ErrorType.HARD)
         assert bcs[lo] <= bcs[mid] <= bcs[hi]
 
     def test_type_bc_bounded(self, medium_campaign):
         records = medium_campaign.records
         stats = SignatureStats.from_records(records)
-        per_unit = type_bc_per_unit(stats, records)
+        per_unit = type_bc_per_unit(stats)
         assert per_unit
         for value in per_unit.values():
             assert 0.0 <= value <= 1.0
-        assert 0.0 <= average_type_bc(stats, records) <= 1.0
+        assert 0.0 <= average_type_bc(stats) <= 1.0
 
     def test_extremes_raise_without_data(self):
         stats = SignatureStats()
         with pytest.raises(ValueError):
-            bc_extremes(stats, [], ErrorType.HARD)
+            bc_extremes(stats, ErrorType.HARD)
