@@ -202,6 +202,12 @@ FULL_WRITE_MASK: int = pack_register_mask(
     spec.name for spec in REGISTRY if spec.full_write)
 
 
+#: Register name -> owning fine / coarse unit.
+_FINE_UNIT_OF: dict[str, str] = {spec.name: spec.unit for spec in REGISTRY}
+_COARSE_UNIT_OF: dict[str, str] = {
+    spec.name: coarse_unit(spec.unit) for spec in REGISTRY}
+
+
 @dataclass(frozen=True, order=True)
 class FlopRef:
     """Address of a single flip-flop: register name plus bit position."""
@@ -219,30 +225,41 @@ class FlopRef:
     @property
     def unit(self) -> str:
         """Owning fine unit."""
-        return REG_BY_NAME[self.reg].unit
+        return _FINE_UNIT_OF[self.reg]
 
     @property
     def coarse(self) -> str:
         """Owning coarse (7-taxonomy) unit."""
-        return coarse_unit(self.unit)
+        return _COARSE_UNIT_OF[self.reg]
+
+
+#: Every flip-flop of the core in canonical order, built (and so
+#: validated) once: ``FlopRef`` is frozen, so the lists below share them.
+_ALL_FLOPS: tuple[FlopRef, ...] = tuple(
+    FlopRef(spec.name, bit) for spec in REGISTRY for bit in range(spec.width))
+
+#: Fine / coarse unit name -> the unit's flops, in canonical order.
+_FINE_FLOPS: dict[str, list[FlopRef]] = {}
+_COARSE_FLOPS: dict[str, list[FlopRef]] = {}
+for _flop in _ALL_FLOPS:
+    _FINE_FLOPS.setdefault(_flop.unit, []).append(_flop)
+    _COARSE_FLOPS.setdefault(_flop.coarse, []).append(_flop)
 
 
 def all_flops() -> list[FlopRef]:
-    """Enumerate every flip-flop in the core in canonical order."""
-    return [FlopRef(spec.name, bit) for spec in REGISTRY for bit in range(spec.width)]
+    """Every flip-flop in the core in canonical order (a fresh list)."""
+    return list(_ALL_FLOPS)
 
 
 def flops_of_unit(unit: str, fine: bool = False) -> list[FlopRef]:
-    """Enumerate the flip-flops owned by ``unit``.
+    """The flip-flops owned by ``unit``, in canonical order (a fresh list).
 
     Args:
         unit: a coarse unit name (default) or fine unit name.
         fine: when True, ``unit`` is interpreted against the 13-unit
             taxonomy; otherwise against the coarse 7-unit taxonomy.
     """
-    if fine:
-        return [f for f in all_flops() if f.unit == unit]
-    return [f for f in all_flops() if f.coarse == unit]
+    return list((_FINE_FLOPS if fine else _COARSE_FLOPS).get(unit, ()))
 
 
 def unit_flop_counts(fine: bool = False) -> dict[str, int]:

@@ -17,7 +17,8 @@ Two ways the extension can be present:
 Both paths are best-effort: any failure (no compiler, sandboxed
 filesystem, exotic platform) leaves :data:`MODULE` as ``None`` and
 :data:`BUILD_ERROR` holding the reason, and the campaign drivers fall
-back to the scalar injection engine (same records, scalar speed).
+back to the scalar injection engine and golden traces to their Python
+build (same records, Python speed).
 Set ``REPRO_CSTEP_BUILD=0`` to skip the auto-build (used by the CI
 fallback leg to prove the pure-Python path).
 """

@@ -8,7 +8,10 @@
  * resolution, stuck-at fast-forward, divergence record construction),
  * which repro/faults/batch.py handles.  `step()` advances lanes one
  * cycle with no driver logic, so tests can compare the C state
- * transition against the specification.  `schedule()` draws a shard's
+ * transition against the specification.  `golden()` records a
+ * workload's fault-free run with the same step, def/use masks and
+ * memory write log included, as repro.faults.golden.GoldenTrace's
+ * Python build does.  `schedule()` draws a shard's
  * fault cycles exactly as numpy draws them in
  * repro.faults.campaign.schedule_faults, and `triage()` decides which
  * of them need simulating, and from when, exactly as
@@ -30,7 +33,7 @@
  *   t/end/next_chk/chk_iv  int64 (B,), per-lane driver bookkeeping
  *   is_hard  uint8/bool (B,)
  *   force_row int64 (B,), force_and/force_or uint32 (B,)
- *   tables   13-tuple, see TABLE_SPECS / repro.faults.batch._cext_tables
+ *   tables   13-tuple, see TABLE_SPECS / repro.faults.kernels.cext_tables
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -41,7 +44,7 @@
 typedef uint32_t u32;
 
 /* Row-index map: filled by memcpy from tables[0] (int64[68]).  Field
- * order here MUST match _ROW_ORDER in repro/faults/batch.py. */
+ * order here MUST match _ROW_ORDER in repro/faults/kernels.py. */
 typedef struct {
     int64_t pc, btb_tag0, btb_tgt0, btb_v;
     int64_t imc_addr, imc_data, imc_valid, imc_pred, imc_ptgt;
@@ -65,7 +68,7 @@ typedef struct {
 #define N_ROWMAP 68
 
 /* ISA/driver constants: filled from tables[1] (int64[28]).  Field
- * order MUST match _CONST_ORDER in repro/faults/batch.py. */
+ * order MUST match the consts array of repro.faults.kernels.cext_tables. */
 typedef struct {
     int64_t cls_alu, cls_mul, cls_lui, cls_mem, cls_branch;
     int64_t cls_jal, cls_jalr, cls_in, cls_out;
@@ -108,8 +111,55 @@ typedef struct {
 
 #define S_(row, lane) x->S[(size_t)(row) * (size_t)x->B + (size_t)(lane)]
 
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
+/* Def/use recording, for golden() only.  The one step body below takes
+ * a recorder; step() and drive() pass the constant NULL, so after
+ * inlining no recording code is left in them.  With a recorder, every
+ * row access notes its register as repro.cpu.core.AccessTracer notes
+ * Cpu.step's dict accesses: a read counts only before the cycle's
+ * first write of the row (a stale read), so a read-modify-write
+ * counts as a read and a write, and the hardwired-zero and write-sink
+ * rows (>= n_regs) are not registers.  This body reads some rows
+ * eagerly that Cpu.step reads only on some paths; GET_IF records such
+ * a read only under the condition on which Cpu.step makes it. */
+typedef struct {
+    uint64_t *rd, *wr;      /* this cycle's read and write mask rows */
+    int64_t n_regs;
+    int64_t cycle;
+    int64_t *log;           /* (cycle, word, value after) per write */
+    Py_ssize_t n_log;
+} Rec;
+
+static ALWAYS_INLINE u32 get_row(Ctx *x, Rec *rec, int record, int64_t row,
+                                 Py_ssize_t i)
+{
+    if (rec != NULL && record && row < rec->n_regs) {
+        const uint64_t bit = (uint64_t)1 << (row & 63);
+        if (!(rec->wr[row >> 6] & bit))
+            rec->rd[row >> 6] |= bit;
+    }
+    return S_(row, i);
+}
+
+static ALWAYS_INLINE void put_row(Ctx *x, Rec *rec, int64_t row,
+                                  Py_ssize_t i, u32 value)
+{
+    if (rec != NULL && row < rec->n_regs)
+        rec->wr[row >> 6] |= (uint64_t)1 << (row & 63);
+    S_(row, i) = value;
+}
+
+#define GET(row) get_row(x, rec, 1, (row), i)
+#define GET_IF(cond, row) get_row(x, rec, (cond), (row), i)
+#define PUT(row, value) put_row(x, rec, (row), i, (value))
+
 /* One lane, one cycle: `Cpu.step` on one SoA column. */
-static void step_lane(Ctx *x, Py_ssize_t i)
+static ALWAYS_INLINE void step_body(Ctx *x, Py_ssize_t i, Rec *rec)
 {
     const RowMap *r = &x->r;
     const Consts *c = &x->c;
@@ -117,14 +167,17 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     const u32 mem_words = (u32)x->mem_words;
 
     /* ---------------- MW stage ---------------- */
-    u32 lsu_valid = S_(r->lsu_valid, i);
-    u32 sb_valid = S_(r->sb_valid, i);
-    u32 mw_valid = S_(r->mw_valid, i);
-    u32 lsu_op = S_(r->lsu_op, i);
-    u32 lsu_addr = S_(r->lsu_addr, i);
-    u32 sb_addr = S_(r->sb_addr, i);
-    u32 sb_data = S_(r->sb_data, i);
-    u32 sb_op = S_(r->sb_op, i);
+    u32 lsu_valid = GET(r->lsu_valid);
+    u32 sb_valid = GET(r->sb_valid);
+    u32 mw_valid = GET(r->mw_valid);
+    /* Cpu.step reads the request and the store buffer only when one of
+     * them is valid. */
+    const int mw_busy = lsu_valid || sb_valid;
+    u32 lsu_op = GET_IF(mw_busy, r->lsu_op);
+    u32 lsu_addr = GET_IF(mw_busy, r->lsu_addr);
+    u32 sb_addr = GET_IF(mw_busy, r->sb_addr);
+    u32 sb_data = GET_IF(mw_busy, r->sb_data);
+    u32 sb_op = GET_IF(mw_busy, r->sb_op);
 
     int is_ld = lsu_valid && lsu_op == 1;
     int is_ldb = lsu_valid && lsu_op == 2;
@@ -148,6 +201,12 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         } else {
             M[widx] = sb_data;
         }
+        if (rec != NULL) {  /* at most one drain, so one entry, a cycle */
+            int64_t *entry = rec->log + 3 * rec->n_log++;
+            entry[0] = rec->cycle;
+            entry[1] = widx;
+            entry[2] = M[widx];
+        }
     }
 
     u32 load_data = 0;
@@ -157,24 +216,24 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         load_data = is_ldb ? (word >> shift) & 0xFF : word;
     }
     if (is_in) {
-        u32 cursor = S_(r->io_in_idx, i);
+        u32 cursor = GET(r->io_in_idx);
         u32 val = x->stim[cursor % (u32)x->stim_len];
         load_data = val;
-        S_(r->io_in, i) = val;
-        S_(r->io_in_idx, i) = (cursor + 1) & 0xFFFF;
+        PUT(r->io_in, val);
+        PUT(r->io_in_idx, (cursor + 1) & 0xFFFF);
     }
     if (is_out) {
-        S_(r->io_out, i) = S_(r->lsu_wdata, i);
-        S_(r->io_out_v, i) ^= 1u;
+        PUT(r->io_out, GET(r->lsu_wdata));
+        PUT(r->io_out_v, GET(r->io_out_v) ^ 1u);
     }
 
     if (drain_load || (sb_valid && !lsu_valid))
-        S_(r->sb_valid, i) = 0;
+        PUT(r->sb_valid, 0);
     if (is_store) {
-        S_(r->sb_addr, i) = lsu_addr;
-        S_(r->sb_data, i) = S_(r->lsu_wdata, i);
-        S_(r->sb_op, i) = (u32)is_stb;
-        S_(r->sb_valid, i) = 1;
+        PUT(r->sb_addr, lsu_addr);
+        PUT(r->sb_data, GET(r->lsu_wdata));
+        PUT(r->sb_op, (u32)is_stb);
+        PUT(r->sb_valid, 1);
     }
 
     int d_read = is_load, d_write = drain;
@@ -182,42 +241,46 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     u32 prim_addr = d_read ? lsu_addr : sb_addr;
     int prim_byte = d_read ? is_ldb : (sb_op != 0);
     if (d_any)
-        S_(r->dmc_addr, i) = prim_addr;
+        PUT(r->dmc_addr, prim_addr);
     if (d_write)
-        S_(r->dmc_wdata, i) = sb_data;
+        PUT(r->dmc_wdata, sb_data);
     if (d_read)
-        S_(r->dmc_rdata, i) = load_data;
-    S_(r->dmc_ctrl, i) = d_any ? ((u32)d_read | ((u32)d_write << 1) | 8) : 0;
-    S_(r->dmc_strb, i) =
-        d_any ? (prim_byte ? (1u << (prim_addr & 3)) : 0xFu) : 0;
+        PUT(r->dmc_rdata, load_data);
+    PUT(r->dmc_ctrl, d_any ? ((u32)d_read | ((u32)d_write << 1) | 8) : 0);
+    PUT(r->dmc_strb, d_any ? (prim_byte ? (1u << (prim_addr & 3)) : 0xFu) : 0);
 
     /* Writeback before DX reads the file (subsumes the bypass net). */
-    u32 wb_value = S_(r->mw_isload, i) ? load_data : S_(r->mw_val, i);
-    if (mw_valid && S_(r->mw_wen, i))
-        S_(x->rf_write[S_(r->mw_rd, i) & 0xF], i) = wb_value;
+    u32 wb_value = GET_IF(mw_valid, r->mw_isload)
+                   ? load_data : GET_IF(mw_valid, r->mw_val);
+    if (mw_valid && GET(r->mw_wen))
+        PUT(x->rf_write[GET(r->mw_rd) & 0xF], wb_value);
     if (mw_valid) {
-        S_(r->ret_pc, i) = S_(r->mw_pc, i);
-        S_(r->ret_val, i) = wb_value;
-        S_(r->ret_rd, i) = S_(r->mw_rd, i);
+        PUT(r->ret_pc, GET(r->mw_pc));
+        PUT(r->ret_val, wb_value);
+        PUT(r->ret_rd, GET(r->mw_rd));
     }
-    S_(r->ret_valid, i) = mw_valid ? 1 : 0;
+    PUT(r->ret_valid, mw_valid ? 1 : 0);
 
     /* ---------------- DX stage ---------------- */
-    u32 if_valid_raw = S_(r->if_valid, i);
+    u32 if_valid_raw = GET(r->if_valid);
     int if_valid = if_valid_raw != 0;
-    u32 if_pc = S_(r->if_pc, i);
-    u32 word = S_(r->if_ir, i);
+    u32 if_pc = GET(r->if_pc);
+    /* Cpu.step decodes, and looks for a trap, only when if_valid. */
+    u32 word = GET_IF(if_valid, r->if_ir);
     u32 opnum = (word >> 26) & 0x3F;
     int64_t cls = x->opc_cls[opnum];
     u32 seq_next = if_pc + 4;
-    u32 fetched_next = S_(r->if_pred, i) ? S_(r->if_ptgt, i) : seq_next;
+    u32 fetched_next = GET_IF(if_valid, r->if_pred)
+                       ? GET_IF(if_valid, r->if_ptgt) : seq_next;
 
-    int irq = ((S_(r->irq_pending, i) & S_(r->irq_mask, i)) != 0)
-              && ((S_(r->status, i) & 1) == 0);
-    u32 ctrl = S_(r->dbg_ctrl, i);
+    int irq = ((GET_IF(if_valid, r->irq_pending)
+                & GET_IF(if_valid, r->irq_mask)) != 0)
+              && ((GET_IF(if_valid, r->status) & 1) == 0);
+    u32 ctrl = GET_IF(if_valid && !irq, r->dbg_ctrl);
     int bk = !irq && ((ctrl & 3) != 0)
-             && ((((ctrl & 1) != 0) && if_pc == S_(r->dbg_bkpt0, i))
-                 || (((ctrl & 2) != 0) && if_pc == S_(r->dbg_bkpt1, i)));
+             && ((((ctrl & 1) != 0) && if_pc == GET_IF(if_valid, r->dbg_bkpt0))
+                 || (((ctrl & 2) != 0)
+                     && if_pc == GET_IF(if_valid, r->dbg_bkpt1)));
     int ill = !irq && !bk && !x->opc_valid[opnum];
     int trap = (irq || bk || ill) && if_valid;
     u32 trap_code = 0;
@@ -232,8 +295,9 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     u32 ra_f = (word >> 18) & 0xF;
     u32 rb_f = (word >> 14) & 0xF;
     u32 rd_f = (word >> 22) & 0xF;
-    u32 ra_val = S_(x->rf_read[ra_f], i);
-    u32 rb_val = S_(x->rf_read[rb_f], i);
+    /* Cpu.step reads both operands of every instruction it executes. */
+    u32 ra_val = GET_IF(dispatch, x->rf_read[ra_f]);
+    u32 rb_val = GET_IF(dispatch, x->rf_read[rb_f]);
     u32 imm32 = (word & 0x2000) ? ((word & 0x1FFF) | 0xFFFFE000u)
                                 : (word & 0x1FFF);
 
@@ -275,25 +339,23 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         }
         u32 nf = (res >> 31) & 1;
         u32 zf = res == 0;
-        S_(r->flags, i) = (nf << 3) | (zf << 2) | (carry << 1) | ovf;
+        PUT(r->flags, (nf << 3) | (zf << 2) | (carry << 1) | ovf);
         n_mw_valid = 1;
         n_mw_wen = 1;
         n_mw_rd = rd_f;
         n_mw_val = res;
     } else if (dispatch && cls == c->cls_mul) {
-        if (!S_(r->mul_pending, i)) {
-            S_(r->mul_a, i) = ra_val;
-            S_(r->mul_b, i) = rb_val;
-            S_(r->mul_pending, i) = 1;
+        if (!GET(r->mul_pending)) {
+            PUT(r->mul_a, ra_val);
+            PUT(r->mul_b, rb_val);
+            PUT(r->mul_pending, 1);
             stall = 1;
         } else {
-            uint64_t prod =
-                (uint64_t)S_(r->mul_a, i) * (uint64_t)S_(r->mul_b, i);
+            uint64_t prod = (uint64_t)GET(r->mul_a) * (uint64_t)GET(r->mul_b);
             u32 mres = (opnum == (u32)c->op_mul) ? (u32)prod
                                                  : (u32)(prod >> 32);
-            S_(r->flags, i) =
-                ((mres >> 31) & 1) << 3 | ((u32)(mres == 0)) << 2;
-            S_(r->mul_pending, i) = 0;
+            PUT(r->flags, ((mres >> 31) & 1) << 3 | ((u32)(mres == 0)) << 2);
+            PUT(r->mul_pending, 0);
             n_mw_valid = 1;
             n_mw_wen = 1;
             n_mw_rd = rd_f;
@@ -308,19 +370,19 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         u32 addr = ra_val + imm32;
         int word_op = opnum == (u32)c->op_ld || opnum == (u32)c->op_st;
         int misal = word_op && (addr & 3) != 0;
-        int watch = !misal && (ctrl & 4) != 0 && addr == S_(r->dbg_watch0, i);
-        int mpu_hit = 0;
-        u32 mc = S_(r->mpu_ctrl, i);
-        if (mc != 0) {
+        int watch = !misal && (ctrl & 4) != 0 && addr == GET(r->dbg_watch0);
+        /* The MPU is consulted, region by region up to the first hit,
+         * only for an access that neither misaligns nor hits the
+         * watchpoint, as Cpu.step consults it. */
+        int mpu = 0;
+        if (!misal && !watch) {
+            u32 mc = GET(r->mpu_ctrl);
             int reg;
-            for (reg = 0; reg < 4; reg++) {
-                if (((mc >> (2 * reg)) & 3) == 3
-                    && S_(r->mpu_base0 + reg, i) <= addr
-                    && addr < S_(r->mpu_limit0 + reg, i))
-                    mpu_hit = 1;
-            }
+            for (reg = 0; mc != 0 && reg < 4 && !mpu; reg++)
+                mpu = ((mc >> (2 * reg)) & 3) == 3
+                      && GET(r->mpu_base0 + reg) <= addr
+                      && addr < GET(r->mpu_limit0 + reg);
         }
-        int mpu = !misal && !watch && mpu_hit;
         if (mpu)
             trap_code = (u32)c->cause_mpu;
         if (watch)
@@ -330,13 +392,13 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         if (misal || watch || mpu) {
             trap = 1;
         } else {
-            if (S_(r->status, i) & (u32)c->status_cnt_en)
-                S_(r->cnt_mem, i) += 1;
+            if (GET(r->status) & (u32)c->status_cnt_en)
+                PUT(r->cnt_mem, GET(r->cnt_mem) + 1);
             n_lsu_valid = 1;
             n_lsu_op = x->lsu_op_of[opnum];
-            S_(r->lsu_addr, i) = addr;
+            PUT(r->lsu_addr, addr);
             if (opnum == (u32)c->op_st || opnum == (u32)c->op_stb)
-                S_(r->lsu_wdata, i) = rb_val;
+                PUT(r->lsu_wdata, rb_val);
             n_mw_valid = 1;
             if (opnum == (u32)c->op_ld || opnum == (u32)c->op_ldb) {
                 n_mw_wen = 1;
@@ -346,8 +408,8 @@ static void step_lane(Ctx *x, Py_ssize_t i)
             n_mw_val = addr;
         }
     } else if (dispatch && cls == c->cls_branch) {
-        if (S_(r->status, i) & (u32)c->status_cnt_en)
-            S_(r->cnt_branch, i) += 1;
+        if (GET(r->status) & (u32)c->status_cnt_en)
+            PUT(r->cnt_branch, GET(r->cnt_branch) + 1);
         int64_t bsel = (int64_t)opnum - c->op_beq;
         if (bsel < 0)
             bsel = 0;
@@ -363,18 +425,17 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         case 5: taken = ra_val >= rb_val; break;
         }
         u32 target = seq_next + (imm32 << 2);
-        S_(r->br_target, i) = target;
-        S_(r->br_taken, i) = (u32)taken;
+        PUT(r->br_target, target);
+        PUT(r->br_taken, (u32)taken);
         n_br_valid = 1;
         if (taken) {
             actual_next = target;
-            S_(r->btb_tag0 + bidx, i) = if_pc;
-            S_(r->btb_tgt0 + bidx, i) = target;
-            S_(r->btb_v, i) |= 1u << bidx;
-        } else if (S_(r->if_pred, i)
-                   && S_(r->btb_tag0 + bidx, i) == if_pc) {
+            PUT(r->btb_tag0 + bidx, if_pc);
+            PUT(r->btb_tgt0 + bidx, target);
+            PUT(r->btb_v, GET(r->btb_v) | (1u << bidx));
+        } else if (GET(r->if_pred) && GET(r->btb_tag0 + bidx) == if_pc) {
             /* NOT4[bidx]: clears the way bit and any bits above 3. */
-            S_(r->btb_v, i) &= (~(1u << bidx)) & 0xF;
+            PUT(r->btb_v, GET(r->btb_v) & (~(1u << bidx)) & 0xF);
         }
         n_mw_valid = 1;
     } else if (dispatch && (cls == c->cls_jal || cls == c->cls_jalr)) {
@@ -383,12 +444,12 @@ static void step_lane(Ctx *x, Py_ssize_t i)
         u32 jt = (cls == c->cls_jal) ? seq_next + (off32 << 2)
                                      : (ra_val + imm32) & 0xFFFFFFFCu;
         actual_next = jt;
-        S_(r->br_target, i) = jt;
-        S_(r->br_taken, i) = 1;
+        PUT(r->br_target, jt);
+        PUT(r->br_taken, 1);
         n_br_valid = 1;
-        S_(r->btb_tag0 + bidx, i) = if_pc;
-        S_(r->btb_tgt0 + bidx, i) = jt;
-        S_(r->btb_v, i) |= 1u << bidx;
+        PUT(r->btb_tag0 + bidx, if_pc);
+        PUT(r->btb_tgt0 + bidx, jt);
+        PUT(r->btb_v, GET(r->btb_v) | (1u << bidx));
         n_mw_valid = 1;
         n_mw_wen = 1;
         n_mw_rd = rd_f;
@@ -396,7 +457,7 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     } else if (dispatch && cls == c->cls_in) {
         n_lsu_valid = 1;
         n_lsu_op = 5;
-        S_(r->lsu_addr, i) = imm32;
+        PUT(r->lsu_addr, imm32);
         n_mw_valid = 1;
         n_mw_wen = 1;
         n_mw_isload = 1;
@@ -404,18 +465,20 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     } else if (dispatch && cls == c->cls_out) {
         n_lsu_valid = 1;
         n_lsu_op = 6;
-        S_(r->lsu_addr, i) = imm32;
-        S_(r->lsu_wdata, i) = rb_val;
+        PUT(r->lsu_addr, imm32);
+        PUT(r->lsu_wdata, rb_val);
         n_mw_valid = 1;
     } else if (dispatch && cls == c->cls_csrr) {
         u32 csr_idx = word & 0x3FFF;
         n_mw_valid = 1;
         n_mw_wen = 1;
         n_mw_rd = rd_f;
+        /* Cpu.step reads a CSR with getattr, which bypasses its access
+         * tracer, so no CSRR read is recorded. */
         n_mw_val = S_(x->csr_read[csr_idx], i);
     } else if (dispatch && cls == c->cls_csrw) {
         u32 csr_idx = word & 0x3FFF;
-        S_(x->csr_write[csr_idx], i) = rb_val & x->csr_wmask[csr_idx];
+        PUT(x->csr_write[csr_idx], rb_val & x->csr_wmask[csr_idx]);
         n_mw_valid = 1;
     } else if (dispatch && cls == c->cls_nop) {
         n_mw_valid = 1;
@@ -424,10 +487,10 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     }
 
     if (trap) {
-        S_(r->cause, i) = trap_code;
-        S_(r->epc, i) = if_pc;
-        S_(r->status, i) |= 1;
-        S_(r->sflags, i) = S_(r->flags, i);
+        PUT(r->cause, trap_code);
+        PUT(r->epc, if_pc);
+        PUT(r->status, GET(r->status) | 1);
+        PUT(r->sflags, GET(r->flags));
     }
 
     int mispred = dispatch && !trap && !stall && !halt_now
@@ -435,57 +498,58 @@ static void step_lane(Ctx *x, Py_ssize_t i)
     int redirect = trap || mispred;
     u32 redirect_tgt = trap ? (u32)c->exc_vector : actual_next;
 
-    /* DX -> MW latches (n_mw_pc reads mw_pc before the overwrite). */
-    u32 n_mw_pc = if_valid ? if_pc : S_(r->mw_pc, i);
-    S_(r->mw_valid, i) = stall ? 0 : n_mw_valid;
+    /* DX -> MW latches.  A bubble or a stall keeps mw_pc, which
+     * Cpu.step reads for it (before the overwrite below). */
+    u32 n_mw_pc = if_valid && !stall ? if_pc : GET(r->mw_pc);
+    PUT(r->mw_valid, stall ? 0 : n_mw_valid);
     if (!stall) {
-        S_(r->mw_wen, i) = n_mw_wen;
-        S_(r->mw_isload, i) = n_mw_isload;
-        S_(r->mw_rd, i) = n_mw_rd;
-        S_(r->mw_val, i) = n_mw_val;
-        S_(r->mw_pc, i) = n_mw_pc;
+        PUT(r->mw_wen, n_mw_wen);
+        PUT(r->mw_isload, n_mw_isload);
+        PUT(r->mw_rd, n_mw_rd);
+        PUT(r->mw_val, n_mw_val);
+        PUT(r->mw_pc, n_mw_pc);
     }
-    S_(r->lsu_valid, i) = stall ? 0 : n_lsu_valid;
-    S_(r->lsu_op, i) = stall ? 0 : n_lsu_op;
-    S_(r->br_valid, i) = n_br_valid;
+    PUT(r->lsu_valid, stall ? 0 : n_lsu_valid);
+    PUT(r->lsu_op, stall ? 0 : n_lsu_op);
+    PUT(r->br_valid, n_br_valid);
 
     /* ---------------- IF stages ---------------- */
     u32 fetch_addr = 0, fetch_word = 0;
     int fetched = 0;
+    u32 pc_old = GET(r->pc);  /* Cpu.step reads pc every cycle */
     if (halt_now) {
-        S_(r->halted, i) = 1;
-        S_(r->if_valid, i) = 0;
-        S_(r->imc_valid, i) = 0;
-        S_(r->imc_pred, i) = 0;
+        PUT(r->halted, 1);
+        PUT(r->if_valid, 0);
+        PUT(r->imc_valid, 0);
+        PUT(r->imc_pred, 0);
     } else if (redirect) {
-        S_(r->pc, i) = redirect_tgt;
-        S_(r->if_valid, i) = 0;
-        S_(r->if_pred, i) = 0;
-        S_(r->imc_valid, i) = 0;
-        S_(r->imc_pred, i) = 0;
+        PUT(r->pc, redirect_tgt);
+        PUT(r->if_valid, 0);
+        PUT(r->if_pred, 0);
+        PUT(r->imc_valid, 0);
+        PUT(r->imc_pred, 0);
     } else if (!stall) {
-        u32 pc_old = S_(r->pc, i);
         /* IF2: prefetch buffer -> decode latch. */
-        S_(r->if_ir, i) = S_(r->imc_data, i);
-        S_(r->if_pc, i) = S_(r->imc_addr, i);
-        S_(r->if_valid, i) = S_(r->imc_valid, i);
-        S_(r->if_pred, i) = S_(r->imc_pred, i);
-        S_(r->if_ptgt, i) = S_(r->imc_ptgt, i);
+        PUT(r->if_ir, GET(r->imc_data));
+        PUT(r->if_pc, GET(r->imc_addr));
+        PUT(r->if_valid, GET(r->imc_valid));
+        PUT(r->if_pred, GET(r->imc_pred));
+        PUT(r->if_ptgt, GET(r->imc_ptgt));
         /* IF1: fetch at pc with BTB next-fetch prediction. */
         u32 fw = M[(pc_old >> 2) % mem_words];
-        S_(r->imc_addr, i) = pc_old;
-        S_(r->imc_data, i) = fw;
-        S_(r->imc_valid, i) = 1;
+        PUT(r->imc_addr, pc_old);
+        PUT(r->imc_data, fw);
+        PUT(r->imc_valid, 1);
         u32 fb = (pc_old >> 2) & 3;
-        if ((S_(r->btb_v, i) & (1u << fb)) != 0
-            && S_(r->btb_tag0 + fb, i) == pc_old) {
-            u32 tgt = S_(r->btb_tgt0 + fb, i);
-            S_(r->pc, i) = tgt;
-            S_(r->imc_pred, i) = 1;
-            S_(r->imc_ptgt, i) = tgt;
+        if ((GET(r->btb_v) & (1u << fb)) != 0
+            && GET(r->btb_tag0 + fb) == pc_old) {
+            u32 tgt = GET(r->btb_tgt0 + fb);
+            PUT(r->pc, tgt);
+            PUT(r->imc_pred, 1);
+            PUT(r->imc_ptgt, tgt);
         } else {
-            S_(r->pc, i) = pc_old + 4;
-            S_(r->imc_pred, i) = 0;
+            PUT(r->pc, pc_old + 4);
+            PUT(r->imc_pred, 0);
         }
         fetch_addr = pc_old;
         fetch_word = fw;
@@ -494,18 +558,23 @@ static void step_lane(Ctx *x, Py_ssize_t i)
 
     /* ---------------- BIU external bus view ---------------- */
     if (d_any) {
-        S_(r->bus_addr, i) = prim_addr;
-        S_(r->bus_data, i) = d_read ? load_data : sb_data;
-        S_(r->bus_ctrl, i) = d_write ? 3 : 2;
+        PUT(r->bus_addr, prim_addr);
+        PUT(r->bus_data, d_read ? load_data : sb_data);
+        PUT(r->bus_ctrl, d_write ? 3 : 2);
     } else if (fetched) {
-        S_(r->bus_addr, i) = fetch_addr;
-        S_(r->bus_data, i) = fetch_word;
-        S_(r->bus_ctrl, i) = 1;
+        PUT(r->bus_addr, fetch_addr);
+        PUT(r->bus_data, fetch_word);
+        PUT(r->bus_ctrl, 1);
     } else {
-        S_(r->bus_ctrl, i) = 0;
+        PUT(r->bus_ctrl, 0);
     }
 
-    S_(r->cyc, i) += 1;
+    PUT(r->cyc, GET(r->cyc) + 1);
+}
+
+static void step_lane(Ctx *x, Py_ssize_t i)
+{
+    step_body(x, i, NULL);
 }
 
 /* -- buffer plumbing -------------------------------------------------------- */
@@ -542,16 +611,17 @@ static const BufSpec TABLE_SPECS[13] = {
 };
 
 /* Fill the Ctx tables from the 13-tuple; all buffers are recorded in
- * `views` for release by the caller. */
+ * `views` for release by the caller, which may release them whether
+ * or not this succeeds. */
 static int load_tables(PyObject *tables, Py_buffer views[13], Ctx *x)
 {
     Py_ssize_t k;
+    for (k = 0; k < 13; k++)
+        views[k].obj = NULL;
     if (!PyTuple_Check(tables) || PyTuple_GET_SIZE(tables) != 13) {
         PyErr_SetString(PyExc_TypeError, "tables must be a 13-tuple");
         return -1;
     }
-    for (k = 0; k < 13; k++)
-        views[k].obj = NULL;
     for (k = 0; k < 13; k++) {
         if (get_buf(PyTuple_GET_ITEM(tables, k), &views[k],
                     &TABLE_SPECS[k]) < 0)
@@ -894,6 +964,185 @@ cleanup:
     if (tables_held)
         release_all(tv, 13);
     release_all(views, NBUF);
+    return ret;
+}
+
+/* -- golden(S, M, stim, tables, max_cycles): a recorded fault-free run ----
+ *
+ * repro.faults.golden.GoldenTrace records a workload's fault-free run
+ * by stepping Cpu (the specification) with an AccessTracer attached.
+ * golden() records the same run with the step body above: lane 0 of S
+ * and M (the reset state and the program image; B must be 1) runs to
+ * HALT.  It returns None when the lane has not halted after max_cycles
+ * cycles, else (n_cycles, states, ports, reads, writes, log), the last
+ * five as bytearrays:
+ *   states  uint32 (n_cycles, n_regs), the state at the start of each
+ *           cycle;
+ *   ports   uint32 (n_cycles, 18), the compact port tuple Cpu.step
+ *           returns, as drive() compares it;
+ *   reads, writes  uint64 (n_cycles, mask words), each cycle's register
+ *           read and write masks (bit k of word k / 64 for S row k);
+ *   log     int64 (n_writes, 3), (cycle, word, value after) for every
+ *           memory write, in order.
+ * Every read mask starts with the registers Cpu.step reads for its
+ * port tuple and its halted check, before anything else.  The buffers
+ * grow with the cycles run (doubling), never to max_cycles up front,
+ * and the loop runs with the GIL released. */
+
+#define GOLDEN_MAX_WORDS 4
+#define GOLDEN_FIRST_ROWS 1024
+
+enum { G_STATES, G_PORTS, G_READS, G_WRITES, G_LOG, G_N };
+
+static PyObject *py_golden(PyObject *self, PyObject *args)
+{
+    PyObject *s_obj, *m_obj, *stim_obj, *tables;
+    Py_ssize_t max_cycles;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOOOn", &s_obj, &m_obj, &stim_obj, &tables,
+                          &max_cycles))
+        return NULL;
+
+    Py_buffer sv = {0}, mv = {0}, stv = {0}, tv[13];
+    static const BufSpec s_spec = {"S", 1, 4};
+    static const BufSpec m_spec = {"M", 1, 4};
+    static const BufSpec st_spec = {"stim", 0, 4};
+    Ctx ctx;
+    Ctx *x = &ctx;
+    void *buf[G_N] = {NULL, NULL, NULL, NULL, NULL};
+    PyObject *items[G_N] = {NULL, NULL, NULL, NULL, NULL};
+    PyObject *ret = NULL;
+    int tables_held = 0;
+    Py_ssize_t k;
+
+    if (get_buf(s_obj, &sv, &s_spec) < 0)
+        return NULL;
+    if (get_buf(m_obj, &mv, &m_spec) < 0)
+        goto cleanup;
+    if (get_buf(stim_obj, &stv, &st_spec) < 0)
+        goto cleanup;
+    tables_held = 1;
+    if (load_tables(tables, tv, x) < 0)
+        goto cleanup;
+    if (sv.ndim != 2 || mv.ndim != 2) {
+        PyErr_SetString(PyExc_ValueError, "S and M must be 2-D");
+        goto cleanup;
+    }
+    x->S = (u32 *)sv.buf;
+    x->n_rows = sv.shape[0];
+    x->B = sv.shape[1];
+    x->M = (u32 *)mv.buf;
+    x->mem_words = mv.shape[1];
+    x->stim = (const u32 *)stv.buf;
+    x->stim_len = stv.len / 4;
+
+    const RowMap *r = &x->r;
+    const Py_ssize_t n_regs = (Py_ssize_t)x->c.n_regs;
+    const Py_ssize_t words = (n_regs + 63) / 64;
+    if (x->B != 1 || mv.shape[0] != 1 || n_regs < 1
+        || x->n_rows < n_regs + 2 || words > GOLDEN_MAX_WORDS
+        || x->stim_len <= 0 || x->mem_words <= 0 || max_cycles < 0) {
+        PyErr_SetString(PyExc_ValueError, "inconsistent golden shapes");
+        goto cleanup;
+    }
+
+    const size_t row_bytes[G_N] = {
+        (size_t)n_regs * 4, 18 * 4, (size_t)words * 8, (size_t)words * 8,
+        3 * 8,
+    };
+    /* The port tuple's registers: the 16 port rows plus the four the
+     * two event entries combine. */
+    uint64_t port_reads[GOLDEN_MAX_WORDS] = {0};
+    {
+        int64_t rows[20];
+        for (k = 0; k < 16; k++)
+            rows[k] = x->port_rows[k];
+        rows[16] = r->status;
+        rows[17] = r->halted;
+        rows[18] = r->br_taken;
+        rows[19] = r->br_valid;
+        for (k = 0; k < 20; k++) {
+            if (rows[k] < 0 || rows[k] >= n_regs) {
+                PyErr_SetString(PyExc_ValueError, "port row out of range");
+                goto cleanup;
+            }
+            port_reads[rows[k] >> 6] |= (uint64_t)1 << (rows[k] & 63);
+        }
+    }
+
+    Py_ssize_t t = 0, cap = 0;
+    int oom = 0;
+    Rec rec = {NULL, NULL, n_regs, 0, NULL, 0};
+    const Py_ssize_t i = 0;  /* the lane S_ addresses */
+
+    Py_BEGIN_ALLOW_THREADS
+    while (!S_(r->halted, i) && t < max_cycles) {
+        if (t == cap) {
+            cap = cap ? 2 * cap : GOLDEN_FIRST_ROWS;
+            if (cap > max_cycles)
+                cap = max_cycles;
+            for (k = 0; k < G_N && !oom; k++) {
+                void *grown = PyMem_RawRealloc(buf[k], (size_t)cap
+                                                       * row_bytes[k]);
+                if (grown == NULL)
+                    oom = 1;
+                else
+                    buf[k] = grown;
+            }
+            if (oom)
+                break;
+        }
+        u32 *state = (u32 *)buf[G_STATES] + (size_t)t * (size_t)n_regs;
+        Py_ssize_t row;
+        for (row = 0; row < n_regs; row++)
+            state[row] = S_(row, i);
+        u32 *port = (u32 *)buf[G_PORTS] + (size_t)t * 18;
+        for (k = 0; k < 16; k++)
+            port[k] = S_(x->port_rows[k], i);
+        port[16] = (S_(r->status, i) & 1) | (S_(r->halted, i) << 1);
+        port[17] = S_(r->br_taken, i) | (S_(r->br_valid, i) << 1);
+        rec.rd = (uint64_t *)buf[G_READS] + (size_t)t * (size_t)words;
+        rec.wr = (uint64_t *)buf[G_WRITES] + (size_t)t * (size_t)words;
+        memcpy(rec.rd, port_reads, (size_t)words * 8);
+        memset(rec.wr, 0, (size_t)words * 8);
+        rec.log = (int64_t *)buf[G_LOG];
+        rec.cycle = t;
+        step_body(x, i, &rec);
+        t++;
+    }
+    Py_END_ALLOW_THREADS
+
+    if (oom) {
+        PyErr_NoMemory();
+        goto cleanup;
+    }
+    if (!S_(r->halted, i)) {
+        ret = Py_None;
+        Py_INCREF(ret);
+        goto cleanup;
+    }
+    for (k = 0; k < G_N; k++) {
+        size_t n_rows = k == G_LOG ? (size_t)rec.n_log : (size_t)t;
+        items[k] = PyByteArray_FromStringAndSize(
+            (const char *)buf[k], (Py_ssize_t)(n_rows * row_bytes[k]));
+        if (items[k] == NULL)
+            goto cleanup;
+    }
+    ret = Py_BuildValue("(nOOOOO)", t, items[G_STATES], items[G_PORTS],
+                        items[G_READS], items[G_WRITES], items[G_LOG]);
+
+cleanup:
+    for (k = 0; k < G_N; k++) {
+        Py_XDECREF(items[k]);
+        PyMem_RawFree(buf[k]);
+    }
+    if (tables_held)
+        release_all(tv, 13);
+    if (stv.obj != NULL)
+        PyBuffer_Release(&stv);
+    if (mv.obj != NULL)
+        PyBuffer_Release(&mv);
+    PyBuffer_Release(&sv);
     return ret;
 }
 
@@ -1455,6 +1704,13 @@ static PyMethodDef methods[] = {
      "force_row, force_and, force_or, tables, n, stride, max_cycles) "
      "-> (cycles_run, diverged): fused force/compare/step loop over "
      "lanes 0..n-1, with the GIL released."},
+    {"golden", py_golden, METH_VARARGS,
+     "golden(S, M, stim, tables, max_cycles) -> None or (n_cycles, states, "
+     "ports, reads, writes, log): run lane 0 of S and M to HALT, recording "
+     "what repro.faults.golden.GoldenTrace records with Cpu.step: the "
+     "state and port rows, each cycle's register read and write masks, "
+     "and the memory write log; None when it does not halt within "
+     "max_cycles."},
     {"triage", py_triage, METH_VARARGS,
      "triage(sm, read_mask, write_mask, full_write, reg, bit, kind, cycle, "
      "decision, act, start, end, prune, max_observe): write each fault's "

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cpu.units import FINE_UNITS, FlopRef, all_flops
+from ..cpu.units import FINE_UNITS, FlopRef, flops_of_unit
 from ..workloads.kernels import DEFAULT_SEED, KERNELS
 from .models import ErrorRecord, Fault, FaultKind
 
@@ -180,12 +180,9 @@ def sample_flops(config: CampaignConfig, rng: np.random.Generator) -> list[FlopR
     (including small ones like DPU.FLAGS) contributes experiments even
     at low sampling fractions.
     """
-    by_unit: dict[str, list[FlopRef]] = {}
-    for flop in all_flops():
-        by_unit.setdefault(flop.unit, []).append(flop)
     chosen: list[FlopRef] = []
     for unit in FINE_UNITS:
-        unit_flops = by_unit.get(unit, [])
+        unit_flops = flops_of_unit(unit, fine=True)
         k = max(1, round(config.flop_fraction * len(unit_flops)))
         k = min(k, len(unit_flops))
         idxs = rng.choice(len(unit_flops), size=k, replace=False)

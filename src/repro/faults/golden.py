@@ -19,9 +19,12 @@ an integer check.
 loads it from the on-disk cache (``.golden_cache/`` by default, see
 :func:`golden_cache_dir`): an uncompressed ``.npz`` keyed by benchmark,
 stimulus seed, memory size and the campaign schema version, sealed by
-a sha256 over its entries.  Every trace it returns has passed
-:func:`cross_check` against the ISA reference model, and any cache
-file that fails a check is discarded and simulated afresh.
+a sha256 over its entries.  On a miss it records the run in one call
+of the compiled kernel (``_cstep.golden``) when the kernel loaded, and
+with the Python build, ``GoldenTrace(...)``, the specification, when it
+did not; the two builds give equal arrays.  Every trace it returns has
+passed :func:`cross_check` against the ISA reference model, and any
+cache file that fails a check is discarded and simulated afresh.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from ..cpu.units import (
     REGISTRY,
     pack_register_mask,
 )
+from ..verify.refmodel import RefModel
 from ..workloads.kernels import DEFAULT_SEED, Workload
 from .campaign import CAMPAIGN_SCHEMA_VERSION
+from .kernels import N_REGS, N_ROWS, cext_module, cext_tables
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -64,6 +69,13 @@ def _pack_mask_rows(rows: list[int], n: int) -> np.ndarray:
         for w in range(MASK_WORDS):
             matrix[t, w] = (bits >> (64 * w)) & _WORD_MASK
     return matrix
+
+
+def _state_hashes(state_matrix: np.ndarray) -> np.ndarray:
+    """``hash()`` of each row's snapshot tuple, as int64."""
+    return np.fromiter(map(hash, map(tuple, state_matrix.tolist())),
+                       dtype=np.int64, count=len(state_matrix))
+
 
 #: Memory size used throughout the injection study.  Small enough that
 #: per-experiment memory reconstruction is cheap; large enough for
@@ -179,6 +191,12 @@ class GoldenTrace:
 
     def __init__(self, workload: Workload, seed: int = DEFAULT_SEED,
                  max_cycles: int = 100_000, mem_words: int = CAMPAIGN_MEM_WORDS):
+        """The Python build: step ``Cpu`` with an access tracer attached.
+
+        This is the specification of every array the compiled build
+        (:meth:`_compiled`) records, and the build of a process without
+        the compiled kernel.
+        """
         program = assemble(workload.source)
         stimulus = InputStream(workload.stimulus(seed))
         mem = LoggingMemory(mem_words)
@@ -217,6 +235,42 @@ class GoldenTrace:
             write_mask=_pack_mask_rows(write_rows, t),
             write_log=mem.log)
         self._port_tuples = ports
+
+    @classmethod
+    def _compiled(cls, module, workload: Workload, seed: int,
+                  max_cycles: int, mem_words: int) -> "GoldenTrace":
+        """The trace ``cls(workload, seed, max_cycles, mem_words)`` builds,
+        recorded by one ``golden()`` call of the compiled kernel
+        ``module``: the kernel's own step, with each register access
+        noted by the tracer's rule."""
+        program = assemble(workload.source)
+        stimulus = InputStream(workload.stimulus(seed))
+        lane = np.zeros((N_ROWS, 1), dtype=np.uint32)
+        lane[:N_REGS, 0] = Cpu(Memory(16), stimulus,
+                               entry=program.entry).snapshot()
+        memory = np.zeros((1, mem_words), dtype=np.uint32)
+        memory[0, : len(program.words)] = program.words
+        run = module.golden(lane, memory,
+                            np.array(stimulus.values, dtype=np.uint32),
+                            cext_tables(), max_cycles)
+        if run is None:
+            raise RuntimeError(
+                f"golden run of {workload.name!r} did not halt in {max_cycles} cycles")
+        n, states, ports, reads, writes, log = run
+        state_matrix = np.frombuffer(states, dtype=np.uint32).reshape(n, N_REGS)
+        trace = cls.__new__(cls)
+        trace._attach(
+            workload, seed, mem_words, program, stimulus,
+            port_matrix=np.frombuffer(ports, dtype=np.uint32).reshape(
+                n, NUM_PORTS),
+            state_matrix=state_matrix,
+            state_hashes=_state_hashes(state_matrix),
+            read_mask=np.frombuffer(reads, dtype=np.uint64).reshape(
+                n, MASK_WORDS),
+            write_mask=np.frombuffer(writes, dtype=np.uint64).reshape(
+                n, MASK_WORDS),
+            write_log=np.frombuffer(log, dtype=np.int64).reshape(-1, 3))
+        return trace
 
     def _attach(self, workload: Workload, seed: int, mem_words: int,
                 program: Program, stimulus: InputStream, *,
@@ -286,13 +340,22 @@ class GoldenTrace:
         trace is re-simulated and the file rewritten.  A simulated trace
         that fails the cross-check raises ``RuntimeError``: that is a
         pipeline regression, which no cache can paper over.
+
+        A miss is simulated by the compiled build when the kernel
+        loaded, else by the Python build.  A compiled build that fails
+        raises; it never falls back to the Python build.
         """
         path = golden_cache_path(workload, seed, mem_words, cache_dir)
         if path is not None and path.exists():
             trace = cls._load_cached(path, workload, seed, mem_words)
             if trace is not None:
                 return trace
-        trace = cls(workload, seed, max_cycles, mem_words)
+        module = cext_module()
+        if module is None:
+            trace = cls(workload, seed, max_cycles, mem_words)
+        else:
+            trace = cls._compiled(module, workload, seed, max_cycles,
+                                  mem_words)
         problems = cross_check(trace)
         if problems:
             raise RuntimeError(
@@ -405,9 +468,7 @@ class GoldenTrace:
             # performance (exact compares gate every decision), yet a
             # cheap row-0 probe lets us restore the fast path anyway.
             if hash(reset) != int(trace.state_hashes[0]):
-                trace.state_hashes = np.fromiter(
-                    (hash(tuple(row)) for row in trace.state_matrix.tolist()),
-                    dtype=np.int64, count=n_cycles)
+                trace.state_hashes = _state_hashes(trace.state_matrix)
             problems = cross_check(trace)
             if problems:
                 raise ValueError("failed the architectural cross-check: "
@@ -618,11 +679,6 @@ class GoldenTrace:
 
 
 # -- validation ----------------------------------------------------------------
-
-# Imported below GoldenTrace, not at the top: repro.verify imports
-# faultfuzz, which imports faults.injector, which needs GoldenTrace.
-from ..verify.refmodel import RefModel  # noqa: E402
-
 
 def cross_check(trace: GoldenTrace) -> list[str]:
     """Validate a flop-accurate trace against the ISA reference model.

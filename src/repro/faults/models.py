@@ -132,4 +132,4 @@ class ErrorRecord:
 
     def unit_for(self, fine: bool) -> str:
         """Unit label under the chosen taxonomy."""
-        return self.unit if fine else self.coarse_unit
+        return self.flop.unit if fine else self.flop.coarse

@@ -201,8 +201,9 @@ def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
 #: benchmark's golden run is simulated (or loaded and cross-checked) at
 #: most once per process, for either engine.  Library callers may run
 #: shards from several threads of one process: a miss builds the trace
-#: under the lock (pure Python holding the GIL, so serialising misses
-#: costs nothing), a hit never takes it.
+#: under the lock, so threads that miss together simulate it once (a
+#: compiled build takes milliseconds and drops the GIL while it steps;
+#: the Python build holds the GIL throughout), and a hit never takes it.
 _GOLDEN_TRACES: dict[tuple[str, int], GoldenTrace] = {}
 _CACHE_LOCK = threading.Lock()
 

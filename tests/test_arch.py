@@ -41,17 +41,18 @@ def test_cross_check_detects_truncation(ttsprk_golden):
 
 def test_tiered_rejects_corrupt_trace(tmp_path, monkeypatch):
     """A simulated trace failing the cross-check never escapes, and is
-    never written to the cache."""
+    never written to the cache, whichever build (compiled or Python)
+    simulated it."""
     workload = KERNELS["ttsprk"]
-    build = GoldenTrace.__init__
+    attach = GoldenTrace._attach
 
-    def build_with_bad_out(self, *args, **kwargs):
-        build(self, *args, **kwargs)
+    def attach_with_bad_out(self, *args, **kwargs):
+        attach(self, *args, **kwargs)
         pm = self.port_matrix
         toggle = int(np.nonzero(pm[1:, 11] != pm[:-1, 11])[0][0]) + 1
         pm[toggle, 10] ^= 2
 
-    monkeypatch.setattr(GoldenTrace, "__init__", build_with_bad_out)
+    monkeypatch.setattr(GoldenTrace, "_attach", attach_with_bad_out)
     with pytest.raises(RuntimeError, match="cross-check"):
         GoldenTrace.cached(workload, cache_dir=tmp_path)
     assert not list(tmp_path.glob("*.npz"))

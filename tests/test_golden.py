@@ -4,10 +4,18 @@ import pytest
 
 from repro.cpu import Cpu, Memory
 from repro.cpu.units import REG_INDEX
-from repro.faults import GoldenTrace
+from repro.faults import GOLDEN_CACHE_ENV, GoldenTrace, _cstep, kernels
 from repro.lockstep.categories import expand_ports
 from repro.workloads import KERNELS
+from repro.workloads.kernels import Workload
 from tests.conftest import replay_memory
+
+needs_cext = pytest.mark.skipif(
+    not kernels.cext_available(),
+    reason=f"compiled kernel unavailable: {kernels.cext_build_error()}")
+
+SPIN = Workload("spin", "never halts", "loop:\n jal r0, loop",
+                lambda seed: [0], lambda stim: [])
 
 
 class TestTrace:
@@ -44,11 +52,58 @@ class TestTrace:
             assert cpu.snapshot() == g.state_at(t)
 
     def test_non_halting_program_rejected(self):
-        from repro.workloads.kernels import Workload
-        spin = Workload("spin", "never halts", "loop:\n jal r0, loop",
-                        lambda seed: [0], lambda stim: [])
         with pytest.raises(RuntimeError, match="did not halt"):
-            GoldenTrace(spin, max_cycles=500)
+            GoldenTrace(SPIN, max_cycles=500)
+
+
+def _no_python_build(self, *args, **kwargs):
+    raise AssertionError("GoldenTrace.cached ran the Python build")
+
+
+def _no_compiled_build(*args, **kwargs):
+    raise AssertionError("GoldenTrace.cached ran the compiled build")
+
+
+class TestBuildSeam:
+    """Which build ``GoldenTrace.cached`` runs on a miss (trace cache off):
+    the compiled one whenever the kernel loaded, with no fallback."""
+
+    @pytest.fixture(autouse=True)
+    def _cache_off(self, monkeypatch):
+        monkeypatch.setenv(GOLDEN_CACHE_ENV, "off")
+
+    @needs_cext
+    def test_kernel_build_never_runs_the_python_build(self, monkeypatch):
+        monkeypatch.setattr(GoldenTrace, "__init__", _no_python_build)
+        trace = GoldenTrace.cached(KERNELS["ttsprk"])
+        assert trace.n_cycles == 1414
+
+    def test_failing_compiled_build_raises(self, monkeypatch):
+        """A kernel whose golden() fails is an error, not a reason to
+        simulate in Python."""
+        class BrokenKernel:
+            def golden(self, *args):
+                raise ValueError("inconsistent golden shapes")
+
+        monkeypatch.setattr(_cstep, "MODULE", BrokenKernel())
+        monkeypatch.setattr(GoldenTrace, "__init__", _no_python_build)
+        with pytest.raises(ValueError, match="inconsistent golden shapes"):
+            GoldenTrace.cached(KERNELS["ttsprk"])
+
+    def test_no_kernel_runs_the_python_build(self, monkeypatch):
+        monkeypatch.setattr(_cstep, "MODULE", None)
+        monkeypatch.setattr(GoldenTrace, "_compiled", _no_compiled_build)
+        assert GoldenTrace.cached(KERNELS["ttsprk"]).n_cycles == 1414
+
+    @needs_cext
+    def test_non_halting_program_raises_the_same_error(self, monkeypatch):
+        errors = []
+        for module in (kernels.cext_module(), None):
+            monkeypatch.setattr(_cstep, "MODULE", module)
+            with pytest.raises(RuntimeError) as info:
+                GoldenTrace.cached(SPIN, max_cycles=500)
+            errors.append(str(info.value))
+        assert errors == ["golden run of 'spin' did not halt in 500 cycles"] * 2
 
 
 class TestMemoryReconstruction:

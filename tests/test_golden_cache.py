@@ -6,10 +6,13 @@ verdicts), and any unreadable / stale / mismatching file is discarded
 with a warning and replaced by a fresh simulation — never propagated.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.cpu.units import FlopRef
+from repro.faults import _cstep, kernels
 from repro.faults.campaign import CAMPAIGN_SCHEMA_VERSION
 from repro.faults.golden import (
     CAMPAIGN_MEM_WORDS,
@@ -17,6 +20,7 @@ from repro.faults.golden import (
     GOLDEN_CACHE_ENV,
     GoldenTrace,
     golden_cache_dir,
+    golden_cache_path,
 )
 from repro.faults.injector import InjectionEngine
 from repro.faults.models import Fault, FaultKind
@@ -85,6 +89,40 @@ class TestRoundTrip:
             "write_log": "uint64", "stimulus": "uint64",
             "checksum": "uint8"}
         assert np.array_equal(state_matrix, trace.state_matrix)
+
+    @pytest.mark.skipif(not kernels.cext_available(),
+                        reason="compiled kernel unavailable")
+    def test_both_builds_write_the_same_file(self, tmp_path, monkeypatch):
+        """The compiled and the Python build write byte-identical cache
+        files, so a warm cache cannot hide a difference between them,
+        and a file either one wrote loads where the other would build."""
+        python = GoldenTrace(WORKLOAD)
+        compiled = GoldenTrace._compiled(kernels.cext_module(), WORKLOAD,
+                                         python.seed, 100_000,
+                                         CAMPAIGN_MEM_WORDS)
+        name = golden_cache_path(WORKLOAD, python.seed, CAMPAIGN_MEM_WORDS,
+                                 tmp_path).name
+        python.save_cache(tmp_path / "python" / name)
+        compiled.save_cache(tmp_path / "compiled" / name)
+        assert (tmp_path / "python" / name).read_bytes() == \
+            (tmp_path / "compiled" / name).read_bytes()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the cache file was not loaded")
+
+        monkeypatch.setattr(GoldenTrace, "__init__", no_build)
+        monkeypatch.setattr(GoldenTrace, "_compiled", no_build)
+        for writer, module in (("python", kernels.cext_module()),
+                               ("compiled", None)):
+            monkeypatch.setattr(_cstep, "MODULE", module)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = GoldenTrace.cached(WORKLOAD,
+                                            cache_dir=tmp_path / writer)
+            for attr in ("state_matrix", "port_matrix", "state_hashes",
+                         "read_mask", "write_mask", "write_log"):
+                assert np.array_equal(getattr(loaded, attr),
+                                      getattr(python, attr)), (writer, attr)
 
     def test_seed_and_mem_words_key_separate_entries(self, tmp_path):
         GoldenTrace.cached(WORKLOAD, cache_dir=tmp_path)

@@ -12,6 +12,10 @@ Three layers of guarantee around the C extension:
   pre-step column and stepped once.  This runs on real workload faults
   and on generated programs that arm traps, MPU regions, watchpoints,
   IRQs and store-buffer bursts;
+* **golden recording** — the kernel's ``golden`` run, which
+  ``GoldenTrace.cached`` builds traces with, equals ``GoldenTrace``'s
+  Python build (``Cpu.step`` behind the access tracer) in every array:
+  states, ports, def/use masks, write log and state hashes;
 * **engine parity** — the fused ``drive`` loop reproduces the scalar
   engine's records and PruneStats for any batch width, on the
   workloads and on golden traces of generated and directed corner
@@ -50,10 +54,10 @@ from repro.faults import (
     schedule_faults,
 )
 from repro.faults import _cstep, kernels, parallel
-from repro.faults.batch import (N_REGS, N_ROWS, ZERO_ROW, _FULL_WRITE,
-                                _cext_tables)
-from repro.faults.golden import _pack_mask_rows
+from repro.faults.batch import _FULL_WRITE
+from repro.faults.golden import CAMPAIGN_MEM_WORDS, _pack_mask_rows
 from repro.faults.injector import triage_fault
+from repro.faults.kernels import N_REGS, N_ROWS, ZERO_ROW, cext_tables
 from repro.faults.models import FaultColumns
 from repro.faults.parallel import Shard, sampling_rng, schedule_rng
 from repro.faults.streams import SCHEDULE_STREAM
@@ -61,7 +65,7 @@ from repro.verify import Coverage, cosim, generate_program
 from repro.verify.diff import DEFAULT_MAX_CYCLES
 from repro.verify.progen import (FUZZ_MEM_WORDS, PROLOGUE_LINES,
                                  program_strategy)
-from repro.workloads import KERNELS
+from repro.workloads import DEFAULT_SEED, KERNELS
 from repro.workloads.kernels import Workload
 
 QUICK = CampaignConfig.quick()
@@ -90,6 +94,29 @@ def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch,
         BatchInjectionEngine(ttsprk_golden)
 
 
+@needs_cext
+def test_tables_that_are_not_a_13_tuple_are_refused():
+    """Every kernel entry point that gathers through the tables raises
+    TypeError for anything but a 13-tuple (it used to release buffers
+    it had never acquired, and crash)."""
+    module = kernels.cext_module()
+    S = np.zeros((N_ROWS, 1), dtype=np.uint32)
+    M = np.zeros((1, 16), dtype=np.uint32)
+    stim = np.zeros(1, dtype=np.uint32)
+    one = np.zeros(1, dtype=np.int64)
+    for tables in (None, list(cext_tables()), cext_tables()[:12]):
+        with pytest.raises(TypeError, match="13-tuple"):
+            module.step(S, M, stim, tables, 1)
+        with pytest.raises(TypeError, match="13-tuple"):
+            module.golden(S, M, stim, tables, 10)
+        with pytest.raises(TypeError, match="13-tuple"):
+            module.drive(S, M, S.T.copy(), np.zeros((1, 18), np.uint32),
+                         stim, one, one, one, one,
+                         np.zeros(1, dtype=bool), one,
+                         np.zeros(1, np.uint32), np.zeros(1, np.uint32),
+                         tables, 1, 1, 1)
+
+
 # -- per-cycle semantics: the kernel against Cpu.step -------------------------
 
 def _kernel_step_matches_cpu(S, M, stim, n, cpu) -> int:
@@ -105,7 +132,7 @@ def _kernel_step_matches_cpu(S, M, stim, n, cpu) -> int:
     """
     pre_state = S[:N_REGS, :n].T.tolist()
     pre_mem = M[:n].tolist()
-    kernels.cext_module().step(S, M, stim, _cext_tables(), n)
+    kernels.cext_module().step(S, M, stim, cext_tables(), n)
     checked = 0
     for i in range(n):
         if pre_state[i][_HALTED]:
@@ -205,8 +232,23 @@ def test_step_matches_cpu_step_on_generated_programs(prog, lane_seed):
 
 #: Directed corners the generated programs do not reach: a load from
 #: the other word of a pending store's 8-byte block (no drain) next to
-#: same-word drains, and stores exactly at and just below an MPU limit.
+#: same-word drains, stores exactly at and just below an MPU limit, and
+#: a breakpoint on an instruction with register operands (generated
+#: breakpoints sit on a NOP), which ``Cpu.step`` does not read when the
+#: instruction traps.
 _CORNER_PROGRAMS = {
+    "bkpt_operands": """
+    addi r5, r0, 7
+    addi r6, r0, 9
+    addi r1, r0, bkpt_add
+    csrw r1, 8
+    addi r1, r0, 1
+    csrw r1, 11
+    nop
+bkpt_add:
+    add  r7, r5, r6
+    out  r7, 0
+""",
     "sb_neighbour_word": """
     addi r14, r0, 4096
     addi r1, r0, 7
@@ -234,6 +276,23 @@ _CORNER_PROGRAMS = {
 }
 
 
+#: Generated programs that together reach every ``REQUIRED_EVENT_BINS``
+#: bin (``test_pinned_programs_reach_every_event_bin``).
+_EVENT_BIN_PROGRAMS = tuple(f"kernel-pin-{i}" for i in range(12))
+
+
+def _corner_source(name: str) -> str:
+    """A directed corner program, between the fuzz prologue and HALT."""
+    return "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
+
+
+def _program_workload(source: str, stimulus: list[int]) -> Workload:
+    """A test program as a workload, to record golden traces of."""
+    return Workload(name="engine_diff", description="test program",
+                    source=source, stimulus=lambda seed: list(stimulus),
+                    reference=lambda values: [])
+
+
 def _pin_every_cycle(source: str, stimulus: list[int]) -> None:
     """Every cycle of a program up to HALT, one lane per cycle, equals
     ``Cpu.step`` after one kernel step."""
@@ -255,8 +314,7 @@ def _pin_every_cycle(source: str, stimulus: list[int]) -> None:
 @needs_cext
 @pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
 def test_step_matches_cpu_step_on_corner_programs(name):
-    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
-    _pin_every_cycle(source, [0])
+    _pin_every_cycle(_corner_source(name), [0])
 
 
 @needs_cext
@@ -266,13 +324,107 @@ def test_pinned_programs_reach_every_event_bin():
     watchpoints, stalls, store-buffer drains), which the random draws
     of the properties above do not guarantee."""
     coverage = Coverage()
-    for i in range(12):
-        prog = generate_program(f"kernel-pin-{i}")
+    for name in _EVENT_BIN_PROGRAMS:
+        prog = generate_program(name)
         result = cosim(prog, coverage=coverage)
         assert result.ok and not result.hung_both
         _pin_every_cycle(prog.source(), prog.stimulus)
     bins = coverage.event_bins()
     assert all(bins.values()), f"event bins not reached: {bins}"
+
+
+# -- golden recording: the kernel's golden() against the Python build -------
+
+#: Every array a trace holds, in the order a difference is reported.
+_TRACE_ARRAYS = ("state_matrix", "port_matrix", "read_mask", "write_mask",
+                 "write_log", "state_hashes")
+
+
+def _mask_registers(row: np.ndarray) -> list[str]:
+    """The registers a def/use mask row sets."""
+    return [spec.name for k, spec in enumerate(REGISTRY)
+            if (int(row[k // 64]) >> (k % 64)) & 1]
+
+
+def _assert_golden_builds_equal(workload: Workload, seed: int = DEFAULT_SEED,
+                                max_cycles: int = 100_000,
+                                mem_words: int = CAMPAIGN_MEM_WORDS):
+    """The compiled build equals ``GoldenTrace(...)``, the specification,
+    in every array (dtype, shape and values), or raises the error the
+    Python build raises.  Returns the compiled trace, or None when both
+    raised."""
+    build = (workload, seed, max_cycles, mem_words)
+    try:
+        python = GoldenTrace(*build)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as compiled_error:
+            GoldenTrace._compiled(kernels.cext_module(), *build)
+        assert str(compiled_error.value) == str(exc)
+        return None
+    compiled = GoldenTrace._compiled(kernels.cext_module(), *build)
+    for name in _TRACE_ARRAYS:
+        want, got = getattr(python, name), getattr(compiled, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        differs = got != want
+        if differs.ndim > 1:
+            differs = differs.any(axis=1)
+        rows = np.nonzero(differs)[0]
+        if len(rows):
+            t = int(rows[0])
+            detail = ""
+            if name.endswith("_mask"):
+                detail = (f": compiled only {_mask_registers(got[t] & ~want[t])}, "
+                          f"Python only {_mask_registers(want[t] & ~got[t])}")
+            pytest.fail(f"{name} differs from row {t} of {len(got)} on"
+                        f"{detail}")
+    return compiled
+
+
+@needs_cext
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_golden_build_matches_python_build_on_workloads(name):
+    _assert_golden_builds_equal(KERNELS[name])
+
+
+@needs_cext
+@pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
+def test_golden_build_matches_python_build_on_corner_programs(name):
+    assert _assert_golden_builds_equal(
+        _program_workload(_corner_source(name), [0]),
+        max_cycles=DEFAULT_MAX_CYCLES, mem_words=FUZZ_MEM_WORDS) is not None
+
+
+@needs_cext
+def test_golden_build_matches_python_build_on_event_bin_programs():
+    """Traps, MPU, IRQ, watchpoints, stalls and store-buffer drains: the
+    programs that together reach every event bin."""
+    for name in _EVENT_BIN_PROGRAMS:
+        prog = generate_program(name)
+        assert _assert_golden_builds_equal(
+            _program_workload(prog.source(), prog.stimulus),
+            max_cycles=DEFAULT_MAX_CYCLES, mem_words=FUZZ_MEM_WORDS) is not None
+
+
+@needs_cext
+@settings(max_examples=40, deadline=None)
+@given(prog=program_strategy())
+def test_golden_build_matches_python_build_on_generated_programs(prog):
+    """Property: on ``verify.progen`` programs the two builds give equal
+    traces, or both refuse a program that does not halt."""
+    _assert_golden_builds_equal(
+        _program_workload(prog.source(), prog.stimulus),
+        max_cycles=DEFAULT_MAX_CYCLES, mem_words=FUZZ_MEM_WORDS)
+
+
+@needs_cext
+def test_golden_build_stops_at_max_cycles():
+    """A run that halts in its last allowed cycle is recorded in full
+    (the compiled buffers grow past their first 1,024 rows and stop at
+    ``max_cycles``); one cycle fewer raises as the Python build does."""
+    workload = KERNELS["ttsprk"]
+    n = _assert_golden_builds_equal(workload).n_cycles
+    assert _assert_golden_builds_equal(workload, max_cycles=n).n_cycles == n
+    assert _assert_golden_builds_equal(workload, max_cycles=n - 1) is None
 
 
 # -- engine-level parity through the fused drive loop ------------------------
@@ -318,11 +470,9 @@ _DIFF_CFG = CampaignConfig(soft_per_flop=2, hard_per_flop=1, max_observe=600)
 
 def _program_golden(source: str, stimulus: list[int]) -> GoldenTrace | None:
     """Golden trace of a test program, or None when it does not halt."""
-    workload = Workload(name="engine_diff", description="test program",
-                        source=source, stimulus=lambda seed: list(stimulus),
-                        reference=lambda values: [])
     try:
-        return GoldenTrace(workload, max_cycles=DEFAULT_MAX_CYCLES,
+        return GoldenTrace(_program_workload(source, stimulus),
+                           max_cycles=DEFAULT_MAX_CYCLES,
                            mem_words=FUZZ_MEM_WORDS)
     except RuntimeError:  # no HALT within the cycle budget
         return None
@@ -358,8 +508,7 @@ def test_engines_agree_on_generated_programs(prog, fault_seed, batch, prune):
 @pytest.mark.parametrize("name", sorted(_CORNER_PROGRAMS))
 def test_engines_agree_on_corner_programs(name):
     """The same records/PruneStats parity on the directed corners."""
-    source = "\n".join(PROLOGUE_LINES) + _CORNER_PROGRAMS[name] + "    halt\n"
-    golden = _program_golden(source, [0])
+    golden = _program_golden(_corner_source(name), [0])
     assert golden is not None
     faults = _random_faults(golden, seed=1701, n_flops=256)
     _assert_cext_parity(golden, faults, _DIFF_CFG, batch=16)
@@ -377,9 +526,7 @@ def _named_golden(name: str) -> GoldenTrace:
         if name in KERNELS:
             golden = GoldenTrace.cached(KERNELS[name])
         else:
-            golden = _program_golden("\n".join(PROLOGUE_LINES)
-                                     + _CORNER_PROGRAMS[name] + "    halt\n",
-                                     [0])
+            golden = _program_golden(_corner_source(name), [0])
         _TRIAGE_GOLDENS[name] = golden
     return golden
 

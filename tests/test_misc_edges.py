@@ -1,5 +1,10 @@
 """Edge-case coverage across small public surfaces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cpu import FlopRef
@@ -91,3 +96,29 @@ class TestStlSpreadOrdering:
         from repro.bist import StlModel
         lo, mean, hi = StlModel(fine=fine).spread()
         assert lo <= mean <= hi
+
+
+class TestVerifyImports:
+    def test_campaign_imports_load_only_the_reference_model(self):
+        """Campaign processes import ``RefModel`` for the trace
+        cross-check and nothing else of the verification suite."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.faults, repro.analysis, repro.faults.service; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.verify.')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["['repro.verify.refmodel']"]
+
+    def test_package_exports_resolve_lazily(self):
+        import repro.verify as verify
+        from repro.verify import cosim
+        from repro.verify.diff import cosim as defined
+        assert cosim is defined
+        for name in verify.__all__:
+            assert getattr(verify, name) is not None
+        assert set(verify.__all__) <= set(dir(verify))
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            verify.nope  # noqa: B018

@@ -345,16 +345,18 @@ class TestGoldenTracePerProcess:
     def test_threads_build_a_cold_trace_once(self, tmp_path, monkeypatch):
         """Shards of one benchmark run from 4 threads of one process on
         a cold cache simulate its trace once, and write the cache file
-        without a warning."""
+        without a warning.  Every trace, compiled, Python-built or
+        loaded, is set up by ``_attach``, so counting its calls counts
+        both builds."""
         monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
         builds = []
-        build = GoldenTrace.__init__
+        attach = GoldenTrace._attach
 
-        def counting_build(self, *args, **kwargs):
+        def counting_attach(self, *args, **kwargs):
             builds.append(args)
-            build(self, *args, **kwargs)
+            attach(self, *args, **kwargs)
 
-        monkeypatch.setattr(GoldenTrace, "__init__", counting_build)
+        monkeypatch.setattr(GoldenTrace, "_attach", counting_attach)
         # A seed no other test runs, so the process's own trace cache
         # is cold for it too.
         config = dataclasses.replace(SMALL, seed=20181020)

@@ -119,6 +119,24 @@ class TestEnumeration:
         for unit in FINE_UNITS:
             assert len(flops_of_unit(unit, fine=True)) == counts[unit]
 
+    def test_tables_match_the_registry(self):
+        """The import-time tables give what scanning REGISTRY gives, in
+        canonical order, and every call returns a fresh list."""
+        scan = [FlopRef(spec.name, bit)
+                for spec in REGISTRY for bit in range(spec.width)]
+        assert all_flops() == scan
+        assert all_flops() is not all_flops()
+        for fine, units in ((True, FINE_UNITS), (False, COARSE_UNITS)):
+            for unit in (*units, "nope"):
+                want = [f for f in scan if (REG_BY_NAME[f.reg].unit if fine
+                        else coarse_unit(REG_BY_NAME[f.reg].unit)) == unit]
+                assert flops_of_unit(unit, fine=fine) == want
+                assert flops_of_unit(unit, fine=fine) is not \
+                    flops_of_unit(unit, fine=fine)
+        for flop in scan:
+            assert flop.unit == REG_BY_NAME[flop.reg].unit
+            assert flop.coarse == coarse_unit(flop.unit)
+
 
 @given(st.sampled_from([spec.name for spec in REGISTRY]), st.data())
 def test_any_flop_addressable(reg, data):
