@@ -165,8 +165,10 @@ def test_batch_engine_throughput(benchmark, batch):
 
     ``batch=0`` is the scalar :class:`InjectionEngine` row every batch
     row is compared against (same group, so pytest-benchmark prints the
-    relative speedups directly).  The batch rows skip on hosts where
-    the compiled kernel is unavailable.
+    relative speedups directly).  A batch row's ``batch`` is the most
+    faults one kernel call takes (64 or 256; the ids keep their names).
+    The batch rows skip on hosts where the compiled kernel is
+    unavailable.
     """
     if batch and not cext_available():
         pytest.skip(f"compiled kernel unavailable: {cext_build_error()}")

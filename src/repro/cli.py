@@ -77,8 +77,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser,
                              "are bit-identical either way — this is an "
                              "escape hatch / benchmarking baseline")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="fault lanes per compiled-kernel call of the "
-                             "batch injection engine (default: "
+                        help="the most faults one compiled-kernel call of "
+                             "the batch injection engine takes (default: "
                              f"{DEFAULT_BATCH}); 0 runs the scalar engine, "
                              "which also runs when the kernel cannot be "
                              "built; records are bit-identical for any "
@@ -446,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker", default="worker", metavar="ID",
                    help="worker identity reported in leases")
     p.add_argument("--batch", type=int, default=None, metavar="N",
-                   help=f"batch-engine lane count (default: {DEFAULT_BATCH}; "
-                        "0 = scalar engine, as in campaign)")
+                   help="the most faults one compiled-kernel call takes "
+                        f"(default: {DEFAULT_BATCH}; 0 = scalar engine, as "
+                        "in campaign)")
     p.add_argument("--ttl", type=float, default=None, metavar="S",
                    help="requested lease TTL per shard")
     p.add_argument("--max-shards", type=int, default=0, metavar="K",

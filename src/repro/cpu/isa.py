@@ -103,8 +103,8 @@ VALID_OPCODES = frozenset(int(op) for op in Op)
 #
 # The pipeline's DX dispatch is a pure function of the 6-bit opcode
 # field.  These dense tables expose that dispatch as *data* so that
-# consumers which cannot branch per instruction — the batched
-# structure-of-arrays fault simulator gathers them per lane — agree
+# consumers which cannot branch per instruction — the compiled
+# fault-injection kernel gathers them — agree
 # with ``Cpu.step()`` by construction instead of by parallel
 # re-implementation.  ``core.py`` builds its own dispatch from the same
 # tables.

@@ -1,18 +1,17 @@
-/* Compiled fused batch-step kernel for the SoA fault-injection engine.
+/* Compiled step kernel for the batch fault-injection engine.
  *
- * `drive()` executes the batch engine's hot loop — stuck-at force,
- * golden port compare, full state step, and the routine
- * masking/re-convergence check bookkeeping — in plain C, fusing as
- * many cycles per call as possible and returning to Python only for
- * the rare-path events (lane retirement, equivalence-class
- * resolution, stuck-at fast-forward, divergence record construction),
- * which repro/faults/batch.py handles.  `step()` advances lanes one
- * cycle with no driver logic, so tests can compare the C state
- * transition against the specification.  `golden()` records a
- * workload's fault-free run with the same step, def/use masks and
- * memory write log included, as repro.faults.golden.GoldenTrace's
- * Python build does.  `schedule()` draws a shard's
- * fault cycles exactly as numpy draws them in
+ * `inject()` runs triaged faults the way the scalar engine
+ * (repro.faults.injector.InjectionEngine) does — seeding, stuck-at
+ * force, golden port compare, masking and re-convergence checks,
+ * fast-forward, retirement — each fault on one lane from its seed to
+ * its retirement, and returns each fault's detect cycle, port tuple
+ * and simulated span; repro/faults/batch.py builds the records.
+ * `step()` advances lanes one cycle with no driver logic, so tests can
+ * compare the C state transition against the specification.
+ * `golden()` records a workload's fault-free run with the same step,
+ * def/use masks and memory write log included, as
+ * repro.faults.golden.GoldenTrace's Python build does.  `schedule()`
+ * draws a shard's fault cycles exactly as numpy draws them in
  * repro.faults.campaign.schedule_faults, and `triage()` decides which
  * of them need simulating, and from when, exactly as
  * repro.faults.injector.triage_fault does (see their sections below).
@@ -30,9 +29,6 @@
  *   sm       uint32 (n_cycles, n_regs), golden state rows per cycle
  *   pm       uint32 (n_cycles, 18), golden port rows per cycle
  *   stim     uint32 (stim_len,), replicated input stream
- *   t/end/next_chk/chk_iv  int64 (B,), per-lane driver bookkeeping
- *   is_hard  uint8/bool (B,)
- *   force_row int64 (B,), force_and/force_or uint32 (B,)
  *   tables   13-tuple, see TABLE_SPECS / repro.faults.kernels.cext_tables
  */
 
@@ -118,7 +114,7 @@ typedef struct {
 #endif
 
 /* Def/use recording, for golden() only.  The one step body below takes
- * a recorder; step() and drive() pass the constant NULL, so after
+ * a recorder; step() and inject() pass the constant NULL, so after
  * inlining no recording code is left in them.  With a recorder, every
  * row access notes its register as repro.cpu.core.AccessTracer notes
  * Cpu.step's dict accesses: a read counts only before the cycle's
@@ -716,257 +712,6 @@ done_s:
     return ret;
 }
 
-/* -- drive(...): the fused driver hot loop ---------------------------------
- *
- * Runs every lane independently to its own next rare-path event
- * (lanes outer, cycles inner — one lane's SoA column is ~100 cache
- * lines, so the inner loop runs entirely out of L1 regardless of the
- * batch width).  Per cycle and per lane the order matches the scalar
- * engine's loop: horizon check, masking/re-convergence check (with
- * the routine bookkeeping — stride bumps, stuck-at interval backoff —
- * handled inline), force re-assert, golden port compare, step.  A lane
- * parks, without stepping further, when
- *
- *   - it reaches its observation horizon (t >= end),
- *   - its state goes bit-identical to golden at a check cycle (soft
- *     retire, or stuck-at fast-forward — the pre-force compare, as in
- *     the scalar engine), or
- *   - its ports differ from golden at its current cycle; the lane is
- *     left pre-step with the force applied, so the Python detection
- *     path reads the port tuple the scalar `step()` would return.
- *
- * Returns (cycles_run, diverged): cycles_run is the total number of
- * lane-cycles actually stepped (the caller charges it verbatim to
- * PruneStats.sim_cycles), diverged is 1 iff at least one lane parked
- * on a port divergence.  On return *every* lane is parked at one of
- * the three events above; the Python driver re-derives which from the
- * lane state itself and retires, fast-forwards or records.
- *
- * Threading: drive() runs every lane on the calling thread and drops
- * the GIL for the whole loop, so other Python threads of the process
- * (the service's event loop beside a worker, or library callers
- * running shards from several threads) keep running meanwhile.
- */
-
-/* Everything one drive call's lanes share, all borrowed from the
- * caller's Py_buffer views (valid for the call's lifetime). */
-typedef struct {
-    Ctx *x;
-    const u32 *sm, *pm;
-    Py_ssize_t sm_cols, sm_cycles, pm_cols, pm_cycles;
-    int64_t *t;
-    const int64_t *end;
-    int64_t *next_chk, *chk_iv;
-    const uint8_t *is_hard;
-    const int64_t *force_row;
-    const u32 *force_and, *force_or;
-    Py_ssize_t stride, max_cycles, n_regs;
-} DriveJob;
-
-enum { DRIVE_ERR_STATE = 1, DRIVE_ERR_PORTS = 2 };
-
-static const char *const DRIVE_ERR_MSG[] = {
-    NULL,
-    "lane cycle outside golden trace",
-    "lane cycle outside golden ports",
-};
-
-/* One lane to its next park event.  Pure function of per-lane state:
- * no Python API, no shared writes — callable with the GIL released. */
-static int drive_lane(const DriveJob *d, Py_ssize_t i,
-                      Py_ssize_t *cycles_run, int *diverged)
-{
-    Ctx *x = d->x;
-    const RowMap *r = &x->r;
-    int64_t *t = d->t;
-    Py_ssize_t ran = 0;
-
-    while (ran < d->max_cycles) {
-        /* Rare-path events: observation horizon, or state equal to
-         * golden at a check cycle (retire / fast-forward).  Routine
-         * check outcomes (state differs) are handled inline exactly
-         * as the Python driver would: soft lanes re-check every
-         * `stride` cycles, stuck-at lanes back off exponentially.
-         * The checks run pre-force on purpose — the scalar engine's
-         * snapshot at the same cycle is equally unforced. */
-        if (t[i] >= d->end[i])
-            break;
-        if (t[i] == d->next_chk[i]) {
-            if (t[i] < 0 || t[i] >= d->sm_cycles)
-                return DRIVE_ERR_STATE;
-            const u32 *g = d->sm + (size_t)t[i] * (size_t)d->sm_cols;
-            int eq = 1;
-            Py_ssize_t row;
-            for (row = 0; row < d->n_regs; row++) {
-                if (x->S[(size_t)row * (size_t)x->B + (size_t)i]
-                    != g[row]) {
-                    eq = 0;
-                    break;
-                }
-            }
-            if (eq)
-                break;
-            if (d->is_hard[i]) {
-                d->chk_iv[i] *= 2;
-                d->next_chk[i] = t[i] + d->chk_iv[i];
-            } else {
-                d->next_chk[i] += d->stride;
-            }
-        }
-
-        /* Re-assert the stuck-at force (soft lanes force the sink
-         * row). */
-        u32 *fp = &x->S[(size_t)d->force_row[i] * (size_t)x->B
-                        + (size_t)i];
-        *fp = (*fp & d->force_and[i]) | d->force_or[i];
-
-        /* Golden port compare at the lane's own cycle. */
-        if (t[i] < 0 || t[i] >= d->pm_cycles)
-            return DRIVE_ERR_PORTS;
-        const u32 *g = d->pm + (size_t)t[i] * (size_t)d->pm_cols;
-        int div = 0;
-        Py_ssize_t pk;
-        for (pk = 0; pk < 16; pk++) {
-            if (x->S[(size_t)x->port_rows[pk] * (size_t)x->B
-                     + (size_t)i] != g[pk]) {
-                div = 1;
-                break;
-            }
-        }
-        if (!div) {
-            u32 evs = (S_(r->status, i) & 1) | (S_(r->halted, i) << 1);
-            u32 evb = S_(r->br_taken, i) | (S_(r->br_valid, i) << 1);
-            if (evs != g[16] || evb != g[17])
-                div = 1;
-        }
-        if (div) {
-            *diverged = 1;
-            break;
-        }
-
-        step_lane(x, i);
-        t[i] += 1;
-        ran++;
-    }
-    *cycles_run += ran;
-    return 0;
-}
-
-static PyObject *py_drive(PyObject *self, PyObject *args)
-{
-    PyObject *s_obj, *m_obj, *sm_obj, *pm_obj, *stim_obj;
-    PyObject *t_obj, *end_obj, *chk_obj, *iv_obj, *hard_obj;
-    PyObject *frow_obj, *fand_obj, *for_obj, *tables;
-    Py_ssize_t n, stride, max_cycles;
-
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOnnn", &s_obj, &m_obj,
-                          &sm_obj, &pm_obj, &stim_obj, &t_obj, &end_obj,
-                          &chk_obj, &iv_obj, &hard_obj, &frow_obj,
-                          &fand_obj, &for_obj, &tables, &n, &stride,
-                          &max_cycles))
-        return NULL;
-
-    enum { B_S, B_M, B_SM, B_PM, B_STIM, B_T, B_END, B_CHK, B_IV,
-           B_HARD, B_FROW, B_FAND, B_FOR, NBUF };
-    static const BufSpec specs[NBUF] = {
-        {"S", 1, 4},        {"M", 1, 4},         {"sm", 0, 4},
-        {"pm", 0, 4},       {"stim", 0, 4},      {"t", 1, 8},
-        {"end", 0, 8},      {"next_chk", 1, 8},  {"chk_iv", 1, 8},
-        {"is_hard", 0, 1},  {"force_row", 0, 8}, {"force_and", 0, 4},
-        {"force_or", 0, 4},
-    };
-    PyObject *objs[NBUF];
-    objs[B_S] = s_obj; objs[B_M] = m_obj; objs[B_SM] = sm_obj;
-    objs[B_PM] = pm_obj; objs[B_STIM] = stim_obj; objs[B_T] = t_obj;
-    objs[B_END] = end_obj; objs[B_CHK] = chk_obj; objs[B_IV] = iv_obj;
-    objs[B_HARD] = hard_obj; objs[B_FROW] = frow_obj;
-    objs[B_FAND] = fand_obj; objs[B_FOR] = for_obj;
-
-    Py_buffer views[NBUF], tv[13];
-    Py_ssize_t k;
-    PyObject *ret = NULL;
-    int tables_held = 0;
-    Ctx ctx;
-    Ctx *x = &ctx;
-
-    for (k = 0; k < NBUF; k++)
-        views[k].obj = NULL;
-    for (k = 0; k < NBUF; k++) {
-        if (get_buf(objs[k], &views[k], &specs[k]) < 0)
-            goto cleanup;
-    }
-    if (load_tables(tables, tv, x) < 0) {
-        tables_held = 1;
-        goto cleanup;
-    }
-    tables_held = 1;
-
-    if (views[B_S].ndim != 2 || views[B_M].ndim != 2
-        || views[B_SM].ndim != 2 || views[B_PM].ndim != 2) {
-        PyErr_SetString(PyExc_ValueError, "S/M/sm/pm must be 2-D");
-        goto cleanup;
-    }
-    x->S = (u32 *)views[B_S].buf;
-    x->n_rows = views[B_S].shape[0];
-    x->B = views[B_S].shape[1];
-    x->M = (u32 *)views[B_M].buf;
-    x->mem_words = views[B_M].shape[1];
-    x->stim = (const u32 *)views[B_STIM].buf;
-    x->stim_len = views[B_STIM].len / 4;
-
-    const u32 *sm = (const u32 *)views[B_SM].buf;
-    const Py_ssize_t sm_cols = views[B_SM].shape[1];
-    const Py_ssize_t sm_cycles = views[B_SM].shape[0];
-    const u32 *pm = (const u32 *)views[B_PM].buf;
-    const Py_ssize_t pm_cols = views[B_PM].shape[1];
-    const Py_ssize_t pm_cycles = views[B_PM].shape[0];
-    int64_t *t = (int64_t *)views[B_T].buf;
-    const int64_t *end = (const int64_t *)views[B_END].buf;
-    int64_t *next_chk = (int64_t *)views[B_CHK].buf;
-    int64_t *chk_iv = (int64_t *)views[B_IV].buf;
-    const uint8_t *is_hard = (const uint8_t *)views[B_HARD].buf;
-    const int64_t *force_row = (const int64_t *)views[B_FROW].buf;
-    const u32 *force_and = (const u32 *)views[B_FAND].buf;
-    const u32 *force_or = (const u32 *)views[B_FOR].buf;
-    const Py_ssize_t n_regs = (Py_ssize_t)x->c.n_regs;
-
-    if (n < 0 || n > x->B || views[B_M].shape[0] != x->B
-        || views[B_T].len / 8 < n || views[B_END].len / 8 < n
-        || views[B_CHK].len / 8 < n || views[B_IV].len / 8 < n
-        || views[B_HARD].len < n || views[B_FROW].len / 8 < n
-        || views[B_FAND].len / 4 < n || views[B_FOR].len / 4 < n
-        || sm_cols < n_regs || pm_cols < 18 || n_regs > x->n_rows
-        || x->stim_len <= 0 || x->mem_words <= 0) {
-        PyErr_SetString(PyExc_ValueError, "inconsistent drive shapes");
-        goto cleanup;
-    }
-
-    DriveJob job = {
-        x, sm, pm, sm_cols, sm_cycles, pm_cols, pm_cycles,
-        t, end, next_chk, chk_iv, is_hard, force_row, force_and,
-        force_or, stride, max_cycles, n_regs,
-    };
-    Py_ssize_t cycles_run = 0, i;
-    int diverged = 0, error = 0;
-
-    Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n && !error; i++)
-        error = drive_lane(&job, i, &cycles_run, &diverged);
-    Py_END_ALLOW_THREADS
-
-    if (error != 0) {
-        PyErr_SetString(PyExc_ValueError, DRIVE_ERR_MSG[error]);
-        goto cleanup;
-    }
-    ret = Py_BuildValue("(ni)", cycles_run, diverged);
-
-cleanup:
-    if (tables_held)
-        release_all(tv, 13);
-    release_all(views, NBUF);
-    return ret;
-}
-
 /* -- golden(S, M, stim, tables, max_cycles): a recorded fault-free run ----
  *
  * repro.faults.golden.GoldenTrace records a workload's fault-free run
@@ -979,7 +724,7 @@ cleanup:
  *   states  uint32 (n_cycles, n_regs), the state at the start of each
  *           cycle;
  *   ports   uint32 (n_cycles, 18), the compact port tuple Cpu.step
- *           returns, as drive() compares it;
+ *           returns, as inject() compares it;
  *   reads, writes  uint64 (n_cycles, mask words), each cycle's register
  *           read and write masks (bit k of word k / 64 for S row k);
  *   log     int64 (n_writes, 3), (cycle, word, value after) for every
@@ -1422,6 +1167,362 @@ cleanup:
     return ret;
 }
 
+/* -- inject(): each fault from its seed to its retirement ------------------
+ *
+ * repro.faults.injector.InjectionEngine (the specification) simulates
+ * one triaged fault at a time.  inject() runs a slice of a shard's
+ * triage queue the same way, each fault on one lane (a contiguous
+ * state column and memory image) from its seed to its retirement:
+ *
+ *   seed      the golden state row at `start`, with a soft fault's bit
+ *             flipped, and the memory image at `start`: the checkpoint
+ *             at or before it, then the write-log entries past the
+ *             checkpoint that commit before `start`, in log order, so
+ *             the last write of a word wins (GoldenTrace.memory_rows_at
+ *             rebuilds a row the same way);
+ *   a cycle   pre-step, in the scalar engine's order: the horizon, the
+ *             check, the stuck-at force, the golden port compare, the
+ *             step.  A soft lane is checked every `stride` cycles from
+ *             start + 1; a stuck-at lane CONVERGE_CHECK_START cycles
+ *             in, the interval doubling after every check its state
+ *             fails.  A check compares the unforced state, as the
+ *             scalar engine's post-step snapshot is unforced;
+ *   converged a soft lane equal to golden at a check is masked.  A
+ *             stuck-at lane is triaged again as if injected at its
+ *             current cycle (triage_register, with the call's prune and
+ *             max_observe): with no next activation, or one at or past
+ *             the lane's end, it is masked; with one at the current
+ *             cycle it checks again chk_iv cycles later; with a later
+ *             one its state and memory are reseeded there;
+ *   retired   at the horizon (masked), or at the first port divergence
+ *             (detected; the scalar step that showed the tuple counts
+ *             as one more simulated cycle).
+ *
+ * Per fault it writes the detect cycle (-1 when masked), the 18-word
+ * port tuple at detection (left as it was when masked) and the
+ * simulated span (t - start, plus one on detection: what an
+ * equivalence hit replays), and it returns the cycles simulated, which
+ * the caller charges to PruneStats.sim_cycles.  The faults run with
+ * the GIL released. */
+
+/* repro.faults.injector._CONVERGE_CHECK_START */
+#define CONVERGE_CHECK_START 8
+
+/* Everything one inject() call's faults share, borrowed from the
+ * caller's buffers for the call's lifetime. */
+typedef struct {
+    Ctx *x;                         /* one lane: B == 1 */
+    const u32 *sm, *pm;
+    Py_ssize_t sm_cols, n_regs;
+    const u32 *images;              /* (n_images, mem_words) checkpoints */
+    const int64_t *log_cycles, *log_words;
+    const u32 *log_values;
+    Py_ssize_t n_log, every;        /* log entries, entries per checkpoint */
+    const int64_t *reg, *bit, *start, *end;
+    const uint8_t *kind;
+    Py_ssize_t stride;
+    const TriageJob *triage;        /* sm, masks, prune, max_observe */
+    TriageScratch *scratch;
+} InjectJob;
+
+/* The lane's state and memory at the start of `cycle`. */
+static void seed_lane(const InjectJob *d, int64_t cycle)
+{
+    Ctx *x = d->x;
+    Py_ssize_t lo = 0, hi = d->n_log, e;
+    memcpy(x->S, d->sm + (size_t)cycle * (size_t)d->sm_cols,
+           (size_t)d->n_regs * sizeof(u32));
+    x->S[d->n_regs] = x->S[d->n_regs + 1] = 0;   /* the zero and sink rows */
+    while (lo < hi) {               /* entries committed before `cycle` */
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        if (d->log_cycles[mid] < cycle)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    memcpy(x->M, d->images + (size_t)(lo / d->every) * (size_t)x->mem_words,
+           (size_t)x->mem_words * sizeof(u32));
+    for (e = lo - lo % d->every; e < lo; e++)
+        x->M[d->log_words[e]] = d->log_values[e];
+}
+
+/* triage_fault's start for stuck-at fault f injected at `cycle`: the
+ * bit's next (observed, when pruning) activation, or -1 for none. */
+static int64_t next_activation(const InjectJob *d, Py_ssize_t f,
+                               int64_t cycle)
+{
+    TriageJob j = *d->triage;
+    static const int64_t first = 0;
+    uint8_t decision;
+    int64_t act, start, end;
+    j.reg = d->reg + f;
+    j.bit = d->bit + f;
+    j.kind = d->kind + f;
+    j.cycle = &cycle;
+    j.decision = &decision;
+    j.act = &act;
+    j.start = &start;
+    j.end = &end;
+    triage_register(&j, d->scratch, (Py_ssize_t)d->reg[f], &first, 1);
+    return start;
+}
+
+/* Fault f from its seed to its retirement; returns the cycles it
+ * simulated. */
+static Py_ssize_t inject_fault(const InjectJob *d, Py_ssize_t f,
+                               int64_t *detect, u32 *port, int64_t *span)
+{
+    Ctx *x = d->x;
+    const RowMap *r = &x->r;
+    u32 *S = x->S;
+    const int hard = d->kind[f] != KIND_SOFT;
+    const u32 mask = (u32)1 << d->bit[f];
+    const int64_t start = d->start[f], end = d->end[f];
+    /* The force a stuck-at re-asserts every cycle; a soft lane forces
+     * the sink row. */
+    u32 *forced = S + (hard ? d->reg[f] : d->n_regs + 1);
+    const u32 force_and = d->kind[f] == KIND_STUCK0 ? ~mask : 0xFFFFFFFFu;
+    const u32 force_or = d->kind[f] == KIND_STUCK1 ? mask : 0;
+    int64_t t = start;
+    int64_t chk_iv = hard ? CONVERGE_CHECK_START : d->stride;
+    int64_t next_chk = start + (hard ? CONVERGE_CHECK_START : 1);
+    Py_ssize_t ran = 0, k;
+
+    seed_lane(d, start);
+    if (!hard)
+        S[d->reg[f]] ^= mask;
+    for (;;) {
+        const u32 *g;
+        int diverged = 0;
+        while (t < end) {
+            if (t == next_chk) {
+                g = d->sm + (size_t)t * (size_t)d->sm_cols;
+                if (memcmp(S, g, (size_t)d->n_regs * sizeof(u32)) == 0)
+                    break;
+                if (hard) {
+                    chk_iv *= 2;
+                    next_chk = t + chk_iv;
+                } else {
+                    next_chk += d->stride;
+                }
+            }
+            *forced = (*forced & force_and) | force_or;
+            g = d->pm + (size_t)t * 18;
+            for (k = 0; k < 16 && S[x->port_rows[k]] == g[k]; k++)
+                ;
+            diverged = k < 16
+                || ((S[r->status] & 1) | (S[r->halted] << 1)) != g[16]
+                || (S[r->br_taken] | (S[r->br_valid] << 1)) != g[17];
+            if (diverged)
+                break;
+            step_lane(x, 0);
+            t++;
+            ran++;
+        }
+        if (diverged) {
+            for (k = 0; k < 16; k++)
+                port[k] = S[x->port_rows[k]];
+            port[16] = (S[r->status] & 1) | (S[r->halted] << 1);
+            port[17] = S[r->br_taken] | (S[r->br_valid] << 1);
+            *detect = t;
+            *span = t - start + 1;
+            return ran + 1;
+        }
+        if (t < end && hard) {      /* equal to golden at a check */
+            const int64_t t_next = next_activation(d, f, t);
+            if (t_next >= 0 && t_next < end) {
+                if (t_next > t) {
+                    seed_lane(d, t_next);
+                    t = t_next;
+                    chk_iv = CONVERGE_CHECK_START;
+                }
+                next_chk = t + chk_iv;
+                continue;
+            }
+        }
+        *detect = -1;
+        *span = t - start;
+        return ran;
+    }
+}
+
+static PyObject *py_inject(PyObject *self, PyObject *args)
+{
+    enum { I_SM, I_PM, I_STIM, I_IMG, I_LCYC, I_LWORD, I_LVAL, I_RD, I_WR,
+           I_FULL, I_REG, I_BIT, I_KIND, I_START, I_END, I_DET, I_PORTS,
+           I_SPAN, NI };
+    static const BufSpec specs[NI] = {
+        {"sm", 0, 4},          {"pm", 0, 4},          {"stim", 0, 4},
+        {"images", 0, 4},      {"log_cycles", 0, 8},  {"log_words", 0, 8},
+        {"log_values", 0, 4},  {"read_mask", 0, 8},   {"write_mask", 0, 8},
+        {"full_write", 0, 1},  {"reg", 0, 8},         {"bit", 0, 8},
+        {"kind", 0, 1},        {"start", 0, 8},       {"end", 0, 8},
+        {"detect", 1, 8},      {"ports", 1, 4},       {"span", 1, 8},
+    };
+    PyObject *objs[NI], *tables;
+    Py_buffer views[NI], tv[13];
+    Py_ssize_t k, every, stride, n_faults, sim_cycles = 0;
+    int prune, tables_held = 0;
+    long long max_observe;
+    void *lane = NULL, *scratch = NULL;
+    PyObject *ret = NULL;
+    Ctx ctx;
+    Ctx *x = &ctx;
+    (void)self;
+
+    if (!PyArg_ParseTuple(args, "OOOO(nOOOO)OOOOOOOOOOOnpL", &objs[I_SM],
+                          &objs[I_PM], &objs[I_STIM], &tables, &every,
+                          &objs[I_IMG], &objs[I_LCYC], &objs[I_LWORD],
+                          &objs[I_LVAL], &objs[I_RD], &objs[I_WR],
+                          &objs[I_FULL], &objs[I_REG], &objs[I_BIT],
+                          &objs[I_KIND], &objs[I_START], &objs[I_END],
+                          &objs[I_DET], &objs[I_PORTS], &objs[I_SPAN],
+                          &stride, &prune, &max_observe))
+        return NULL;
+    for (k = 0; k < NI; k++)
+        views[k].obj = NULL;
+    for (k = 0; k < NI; k++) {
+        if (get_buf(objs[k], &views[k], &specs[k]) < 0)
+            goto cleanup;
+    }
+    tables_held = 1;
+    if (load_tables(tables, tv, x) < 0)
+        goto cleanup;
+    if (views[I_SM].ndim != 2 || views[I_PM].ndim != 2
+            || views[I_IMG].ndim != 2 || views[I_RD].ndim != 2
+            || views[I_WR].ndim != 2 || views[I_PORTS].ndim != 2) {
+        PyErr_SetString(PyExc_ValueError,
+                        "sm, pm, images, the masks and ports must be 2-D");
+        goto cleanup;
+    }
+    const Py_ssize_t n = views[I_SM].shape[0];
+    const Py_ssize_t n_regs = (Py_ssize_t)x->c.n_regs;
+    const Py_ssize_t mem_words = views[I_IMG].shape[1];
+    const Py_ssize_t n_log = views[I_LCYC].len / 8;
+    const Py_ssize_t mask_words = views[I_RD].shape[1];
+    n_faults = views[I_REG].len / 8;
+    if (n < 1 || n_regs < 1 || views[I_SM].shape[1] < n_regs
+            || views[I_PM].shape[0] != n || views[I_PM].shape[1] != 18
+            || views[I_RD].shape[0] != n || views[I_WR].shape[0] != n
+            || views[I_WR].shape[1] != mask_words
+            || n_regs > 64 * mask_words || views[I_FULL].len != n_regs
+            || views[I_STIM].len < 4 || mem_words < 1 || every < 1
+            || views[I_IMG].shape[0] <= n_log / every
+            || views[I_LWORD].len / 8 != n_log
+            || views[I_LVAL].len / 4 != n_log
+            || views[I_BIT].len / 8 != n_faults
+            || views[I_KIND].len != n_faults
+            || views[I_START].len / 8 != n_faults
+            || views[I_END].len / 8 != n_faults
+            || views[I_DET].len / 8 != n_faults
+            || views[I_PORTS].shape[0] != n_faults
+            || views[I_PORTS].shape[1] != 18
+            || views[I_SPAN].len / 8 != n_faults) {
+        PyErr_SetString(PyExc_ValueError, "inconsistent inject shapes");
+        goto cleanup;
+    }
+    if (stride < 1 || max_observe < -1 || max_observe == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "stride must be >= 1 and max_observe -1 (no cap) "
+                        "or >= 1");
+        goto cleanup;
+    }
+    const int64_t *reg = (const int64_t *)views[I_REG].buf;
+    const int64_t *bit = (const int64_t *)views[I_BIT].buf;
+    const uint8_t *kind = (const uint8_t *)views[I_KIND].buf;
+    const int64_t *start = (const int64_t *)views[I_START].buf;
+    const int64_t *end = (const int64_t *)views[I_END].buf;
+    for (k = 0; k < n_faults; k++) {
+        if (reg[k] < 0 || reg[k] >= n_regs || bit[k] < 0 || bit[k] > 31
+                || kind[k] > KIND_STUCK1) {
+            PyErr_Format(PyExc_ValueError,
+                         "fault %zd: register row, bit or kind out of range",
+                         k);
+            goto cleanup;
+        }
+        if (start[k] < 0 || start[k] >= end[k] || end[k] > n) {
+            PyErr_Format(PyExc_ValueError,
+                         "fault %zd: window [%lld, %lld) outside the golden "
+                         "trace's %zd cycles", k, (long long)start[k],
+                         (long long)end[k], n);
+            goto cleanup;
+        }
+    }
+    const int64_t *log_words = (const int64_t *)views[I_LWORD].buf;
+    for (k = 0; k < n_log; k++) {
+        if (log_words[k] < 0 || log_words[k] >= mem_words) {
+            PyErr_Format(PyExc_ValueError,
+                         "write-log entry %zd: word outside memory", k);
+            goto cleanup;
+        }
+    }
+
+    lane = PyMem_Malloc((size_t)(n_regs + 2 + mem_words) * sizeof(u32));
+    scratch = PyMem_Malloc(((size_t)n + 1) * (5 * sizeof(u32)
+                                              + 2 * sizeof(int64_t)
+                                              + sizeof(uint8_t)));
+    if (lane == NULL || scratch == NULL) {
+        PyErr_NoMemory();
+        goto cleanup;
+    }
+    x->S = (u32 *)lane;
+    x->n_rows = n_regs + 2;
+    x->B = 1;
+    x->M = x->S + n_regs + 2;
+    x->mem_words = mem_words;
+    x->stim = (const u32 *)views[I_STIM].buf;
+    x->stim_len = views[I_STIM].len / 4;
+
+    {
+        const size_t m = (size_t)n + 1;
+        TriageScratch s;
+        TriageJob tj;
+        s.next_use = (int64_t *)scratch;
+        s.next_kill = s.next_use + m;
+        s.col = (u32 *)(s.next_kill + m);
+        s.or_all = s.col + m;
+        s.and_all = s.or_all + m;
+        s.or_use = s.and_all + m;
+        s.and_use = s.or_use + m;
+        s.use = (uint8_t *)(s.and_use + m);
+        memset(&tj, 0, sizeof(tj));
+        tj.sm = (const u32 *)views[I_SM].buf;
+        tj.rd = (const uint64_t *)views[I_RD].buf;
+        tj.wr = (const uint64_t *)views[I_WR].buf;
+        tj.sm_cols = views[I_SM].shape[1];
+        tj.n = n;
+        tj.mask_words = mask_words;
+        tj.full_write = (const uint8_t *)views[I_FULL].buf;
+        tj.prune = prune;
+        tj.max_observe = (int64_t)max_observe;
+        InjectJob job = {
+            x, tj.sm, (const u32 *)views[I_PM].buf, tj.sm_cols, n_regs,
+            (const u32 *)views[I_IMG].buf,
+            (const int64_t *)views[I_LCYC].buf, log_words,
+            (const u32 *)views[I_LVAL].buf, n_log, every,
+            reg, bit, start, end, kind, stride, &tj, &s,
+        };
+        int64_t *detect = (int64_t *)views[I_DET].buf;
+        u32 *ports = (u32 *)views[I_PORTS].buf;
+        int64_t *span = (int64_t *)views[I_SPAN].buf;
+
+        Py_BEGIN_ALLOW_THREADS
+        for (k = 0; k < n_faults; k++)
+            sim_cycles += inject_fault(&job, k, &detect[k], ports + 18 * k,
+                                       &span[k]);
+        Py_END_ALLOW_THREADS
+    }
+    ret = PyLong_FromSsize_t(sim_cycles);
+
+cleanup:
+    PyMem_Free(scratch);
+    PyMem_Free(lane);
+    if (tables_held)
+        release_all(tv, 13);
+    release_all(views, NI);
+    return ret;
+}
+
 /* -- schedule(): the campaign's fault cycles, bit-identical to numpy ------- */
 
 /* repro.faults.campaign.schedule_faults (the specification) draws the
@@ -1699,11 +1800,14 @@ fail:
 static PyMethodDef methods[] = {
     {"step", py_step, METH_VARARGS,
      "step(S, M, stim, tables, n): advance lanes 0..n-1 one cycle."},
-    {"drive", py_drive, METH_VARARGS,
-     "drive(S, M, sm, pm, stim, t, end, next_chk, chk_iv, is_hard, "
-     "force_row, force_and, force_or, tables, n, stride, max_cycles) "
-     "-> (cycles_run, diverged): fused force/compare/step loop over "
-     "lanes 0..n-1, with the GIL released."},
+    {"inject", py_inject, METH_VARARGS,
+     "inject(sm, pm, stim, tables, memory, read_mask, write_mask, "
+     "full_write, reg, bit, kind, start, end, detect, ports, span, stride, "
+     "prune, max_observe) -> sim_cycles: run each fault from its seed at "
+     "start to its retirement as repro.faults.injector.InjectionEngine "
+     "does, with the GIL released; memory is GoldenTrace._memory_index(), "
+     "and each fault's detect cycle (-1 when masked), port tuple at "
+     "detection and simulated span are written to detect, ports and span."},
     {"golden", py_golden, METH_VARARGS,
      "golden(S, M, stim, tables, max_cycles) -> None or (n_cycles, states, "
      "ports, reads, writes, log): run lane 0 of S and M to HALT, recording "

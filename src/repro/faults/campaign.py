@@ -241,10 +241,11 @@ def run_campaign(config: CampaignConfig | None = None,
             :class:`~repro.faults.parallel.ExecPlan` (default:
             ``ExecPlan()``: one shard runner, inline, on the batch
             engine at :data:`~repro.faults.parallel.DEFAULT_BATCH`
-            lanes, or on the scalar engine when the compiled kernel
-            cannot load; ``meta["kernel"]`` is then None).  Records and
-            pruning stats are bit-identical for every plan (see
-            :mod:`repro.faults.parallel`), which ``meta`` records.
+            faults per kernel call, or on the scalar engine when the
+            compiled kernel cannot load; ``meta["kernel"]`` is then
+            None).  Records and pruning stats are bit-identical for
+            every plan (see :mod:`repro.faults.parallel`), which
+            ``meta`` records.
     """
     from .parallel import execute_campaign
 

@@ -54,7 +54,8 @@ from .models import ErrorRecord, Fault, FaultKind
 
 #: Cycles after a stuck-at activation before the first re-convergence
 #: check; the interval doubles after every failed check so persistently
-#: diverged-but-undetected runs pay O(log) checks, not O(n).
+#: diverged-but-undetected runs pay O(log) checks, not O(n).  The
+#: compiled kernel's ``CONVERGE_CHECK_START`` has the same value.
 _CONVERGE_CHECK_START = 8
 
 #: Triage decisions (:func:`triage_fault`), numbered as the compiled

@@ -1,12 +1,12 @@
 """The compiled step kernel behind the batch fault-injection engine.
 
-The :class:`~repro.faults.batch.BatchInjectionEngine` advances its
-structure-of-arrays lanes with the fused C drive loop in
-:mod:`repro.faults._cstep` (one call runs force / golden compare /
-step for many cycles, returning to Python only on rare-path events,
-see DESIGN §5.15).  It is the only batch kernel: tests/test_kernels.py
-pins it per cycle to the specification, ``Cpu.step``.  The same step
-records golden traces (``_cstep.golden``, used by
+The :class:`~repro.faults.batch.BatchInjectionEngine` hands its triaged
+faults to ``inject()`` in :mod:`repro.faults._cstep`, which runs each
+fault on one lane from its seed to its retirement (seeding, force,
+golden compare, checks, fast-forward and step, see DESIGN §5.24).  It
+is the only batch kernel: tests/test_kernels.py pins its step per cycle
+to the specification, ``Cpu.step``.  The same step records golden
+traces (``_cstep.golden``, used by
 :meth:`~repro.faults.golden.GoldenTrace.cached`), and this module holds
 the row layout and the decode tables every kernel call gathers
 through.

@@ -103,9 +103,10 @@ def resolve_chunk(n_flops: int, workers: int, batch: int = 0) -> int:
     """The default flops-per-shard chunk size.
 
     The scalar engine (``batch=0``) aims at ~4 chunks per worker per
-    benchmark for load balancing.  The batch engine amortizes each
-    kernel call over lane occupancy, so it wants the deepest fault pool
-    it can get: one shard per worker.  Because schedules are keyed per
+    benchmark for load balancing.  The batch engine pays a triage call
+    and the Python around its kernel calls once per shard, so it wants
+    the deepest fault pool it can get: one shard per worker.  Because
+    schedules are keyed per
     (benchmark, flop), the chunking never affects results, only
     wall-clock.
     """
@@ -113,9 +114,10 @@ def resolve_chunk(n_flops: int, workers: int, batch: int = 0) -> int:
     return max(1, -(-n_flops // (per_worker * workers)))
 
 
-#: Lane count of the batch engine when a caller names none.  64 lanes
-#: ran inject-deep's campaign as fast as 256 on one CPU with less
-#: memory (DESIGN §5.15).
+#: The most faults one kernel call of the batch engine takes, when a
+#: caller names none.  Each fault runs on one lane from its seed to its
+#: retirement whatever the value (DESIGN §5.24); it only sets how often
+#: a deep shard returns to Python.
 DEFAULT_BATCH = 64
 
 #: The least value of each :class:`ExecPlan` field; None (auto) is
@@ -133,8 +135,9 @@ class ExecPlan:
     Attributes:
         workers: shard runners; ``1`` runs the shards inline, more run
             them on a process pool, ``0`` one per usable CPU.
-        batch: lanes of the batch engine; None means
-            :data:`DEFAULT_BATCH`, ``0`` the scalar engine.
+        batch: the most faults one kernel call of the batch engine
+            takes; None means :data:`DEFAULT_BATCH`, ``0`` the scalar
+            engine.
         chunk_flops: flops per shard; None sizes them with
             :func:`resolve_chunk`.
 
@@ -157,7 +160,7 @@ class ExecPlan:
         """This plan with concrete values.
 
         ``workers=0`` becomes the usable CPU count.  The batch engine
-        runs when the lane count is non-zero and the compiled kernel
+        runs when ``batch`` is non-zero and the compiled kernel
         loaded; otherwise the scalar engine runs and ``batch`` becomes
         ``0``.  ``n_flops``, the run's sampled-flop count, sizes a
         default ``chunk_flops``; a worker that plans no shards leaves
@@ -175,8 +178,8 @@ class ExecPlan:
     def meta(self) -> dict:
         """The result meta of a run on this resolved plan.
 
-        ``batch``/``kernel`` name the engine that ran: the lane count
-        and ``"cext"``, or both None for the scalar engine.
+        ``batch``/``kernel`` name the engine that ran: the faults per
+        kernel call and ``"cext"``, or both None for the scalar engine.
         """
         return {"workers": self.workers, "chunk_flops": self.chunk_flops,
                 "batch": self.batch or None,
@@ -232,8 +235,9 @@ def run_shard(config, shard: Shard, plan: ExecPlan | None = None) -> tuple[
     list, are identical for any sharding.
 
     ``plan`` is the run's resolved :class:`ExecPlan` (default: the
-    default plan, resolved): ``plan.batch`` lanes run the batch engine
-    (see :mod:`repro.faults.batch`) on the shard's fault columns,
+    default plan, resolved): a non-zero ``plan.batch`` runs the batch
+    engine (see :mod:`repro.faults.batch`) on the shard's fault
+    columns, at most ``plan.batch`` faults per kernel call, and
     ``batch=0`` the scalar engine on :class:`~repro.faults.models.Fault`
     objects.  Records and pruning stats are bit-identical for either.
     Both engines read the process's one cross-checked trace of the

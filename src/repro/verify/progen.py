@@ -323,10 +323,14 @@ class _Gen:
                f"    csrw r{reg}, {8 + slot}   ; dbg_bkpt{slot}\n"
                f"    addi r{reg}, r0, {1 + slot}\n"
                f"    csrw r{reg}, 11  ; arm breakpoint")
+        # The trapped instruction reads a register operand and, like a
+        # nop, changes no architectural state: flags (CSR 3) is
+        # read-only, so the write is dropped.
         return Block("bkpt", [
             Line(arm),
             Line(self.alu_line()),
-            Line(f"{target}:\n    nop", removable=False),
+            Line(f"{target}:\n    csrw r{reg}, 3   ; read-only: no effect",
+                 removable=False),
         ])
 
     def block_watch(self) -> Block:

@@ -1,4 +1,4 @@
-"""Batch injection engine: parity, compaction, wiring.
+"""Batch injection engine: parity, seeding, wiring.
 
 The contract under test is absolute: for any batch size, worker count
 and shard composition, the batch engine must reproduce the scalar
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.cpu.units import REG_INDEX, REGISTRY, FlopRef
+from repro.cpu.units import REGISTRY, FlopRef
 from repro.faults import (
     BatchInjectionEngine,
     CampaignConfig,
@@ -34,8 +34,7 @@ from repro.faults import (
     schedule_faults,
 )
 from repro.faults import golden as golden_mod
-from repro.faults.batch import TRASH_ROW
-from repro.faults.models import FaultColumns
+from repro.faults.injector import SIMULATE, triage_fault
 from repro.faults.parallel import sampling_rng, schedule_rng
 from repro.workloads import KERNELS
 from tests.conftest import replay_memory
@@ -118,6 +117,17 @@ def test_unpruned_parity(ttsprk_golden):
 
 # -- dynamic equivalence collapsing ------------------------------------------
 
+def _collapsible_pairs(golden):
+    """Soft faults at ``t`` and ``t + 1`` on bit 0 of one register that
+    defer to the same start, register by register, ``t`` in steps of 11."""
+    for spec in REGISTRY:
+        for t in range(0, golden.n_cycles - 2, 11):
+            start = golden.soft_start(spec.name, t)
+            if start is not None and golden.soft_start(spec.name, t + 1) == start:
+                yield [Fault(FlopRef(spec.name, 0), FaultKind.SOFT, t),
+                       Fault(FlopRef(spec.name, 0), FaultKind.SOFT, t + 1)]
+
+
 @needs_cext
 def test_equivalence_collapse_fires(ttsprk_golden):
     """Two soft faults on one (reg, bit) deferring to the same
@@ -126,180 +136,146 @@ def test_equivalence_collapse_fires(ttsprk_golden):
     Campaign-level quick-config runs always report ``equiv_hits: 0``
     — not a bug: ``soft_per_flop=1`` gives every (reg, bit) exactly
     one soft fault, so the class key (reg, bit, start) cannot collide
-    (DESIGN §5.15).  This pins the mechanism itself alive with a
-    constructed pair.
+    (DESIGN §5.15).  This pins the mechanism itself alive with
+    constructed pairs: one whose representative is masked and one whose
+    representative is detected, since a hit adds its representative's
+    simulated span to ``cycles_saved`` either way.
     """
     golden = ttsprk_golden
-    pair = None
-    for spec in REGISTRY:
-        for t in range(0, golden.n_cycles - 2, 11):
-            s1 = golden.soft_start(spec.name, t)
-            if s1 is not None and golden.soft_start(spec.name, t + 1) == s1:
-                pair = (spec.name, t)
-                break
-        if pair:
+    pairs = {}
+    for pair in _collapsible_pairs(golden):
+        pairs.setdefault(InjectionEngine(golden).inject(pair[0]) is None, pair)
+        if len(pairs) == 2:
             break
-    assert pair is not None, "no collapsible soft pair in the golden trace"
-    reg, t = pair
-    faults = [Fault(FlopRef(reg, 0), FaultKind.SOFT, t),
-              Fault(FlopRef(reg, 0), FaultKind.SOFT, t + 1)]
+    assert len(pairs) == 2, f"collapsible pairs found: {pairs}"
+    faults = pairs[True] + pairs[False]
 
     scalar = InjectionEngine(golden)
     expected = [scalar.inject(f) for f in faults]
-    assert scalar.stats.equiv_hits == 1  # second fault replayed, not re-run
+    assert scalar.stats.equiv_hits == 2  # second of each pair replayed
     for batch in (1, 4):
         engine = BatchInjectionEngine(golden, batch=batch)
         assert engine.inject_all(faults) == expected
         assert engine.stats.as_dict() == scalar.stats.as_dict()
-        assert engine.stats.equiv_hits == 1
+        assert engine.stats.equiv_hits == 2
 
 
-# -- lane compaction ---------------------------------------------------------
+# -- seeding and fast-forward around memory checkpoints ------------------------
 
-@needs_cext
-def test_lane_compaction(ttsprk_golden):
-    """Retired columns are filled by live tail columns, one move each."""
-    engine = BatchInjectionEngine(ttsprk_golden, batch=4)
-    engine._n = 4
-    for i in range(4):
-        engine.S[:, i] = i + 1
-        engine.M[i, :] = 10 * (i + 1)
-        engine.t[i] = 100 + i
-        engine.end[i] = 200 + i
-        engine.start[i] = i
-        engine.next_chk[i] = 50 + i
-        engine.chk_iv[i] = 8 << i
-        engine.force_and[i] = i
-        engine.force_or[i] = i
-        engine.force_row[i] = i
-        engine.is_hard[i] = bool(i % 2)
-        engine.seq[i] = i
+#: Workloads whose write logs are checkpointed every few writes here, so
+#: the kernel rebuilds each lane memory from a checkpoint image plus a
+#: write-log span.  canrdr (62 writes) never loads what it stores, so a
+#: wrong image changes none of its records; aifirf reads its delay line
+#: (26 writes) back every sample, so a lane seeded with a wrong image
+#: puts a wrong word on the bus and diverges.
+_CHECKPOINTED = (("canrdr", 16), ("aifirf", 4))
 
-    engine._compact([1, 3])
-
-    assert engine._n == 2
-    # Lane 0 untouched; old lane 2 moved into the hole at 1.
-    assert int(engine.S[0, 0]) == 1 and int(engine.S[0, 1]) == 3
-    assert int(engine.M[0, 0]) == 10 and int(engine.M[1, 0]) == 30
-    assert engine.t[:2].tolist() == [100, 102]
-    assert engine.end[:2].tolist() == [200, 202]
-    assert engine.next_chk[:2].tolist() == [50, 52]
-    assert engine.chk_iv[:2].tolist() == [8, 32]
-    assert engine.force_and[:2].tolist() == [0, 2]
-    assert engine.force_row[:2].tolist() == [0, 2]
-    assert engine.is_hard[:2].tolist() == [False, False]
-    assert engine.seq[:2].tolist() == [0, 2]
+#: The engine settings of the checkpoint tests: stuck-at windows capped
+#: so that the scalar reference stays quick.
+_CHECKPOINT_CFG = CampaignConfig(max_observe=600)
 
 
-def _checkpointed_canrdr(monkeypatch) -> GoldenTrace:
-    """canrdr (62 memory writes) with a checkpoint every 16 writes, so
-    lane memories are rebuilt from checkpoints plus write-log spans."""
-    monkeypatch.setattr(golden_mod, "MEMORY_CHECKPOINT_EVERY", 16)
-    golden = GoldenTrace(KERNELS["canrdr"])
-    assert len(golden.write_log) > 48
+def _checkpointed(monkeypatch, name: str, every: int) -> GoldenTrace:
+    """``name``'s golden trace with a memory checkpoint every ``every``
+    writes."""
+    monkeypatch.setattr(golden_mod, "MEMORY_CHECKPOINT_EVERY", every)
+    golden = GoldenTrace.cached(KERNELS[name])
+    assert len(golden.write_log) > 3 * every
     return golden
 
 
-def _cycles_around_checkpoints(golden) -> list[int]:
+def _writes_before(golden, cycle: int) -> int:
+    """Write-log entries committed before ``cycle`` starts."""
+    return bisect_left(golden.write_log[:, 0].tolist(), cycle)
+
+
+def _assert_around_checkpoints(golden, every: int, cycles) -> None:
+    """``cycles`` start just before, exactly at and just after a
+    checkpoint."""
+    offsets = {_writes_before(golden, c) % every for c in cycles
+               if _writes_before(golden, c) >= every}
+    assert {every - 1, 0, 1} <= offsets, f"write-log offsets {offsets}"
+
+
+def _cycles_around_checkpoints(golden, every: int) -> list[int]:
     """Cycles whose write-log prefix ends just before, exactly at and
-    just after each checkpoint, plus the first and last cycle."""
-    log_cycles = [when for when, _, _ in golden.write_log]
+    just after each of the first three checkpoints, plus the first and
+    last cycle."""
+    log_cycles = golden.write_log[:, 0].tolist()
     picks = {0, golden.n_cycles - 1}
-    for j in (15, 16, 17, 31, 32, 33, 47, 48, 49):
+    for j in (k * every + d for k in (1, 2, 3) for d in (-1, 0, 1)):
         # The cycle after write j - 1 starts with exactly j writes done,
         # unless write j falls in the same cycle.
         cycle = log_cycles[j - 1] + 1
         if bisect_left(log_cycles, cycle) == j:
             picks.add(cycle)
-    prefixes = [bisect_left(log_cycles, cycle) for cycle in picks]
-    assert [p for p in prefixes if p and p % 16 == 0], "none at a checkpoint"
-    assert [p for p in prefixes if p % 16], "none between checkpoints"
+    _assert_around_checkpoints(golden, every, picks)
     return sorted(picks)
 
 
-def _assert_lane_memory(engine, lane: int, cycle: int) -> None:
-    assert engine.M[lane].tolist() == replay_memory(engine.golden, cycle), (
-        f"lane {lane}: memory at cycle {cycle} differs from the log replay")
+@needs_cext
+@pytest.mark.parametrize("name,every", _CHECKPOINTED)
+def test_compiled_seeding_matches_scalar_around_checkpoints(monkeypatch, name,
+                                                            every):
+    """Faults simulated from cycles before, at and just after each memory
+    checkpoint give the scalar engine's records and PruneStats: the
+    kernel seeds every lane with the golden state there, a soft fault's
+    flip, and the memory the write log replays to."""
+    golden = _checkpointed(monkeypatch, name, every)
+    cfg = _CHECKPOINT_CFG
+    faults = []
+    for cycle in _cycles_around_checkpoints(golden, every):
+        # Faults simulated from their own cycle, so seeded there: about
+        # 8 of every kind, spread over the registers.
+        here = [Fault(FlopRef(spec.name, bit), kind, cycle)
+                for kind in FaultKind for spec in REGISTRY
+                for bit in range(0, spec.width, 7)]
+        here = [fault for fault in here
+                if triage_fault(golden, fault, cfg.prune, cfg.max_observe)
+                [::2] == (SIMULATE, cycle)]
+        faults += here[::max(1, len(here) // 24)]
+    assert len({f.cycle for f in faults}) > 9
+    _assert_engine_parity(golden, faults, cfg)
 
 
 @needs_cext
-def test_seed_many_matches_scalar_seed(monkeypatch):
-    """Bulk lane seeding reproduces the specification lane for lane: the
-    golden state at the start with a soft flip applied (stuck-at lanes
-    are forced by ``drive()``), the force masks, the check schedule, and
-    the memory the whole write log replays to, at starts before, at
-    and after a checkpoint."""
-    golden = _checkpointed_canrdr(monkeypatch)
-    starts = _cycles_around_checkpoints(golden)
-    kinds = (FaultKind.SOFT, FaultKind.STUCK0, FaultKind.STUCK1)
-    faults = []
-    for seq, start in enumerate(starts):
-        spec = REGISTRY[(seq * 5) % len(REGISTRY)]
-        faults.append(Fault(FlopRef(spec.name, (seq * 3) % spec.width),
-                            kinds[seq % 3], start))
-
-    engine = BatchInjectionEngine(golden, batch=32, mask_check_stride=3)
-    engine._load(FaultColumns.from_faults(faults))
-    engine._start = np.array(starts, dtype=np.int64)
-    engine._end = np.minimum(engine._start + 300, golden.n_cycles)
-    engine.M[:] = 0xDEADBEEF
-    assert not len(engine._seed_many(np.arange(len(faults))))
-
-    assert engine._n == len(faults)
-    for i, (fault, start) in enumerate(zip(faults, starts)):
-        row, mask = REG_INDEX[fault.flop.reg], 1 << fault.flop.bit
-        state = list(golden.state_at(start))
-        soft = fault.kind is FaultKind.SOFT
-        if soft:
-            state[row] ^= mask
-        assert engine.S[:len(REGISTRY), i].tolist() == state
-        assert engine.S[len(REGISTRY):, i].tolist() == [0, 0]
-        _assert_lane_memory(engine, i, start)
-        assert (engine.t[i], engine.start[i], engine.end[i], engine.seq[i]) \
-            == (start, start, min(start + 300, golden.n_cycles), i)
-        assert engine.is_hard[i] == (not soft)
-        assert engine.force_row[i] == (TRASH_ROW if soft else row)
-        assert engine.force_and[i] == (
-            0xFFFFFFFF if fault.kind is not FaultKind.STUCK0
-            else ~mask & 0xFFFFFFFF)
-        assert engine.force_or[i] == (
-            mask if fault.kind is FaultKind.STUCK1 else 0)
-        assert engine.next_chk[i] == start + (1 if soft else 8)
-        assert engine.chk_iv[i] == (3 if soft else 8)
-
-
-@needs_cext
-def test_fast_forward_reseeds_from_memory_at(monkeypatch):
-    """A stuck-at lane back at golden jumps to the bit's next observed
-    activation with the golden state and the replayed memory there,
-    at targets before, at and after a checkpoint."""
-    golden = _checkpointed_canrdr(monkeypatch)
-    targets = [c for c in _cycles_around_checkpoints(golden) if c > 0]
-    faults = []
-    for target in targets:
-        # A flop whose stuck bit is first observed active at `target`
-        # when the lane stands at `target - 1`.
-        faults.append(next(
-            Fault(FlopRef(spec.name, bit), kind, target - 1)
-            for spec in REGISTRY for bit in range(spec.width)
-            for kind, value in ((FaultKind.STUCK0, 0), (FaultKind.STUCK1, 1))
-            if golden.first_active_use(spec.name, bit, value, target - 1)
-            == target))
-    engine = BatchInjectionEngine(golden, batch=32)
-    engine._load(FaultColumns.from_faults(faults))
-    engine._start = np.array([f.cycle for f in faults], dtype=np.int64)
-    engine._end = np.full(len(faults), golden.n_cycles, dtype=np.int64)
-    engine._seed_many(np.arange(len(faults)))
-    lanes = np.arange(len(faults))
-    engine.M[lanes] = 0xDEADBEEF
-    engine.next_chk[lanes] = engine.t[lanes]
-
-    assert not engine._check(lanes)  # nobody retires: everyone jumps
-    for i, target in enumerate(targets):
-        assert engine.t[i] == target
-        assert engine.S[:len(REGISTRY), i].tolist() == list(golden.state_at(target))
-        _assert_lane_memory(engine, i, target)
-        assert (engine.next_chk[i], engine.chk_iv[i]) == (target + 8, 8)
+@pytest.mark.parametrize("name,every", _CHECKPOINTED)
+def test_compiled_fast_forward_matches_scalar_around_checkpoints(
+        monkeypatch, name, every):
+    """Stuck-ats whose lanes re-converge and fast-forward to cycles
+    before, at and just after a memory checkpoint give the scalar
+    engine's records and PruneStats: the kernel reseeds the lane with
+    the golden state and the replayed memory at the bit's next observed
+    activation."""
+    golden = _checkpointed(monkeypatch, name, every)
+    faults = [Fault(FlopRef(spec.name, bit), kind, 0)
+              for spec in REGISTRY for bit in range(0, spec.width, 3)
+              for kind in (FaultKind.STUCK0, FaultKind.STUCK1)]
+    # The scalar engine seeds a simulated fault with one memory_at call
+    # and reseeds it with one more per fast-forward.
+    seeds: list[int] = []
+    memory_at = golden.memory_at
+    monkeypatch.setattr(golden, "memory_at", lambda cycle, out=None: (
+        seeds.append(cycle), memory_at(cycle, out))[1])
+    scalar = InjectionEngine(golden, max_observe=None)
+    jumps = {}
+    expected = []
+    for fault in faults:
+        seeds.clear()
+        expected.append(scalar.inject(fault))
+        jumps[fault] = seeds[1:]
+    _assert_around_checkpoints(golden, every,
+                               [c for cycles in jumps.values() for c in cycles])
+    engine = BatchInjectionEngine(golden, max_observe=None)
+    assert engine.inject_all(faults) == expected
+    assert engine.stats.as_dict() == scalar.stats.as_dict()
+    # A jump to the last cycle of the window still simulates that cycle.
+    fault, jump = next((f, cycles[0]) for f, cycles in jumps.items() if cycles)
+    act = triage_fault(golden, fault)[1]
+    seeds.clear()
+    _assert_engine_parity(golden, [fault],
+                          CampaignConfig(max_observe=jump + 1 - act))
+    assert seeds[1:] == [jump]
 
 
 def test_memory_rows_keep_the_last_write_per_word():
@@ -325,36 +301,6 @@ def test_memory_rows_keep_the_last_write_per_word():
         assert golden.memory_rows_at([cycle], single, [0])[0].tolist() == want
     assert out[:2].tolist() == [[0] * 8] * 2
     assert out[rows[4]].tolist()[3] == 10 and out[rows[4]].tolist()[5] == 3
-
-
-@needs_cext
-def test_seed_many_respects_batch_room(ttsprk_golden):
-    """Refill takes exactly ``batch - n`` faults, leaving the rest queued."""
-    golden = ttsprk_golden
-    faults = [Fault(FlopRef("pc", seq % 32), FaultKind.SOFT, 10 + seq)
-              for seq in range(10)]
-    engine = BatchInjectionEngine(golden, batch=4)
-    engine._load(FaultColumns.from_faults(faults))
-    engine._start = np.arange(10, 20, dtype=np.int64)
-    engine._end = np.full(10, golden.n_cycles, dtype=np.int64)
-    rest = engine._seed_many(np.arange(10))
-    assert engine._n == 4
-    assert rest.tolist() == list(range(4, 10))  # queue order preserved
-
-
-@needs_cext
-def test_compact_last_lane_only():
-    """Retiring the final live lane is a pure shrink, no column moves."""
-    engine = BatchInjectionEngine(GoldenTrace.cached(KERNELS["ttsprk"]),
-                                  batch=2)
-    engine._n = 2
-    engine.S[:, 0] = 7
-    engine.S[:, 1] = 9
-    engine.seq[:2] = [5, 6]
-    engine._compact([1])
-    assert engine._n == 1
-    assert int(engine.S[0, 0]) == 7
-    assert engine.seq[0] == 5
 
 
 # -- CLI wiring --------------------------------------------------------------

@@ -16,8 +16,9 @@ Three layers of guarantee around the C extension:
   ``GoldenTrace.cached`` builds traces with, equals ``GoldenTrace``'s
   Python build (``Cpu.step`` behind the access tracer) in every array:
   states, ports, def/use masks, write log and state hashes;
-* **engine parity** — the fused ``drive`` loop reproduces the scalar
-  engine's records and PruneStats for any batch width, on the
+* **engine parity** — the kernel's ``inject``, which runs each fault
+  from its seed to its retirement, reproduces the scalar engine's
+  records and PruneStats for any number of faults per call, on the
   workloads and on golden traces of generated and directed corner
   programs;
 * **scheduling** — the kernel's ``schedule`` writes the fault cycles
@@ -56,7 +57,7 @@ from repro.faults import (
 from repro.faults import _cstep, kernels, parallel
 from repro.faults.batch import _FULL_WRITE
 from repro.faults.golden import CAMPAIGN_MEM_WORDS, _pack_mask_rows
-from repro.faults.injector import triage_fault
+from repro.faults.injector import SIMULATE, triage_fault
 from repro.faults.kernels import N_REGS, N_ROWS, ZERO_ROW, cext_tables
 from repro.faults.models import FaultColumns
 from repro.faults.parallel import Shard, sampling_rng, schedule_rng
@@ -95,11 +96,12 @@ def test_explicit_cext_fails_loudly_when_unavailable(monkeypatch,
 
 
 @needs_cext
-def test_tables_that_are_not_a_13_tuple_are_refused():
+def test_tables_that_are_not_a_13_tuple_are_refused(ttsprk_golden):
     """Every kernel entry point that gathers through the tables raises
     TypeError for anything but a 13-tuple (it used to release buffers
     it had never acquired, and crash)."""
     module = kernels.cext_module()
+    golden = ttsprk_golden
     S = np.zeros((N_ROWS, 1), dtype=np.uint32)
     M = np.zeros((1, 16), dtype=np.uint32)
     stim = np.zeros(1, dtype=np.uint32)
@@ -110,11 +112,29 @@ def test_tables_that_are_not_a_13_tuple_are_refused():
         with pytest.raises(TypeError, match="13-tuple"):
             module.golden(S, M, stim, tables, 10)
         with pytest.raises(TypeError, match="13-tuple"):
-            module.drive(S, M, S.T.copy(), np.zeros((1, 18), np.uint32),
-                         stim, one, one, one, one,
-                         np.zeros(1, dtype=bool), one,
-                         np.zeros(1, np.uint32), np.zeros(1, np.uint32),
-                         tables, 1, 1, 1)
+            module.inject(golden.state_matrix, golden.port_matrix, stim,
+                          tables, golden._memory_index(), golden.read_mask,
+                          golden.write_mask, _FULL_WRITE, one, one,
+                          np.zeros(1, np.uint8), one, one + 1, one,
+                          np.zeros((1, 18), np.uint32), one, 4, True, -1)
+
+
+@needs_cext
+def test_inject_refuses_a_window_outside_the_trace(ttsprk_golden):
+    """A fault whose window [start, end) is empty or leaves the golden
+    trace raises ValueError before any fault runs."""
+    golden = ttsprk_golden
+    n = golden.n_cycles
+    engine = BatchInjectionEngine(golden)
+    columns = FaultColumns.from_faults(
+        [Fault(FlopRef("pc", 3), FaultKind.SOFT, 0)] * 2)
+    engine._load(columns)
+    for start, end in ((-1, 5), (5, 5), (6, 5), (0, n + 1), (n, n + 1)):
+        engine._start = np.array([0, start], dtype=np.int64)
+        engine._end = np.array([n, end], dtype=np.int64)
+        with pytest.raises(ValueError, match="fault 1: window"):
+            engine._inject(np.arange(2))
+        assert engine._outcomes == [None, None]
 
 
 # -- per-cycle semantics: the kernel against Cpu.step -------------------------
@@ -125,7 +145,7 @@ def _kernel_step_matches_cpu(S, M, stim, n, cpu) -> int:
     ``cpu`` is restored from the lane's pre-step column and memory and
     stepped once with ``Cpu.step()``.  Halted lanes are outside the
     kernel's contract and are not checked: ``Cpu.step`` freezes a
-    halted core, while ``drive()`` has no run mask and never needs one
+    halted core, while ``inject()`` has no run mask and never needs one
     (a lane that halts diverges from the golden ports, which never
     show ``halted``, and is retired before it would be stepped).
     Returns the number of lanes checked.
@@ -162,31 +182,49 @@ def _shard_faults(golden, flop_idxs, cfg):
 
 
 @needs_cext
-@pytest.mark.parametrize("trial,batch", ((0, 8), (1, 32)))
-def test_per_cycle_state_parity(ttsprk_golden, trial, batch):
-    """Lanes seeded from a random shard of real faults, forces applied
-    every cycle as ``drive()`` applies them, equal ``Cpu.step`` after
-    every kernel step for 256 cycles."""
+@pytest.mark.parametrize("trial,lanes", ((0, 8), (1, 32)))
+def test_per_cycle_state_parity(ttsprk_golden, trial, lanes):
+    """Lanes seeded from a random shard of real faults, as the engine
+    seeds them (the golden state and memory where triage starts the
+    fault, a soft fault's bit flipped), forces applied every cycle as
+    ``inject()`` applies them, equal ``Cpu.step`` after every kernel
+    step for 256 cycles."""
+    golden = ttsprk_golden
     cfg = QUICK
     n_flops = len(sample_flops(cfg, sampling_rng(cfg.seed)))
     rnd = random.Random(5150 + trial)
     idxs = sorted(rnd.sample(range(n_flops), k=min(24, n_flops)))
-    faults = _shard_faults(ttsprk_golden, idxs, cfg)
-    engine = BatchInjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
-                                  mask_check_stride=cfg.mask_check_stride,
-                                  batch=batch)
-    engine._seed_many(engine._plan(FaultColumns.from_faults(faults))[0])
-    n = engine._n
+    seeds = []
+    for fault in _shard_faults(golden, idxs, cfg):
+        decision, _, start, _ = triage_fault(golden, fault, cfg.prune,
+                                             cfg.max_observe)
+        if decision == SIMULATE:
+            seeds.append((fault, start))
+    seeds = seeds[:lanes]
+    n = len(seeds)
     assert n > 0
-    lanes = np.arange(n)
-    rows = engine.force_row[:n]
-    cpu = Cpu(Memory(ttsprk_golden.mem_words), ttsprk_golden.stimulus)
+    S = np.zeros((N_ROWS, n), dtype=np.uint32)
+    M = np.zeros((n, golden.mem_words), dtype=np.uint32)
+    rows = np.array([REG_INDEX[f.flop.reg] for f, _ in seeds])
+    masks = np.array([1 << f.flop.bit for f, _ in seeds], dtype=np.uint32)
+    force_and = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
+    force_or = np.zeros(n, dtype=np.uint32)
+    for i, (fault, start) in enumerate(seeds):
+        S[:N_REGS, i] = golden.state_at(start)
+        M[i] = golden.memory_at(start).words
+        if fault.kind is FaultKind.SOFT:
+            S[rows[i], i] ^= masks[i]
+        elif fault.kind is FaultKind.STUCK0:
+            force_and[i] = ~masks[i]
+        else:
+            force_or[i] = masks[i]
+    lane = np.arange(n)
+    stim = np.array(golden.stimulus.values, dtype=np.uint32)
+    cpu = Cpu(Memory(golden.mem_words), golden.stimulus)
     checked = 0
     for _ in range(256):
-        S = engine.S
-        S[rows, lanes] = (S[rows, lanes] & engine.force_and[:n]) \
-            | engine.force_or[:n]
-        checked += _kernel_step_matches_cpu(S, engine.M, engine._stim, n, cpu)
+        S[rows, lane] = (S[rows, lane] & force_and) | force_or
+        checked += _kernel_step_matches_cpu(S, M, stim, n, cpu)
     assert checked > 0
 
 
@@ -427,7 +465,7 @@ def test_golden_build_stops_at_max_cycles():
     assert _assert_golden_builds_equal(workload, max_cycles=n - 1) is None
 
 
-# -- engine-level parity through the fused drive loop ------------------------
+# -- engine-level parity through the kernel's inject() ------------------------
 
 def _assert_cext_parity(golden, faults, cfg, prune=True, **batch_kwargs):
     scalar = InjectionEngine(golden, max_observe=cfg.max_observe,
@@ -496,7 +534,7 @@ def _random_faults(golden: GoldenTrace, seed: int, n_flops: int) -> list:
 def test_engines_agree_on_generated_programs(prog, fault_seed, batch, prune):
     """Property: on golden traces of ``verify.progen`` programs (traps,
     MPU, watchpoints, IRQs, store-buffer bursts), the batch engine's
-    ``drive()`` loop gives the scalar engine's records and PruneStats
+    ``inject()`` calls give the scalar engine's records and PruneStats
     for faults scheduled on random flops."""
     golden = _program_golden(prog.source(), prog.stimulus)
     assume(golden is not None)
