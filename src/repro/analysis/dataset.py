@@ -9,18 +9,23 @@ columns and :meth:`ErrorDataset.train` trains a fold with one
 
 The record-at-a-time functions stay the specification:
 :func:`~repro.core.predictor.train_predictor` is what
-:meth:`ErrorDataset.train` must equal, entry for entry.
+:meth:`ErrorDataset.train` must equal, entry for entry, and
+:func:`~repro.reaction.context.manifestation_order` what
+:meth:`ErrorDataset.manifestation_order` must equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, is_not
 
 import numpy as np
 
 from ..core.predictor import default_unit_order
 from ..core.signatures import DivergedSet
-from ..faults.models import ErrorRecord, ErrorType
+from ..cpu.units import coarse_unit
+from ..faults.models import ErrorRecord, FaultKind
 
 
 @dataclass(frozen=True)
@@ -70,23 +75,36 @@ class ErrorDataset:
     @classmethod
     def encode(cls, records: list[ErrorRecord], fine: bool,
                restart_cycles: dict[str, int]) -> "ErrorDataset":
-        """Encode ``records``; ``restart_cycles`` maps benchmark -> cycles."""
-        sets = tuple(sorted({r.diverged for r in records},
+        """Encode ``records``; ``restart_cycles`` maps benchmark -> cycles.
+
+        Each column is one pass of C-level iterators over the records
+        (an ``attrgetter`` mapped through a dict lookup into
+        ``np.fromiter``): no per-record Python frame and no row tuples.
+        """
+        n = len(records)
+
+        def column(field: str, lookup=None, dtype=np.int64) -> np.ndarray:
+            values = map(attrgetter(field), records)
+            if lookup is not None:
+                values = map(lookup, values)
+            return np.fromiter(values, dtype=dtype, count=n)
+
+        sets = tuple(sorted(set(map(attrgetter("diverged"), records)),
                             key=lambda s: (len(s), sorted(s))))
         set_index = {key: i for i, key in enumerate(sets)}
         unit_index = {u: i for i, u in enumerate(default_unit_order(fine))}
-
-        def column(values, dtype=np.int64) -> np.ndarray:
-            return np.fromiter(values, dtype=dtype, count=len(records))
-
+        # A hard error is a fault kind that is not SOFT (FaultKind.is_hard).
+        hard = np.fromiter(map(is_not, map(attrgetter("kind"), records),
+                               repeat(FaultKind.SOFT)), dtype=bool, count=n)
         return cls(
             fine=fine,
             sets=sets,
-            set_id=column(set_index[r.diverged] for r in records),
-            unit_id=column(unit_index[r.unit_for(fine)] for r in records),
-            hard=column((r.error_type is ErrorType.HARD for r in records), bool),
-            latency=column(r.latency for r in records),
-            restart=column(restart_cycles[r.benchmark] for r in records),
+            set_id=column("diverged", set_index.__getitem__),
+            unit_id=column("flop.unit" if fine else "flop.coarse",
+                           unit_index.__getitem__),
+            hard=hard,
+            latency=column("detect_cycle") - column("inject_cycle"),
+            restart=column("benchmark", restart_cycles.__getitem__),
         )
 
     def __len__(self) -> int:
@@ -96,6 +114,24 @@ class ErrorDataset:
     def n_units(self) -> int:
         """Units in this taxonomy."""
         return len(default_unit_order(self.fine))
+
+    def manifestation_order(self, injected: dict[tuple[str, str], int]
+                            ) -> tuple[str, ...]:
+        """Units by descending manifestation rate, ties in default order.
+
+        ``injected`` is ``CampaignResult.injected`` ((fine unit, kind) ->
+        faults).  This is :func:`~repro.reaction.context.manifestation_order`
+        with the errors per unit counted by one ``bincount`` of
+        ``unit_id`` instead of a walk over the records: the same
+        quotients (0 for a unit with no injections), sorted the same way.
+        """
+        units = default_unit_order(self.fine)
+        tried = dict.fromkeys(units, 0)
+        for (unit, _kind), count in injected.items():
+            tried[unit if self.fine else coarse_unit(unit)] += count
+        errors = np.bincount(self.unit_id, minlength=len(units)).tolist()
+        rates = {u: e / tried[u] if tried[u] else 0.0 for u, e in zip(units, errors)}
+        return tuple(sorted(rates, key=lambda u: -rates[u]))
 
     def train(self, index: np.ndarray) -> FoldTable:
         """Train the full-order table on the records at ``index``.

@@ -9,37 +9,39 @@ and SBIST invocation reductions.
 The evaluation is columnar (DESIGN.md §5.19): the campaign is encoded
 once as an :class:`~repro.analysis.dataset.ErrorDataset`, each fold
 trains with one ``bincount`` and the five strategies run as array
-operations.  The record-at-a-time functions remain the specification
-it equals bit for bit, random draws included: ``kfold``,
-``train_predictor``, ``ReactionStrategy.react``, ``evaluate_strategy``,
-``location_accuracy`` and ``type_accuracy``.
+operations.  Each fold's work that no top-K width changes is done once
+(:class:`_CrossValidation`), so a Top-K sweep pays per K only for the
+random draws and the SBIST runs that use them.  The record-at-a-time
+functions remain the specification it equals bit for bit, random draws
+included: ``kfold``, ``train_predictor``, ``ReactionStrategy.react``,
+``evaluate_strategy``, ``location_accuracy``, ``type_accuracy`` and
+``manifestation_order``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bist.stl import StlModel
 from ..core.predictor import default_unit_order
 from ..core.table import (
     OFF_CHIP_ACCESS_CYCLES,
     ON_CHIP_ACCESS_CYCLES,
     PredictionTable,
     build_default_entry,
+    check_top_k,
 )
 from ..faults.campaign import CampaignResult
-from ..reaction.context import ReactionContext, build_context
+from ..reaction.context import restart_cycles
 from ..reaction.lert import StrategyResult, merge_results
 from .crossval import fold_indices
 from .dataset import ErrorDataset, FoldTable
 
 BASELINE_NAMES = ("base-random", "base-ascending", "base-manifest")
 MODEL_NAMES = BASELINE_NAMES + ("pred-location-only", "pred-comb")
-
-#: One fold: its test record indices and the table trained on the rest.
-Fold = tuple[np.ndarray, FoldTable]
 
 
 @dataclass
@@ -78,16 +80,16 @@ def evaluate_campaign(result: CampaignResult, fine: bool = False,
         result: the fault-injection campaign output.
         fine: evaluate on the 13-unit taxonomy (paper Section V-D).
         top_k: truncate predictions to the top-K units (Section V-C);
-            None predicts the full order (Figure 11 configuration).
+            None predicts the full order (Figure 11 configuration).  A
+            K below 1 raises ``ValueError``.
         k_folds: cross-validation folds (paper: 5).
         seed: fold shuffling and random-order seed.
         off_chip: place the prediction table off-chip (Section V-B).
         coverage: STL stuck-at coverage (1.0 = the paper's assumption).
     """
-    ctx = build_context(result, fine=fine, seed=seed, coverage=coverage)
-    data = ErrorDataset.encode(result.records, fine, ctx.restart_cycles)
-    return _evaluate(data, _train_folds(data, k_folds, seed), ctx,
-                     top_k, off_chip)
+    check_top_k(top_k)
+    return _CrossValidation(result, fine, k_folds, seed, coverage).evaluate(
+        top_k, off_chip)
 
 
 def topk_sweep(result: CampaignResult, fine: bool = False,
@@ -95,112 +97,154 @@ def topk_sweep(result: CampaignResult, fine: bool = False,
                ks: list[int] | None = None) -> dict[int, EvaluationResult]:
     """Evaluate pred-comb for every top-K width (Figures 12/13/15/16).
 
-    The folds are split and trained once; each K truncates the same
-    rankings.  The random stream restarts from ``seed`` for every K,
-    as a separate :func:`evaluate_campaign` call would.
+    The folds are split, trained and scored once: each K does only the
+    work that depends on it.  The random stream restarts from ``seed``
+    for every K, as a separate :func:`evaluate_campaign` call would.
+    Every K must be at least 1.
     """
-    ctx = build_context(result, fine=fine, seed=seed)
-    data = ErrorDataset.encode(result.records, fine, ctx.restart_cycles)
-    folds = _train_folds(data, k_folds, seed)
-    ks = ks if ks is not None else list(range(1, data.n_units + 1))
-    return {
-        k: _evaluate(data, folds, replace(ctx, rng=np.random.default_rng(seed)),
-                     k, off_chip=False)
-        for k in ks
-    }
+    ks = ks if ks is not None else list(range(1, len(default_unit_order(fine)) + 1))
+    for k in ks:
+        check_top_k(k)
+    folds = _CrossValidation(result, fine, k_folds, seed)
+    return {k: folds.evaluate(k) for k in ks}
 
 
-def _train_folds(data: ErrorDataset, k_folds: int, seed: int) -> list[Fold]:
-    return [(test, data.train(train))
-            for train, test in fold_indices(len(data), k_folds, seed)]
+@dataclass(frozen=True)
+class _Fold:
+    """One fold: its test record indices, the table trained on the rest,
+    and, at full STL coverage, its base-ascending and base-manifest
+    results (which draw nothing there, so every K shares them)."""
+
+    test: np.ndarray
+    table: FoldTable
+    fixed: list[StrategyResult]
 
 
-def _evaluate(data: ErrorDataset, folds: list[Fold], ctx: ReactionContext,
-              top_k: int | None, off_chip: bool) -> EvaluationResult:
-    """Evaluate all five models over trained folds.
+class _CrossValidation:
+    """A campaign encoded, split, trained and scored once for any top-K.
 
-    Consumes ``ctx.rng`` exactly as the specification does: fold by
-    fold, then model by model in :data:`MODEL_NAMES` order, then record
-    by record.
+    What no top-K width changes is computed here: the encoded dataset,
+    the manifestation order, every fold's table, the fixed-order
+    baselines at full coverage, the type-accuracy counts, the most
+    table entries a fold has, and how many hard errors rank their
+    faulty unit at each position of the full ranking (a top-K table
+    locates those ranked below K).  :meth:`evaluate` does the rest.
     """
-    n_units = data.n_units
-    default_entry = build_default_entry(default_unit_order(data.fine), top_k)
-    width = len(default_entry.units)
-    entry_bits = PredictionTable([], default_entry, n_units).entry_bits
-    access = OFF_CHIP_ACCESS_CYCLES if off_chip else ON_CHIP_ACCESS_CYCLES
-    sbist = _Sbist(ctx)
-    fixed_orders = {
-        "base-ascending": sbist.ids(ctx.stl.ascending_order()),
-        "base-manifest": sbist.ids(ctx.manifest_order),
-    }
 
-    per_model: dict[str, list[StrategyResult]] = {name: [] for name in MODEL_NAMES}
-    # Accuracy hits and counts, pooled over the folds.
-    pooled: Counter = Counter()
-    table_bytes = 0.0
-    invocations = {"pred-location-only": 0.0, "pred-comb": 0.0}
+    def __init__(self, result: CampaignResult, fine: bool, k_folds: int,
+                 seed: int, coverage: float = 1.0):
+        self.data = data = ErrorDataset.encode(result.records, fine,
+                                               restart_cycles(result))
+        self.seed = seed
+        self.stl = stl = StlModel(fine=fine, coverage=coverage)
+        self.fixed_orders = {
+            "base-ascending": _FixedOrder(stl, stl.ascending_order()),
+            "base-manifest": _FixedOrder(
+                stl, data.manifestation_order(result.injected)),
+        }
+        n_units = data.n_units
+        hard_at = np.zeros(n_units, dtype=np.int64)
+        self.folds: list[_Fold] = []
+        #: the most entries (sets seen in training) a fold's table has.
+        self.max_entries = 0
+        pooled: Counter = Counter()
+        for train, test in fold_indices(len(data), k_folds, seed):
+            table = data.train(train)
+            unit, hard, sets = data.unit_id[test], data.hard[test], data.set_id[test]
+            pred_hard = table.hard[sets]
+            rank = np.argmax(table.ranking[sets] == unit[:, None], axis=1)
+            hard_at += np.bincount(rank[hard], minlength=n_units)
+            pooled.update(hard=np.count_nonzero(hard),
+                          soft=np.count_nonzero(~hard),
+                          hard_right=np.count_nonzero(hard & pred_hard),
+                          soft_right=np.count_nonzero(~hard & ~pred_hard))
+            self.max_entries = max(self.max_entries, int(np.count_nonzero(table.present)))
+            fixed = self._fixed(test, [hard] * len(self.fixed_orders)) \
+                if stl.coverage >= 1.0 else []
+            self.folds.append(_Fold(test, table, fixed))
+        #: hard errors located by a table of width w: ``located[w - 1]``.
+        self.located = np.cumsum(hard_at)
+        self.n_hard = pooled["hard"]
+        right = pooled["soft_right"] + pooled["hard_right"]
+        self.type_accuracy = {
+            "soft": _ratio(pooled["soft_right"], pooled["soft"]),
+            "hard": _ratio(pooled["hard_right"], pooled["hard"]),
+            "overall": _ratio(right, pooled["soft"] + pooled["hard"])}
 
-    for test, table in folds:
-        n = len(test)
-        unit, hard = data.unit_id[test], data.hard[test]
-        latency, restart = data.latency[test], data.restart[test]
-        sets = data.set_id[test]
-        ranking, pred_hard = table.ranking[sets], table.hard[sets]
-        table_bytes = max(table_bytes,
-                          (int(np.count_nonzero(table.present)) + 1) * entry_bits / 8)
-        everyone = np.ones(n, dtype=bool)
+    def _fixed(self, test: np.ndarray, found: list[np.ndarray]) -> list[StrategyResult]:
+        """The fixed-order baselines on one test slice; ``found[i]``
+        says which errors the i-th order's STLs catch."""
+        unit, restart = self.data.unit_id[test], self.data.restart[test]
+        everyone = np.ones(len(test), dtype=bool)
+        return [_means(name, *order.run(caught, unit, restart), everyone)
+                for (name, order), caught in zip(self.fixed_orders.items(), found)]
 
-        # base-random: a fresh permutation of every unit per error.
-        perms, found = sbist.draw(n, n_units, hard)
-        results = [_means("base-random", *sbist.run(perms, found, unit, restart), everyone)]
-        # base-ascending, base-manifest: one fixed order, nothing permuted.
-        for name, order in fixed_orders.items():
-            _, found = sbist.draw(n, 0, hard)
-            orders = np.broadcast_to(order, (n, n_units))
-            results.append(_means(name, *sbist.run(orders, found, unit, restart), everyone))
-        # pred-location-only: the predicted units, then the rest at random.
-        orders, found = sbist.complete(ranking, width, hard)
-        lert, tested = sbist.run(orders, found, unit, restart)
-        results.append(_means("pred-location-only", access + lert, tested, everyone))
-        # pred-comb: a predicted-soft error restarts; a truly hard one
-        # recurs (its latency and a second table read) and then runs
-        # SBIST like a predicted-hard one.  Only the SBIST runs draw.
-        runs = pred_hard | hard
-        orders, found = sbist.complete(ranking[runs], width, hard[runs])
-        lert_runs, tested_runs = sbist.run(orders, found, unit[runs], restart[runs])
-        lert = access + np.where(pred_hard, 0, restart + np.where(hard, latency + access, 0))
-        lert[runs] += lert_runs
-        tested = np.zeros(n, dtype=np.int64)
-        tested[runs] = tested_runs
-        results.append(_means("pred-comb", lert, tested, runs))
+    def evaluate(self, top_k: int | None, off_chip: bool = False) -> EvaluationResult:
+        """All five models at one top-K width.
 
-        for part in results:
-            per_model[part.name].append(part)
-            if part.name in invocations:
-                invocations[part.name] += part.sbist_invocation_rate * part.n_errors
+        Consumes a fresh ``default_rng(seed)`` as the specification
+        does: fold by fold, then model by model in
+        :data:`MODEL_NAMES` order, then record by record.
+        """
+        data = self.data
+        n_units = data.n_units
+        default_entry = build_default_entry(default_unit_order(data.fine), top_k)
+        width = len(default_entry.units)
+        entry_bits = PredictionTable([], default_entry, n_units).entry_bits
+        access = OFF_CHIP_ACCESS_CYCLES if off_chip else ON_CHIP_ACCESS_CYCLES
+        sbist = _Sbist(self.stl, np.random.default_rng(self.seed))
 
-        in_order = np.argmax(ranking == unit[:, None], axis=1) < width
-        pooled.update(located=np.count_nonzero(in_order & hard),
-                      hard=np.count_nonzero(hard),
-                      soft=np.count_nonzero(~hard),
-                      hard_right=np.count_nonzero(hard & pred_hard),
-                      soft_right=np.count_nonzero(~hard & ~pred_hard))
+        per_model: dict[str, list[StrategyResult]] = {name: [] for name in MODEL_NAMES}
+        invocations = {"pred-location-only": 0.0, "pred-comb": 0.0}
 
-    right = pooled["soft_right"] + pooled["hard_right"]
-    type_acc = {"soft": _ratio(pooled["soft_right"], pooled["soft"]),
-                "hard": _ratio(pooled["hard_right"], pooled["hard"]),
-                "overall": _ratio(right, pooled["soft"] + pooled["hard"])}
-    loc_inv = invocations["pred-location-only"]
-    reduction = 1.0 - invocations["pred-comb"] / loc_inv if loc_inv else 0.0
+        for fold in self.folds:
+            test = fold.test
+            n = len(test)
+            unit, hard = data.unit_id[test], data.hard[test]
+            latency, restart = data.latency[test], data.restart[test]
+            sets = data.set_id[test]
+            ranking, pred_hard = fold.table.ranking[sets], fold.table.hard[sets]
+            everyone = np.ones(n, dtype=bool)
 
-    return EvaluationResult(
-        strategies={name: merge_results(parts) for name, parts in per_model.items()},
-        location_accuracy=_ratio(pooled["located"], pooled["hard"]),
-        type_accuracy=type_acc,
-        n_diverged_sets=len(data.sets),
-        table_bytes=table_bytes,
-        sbist_reduction=reduction,
-    )
+            # base-random: a fresh permutation of every unit per error.
+            perms, found = sbist.draw(n, n_units, hard)
+            results = [_means("base-random", *sbist.run(perms, found, unit, restart), everyone)]
+            # base-ascending, base-manifest: one fixed order, nothing
+            # permuted; below full coverage each draws its STL escapes.
+            results += fold.fixed or self._fixed(
+                test, [sbist.draw(n, 0, hard)[1] for _ in self.fixed_orders])
+            # pred-location-only: the predicted units, then the rest at random.
+            orders, found = sbist.complete(ranking, width, hard)
+            lert, tested = sbist.run(orders, found, unit, restart)
+            results.append(_means("pred-location-only", access + lert, tested, everyone))
+            # pred-comb: a predicted-soft error restarts; a truly hard one
+            # recurs (its latency and a second table read) and then runs
+            # SBIST like a predicted-hard one.  Only the SBIST runs draw.
+            runs = pred_hard | hard
+            orders, found = sbist.complete(ranking[runs], width, hard[runs])
+            lert_runs, tested_runs = sbist.run(orders, found, unit[runs], restart[runs])
+            lert = access + np.where(pred_hard, 0, restart + np.where(hard, latency + access, 0))
+            lert[runs] += lert_runs
+            tested = np.zeros(n, dtype=np.int64)
+            tested[runs] = tested_runs
+            results.append(_means("pred-comb", lert, tested, runs))
+
+            for part in results:
+                per_model[part.name].append(part)
+                if part.name in invocations:
+                    invocations[part.name] += part.sbist_invocation_rate * part.n_errors
+
+        loc_inv = invocations["pred-location-only"]
+        reduction = 1.0 - invocations["pred-comb"] / loc_inv if loc_inv else 0.0
+
+        return EvaluationResult(
+            strategies={name: merge_results(parts) for name, parts in per_model.items()},
+            location_accuracy=_ratio(self.located[width - 1], self.n_hard),
+            type_accuracy=dict(self.type_accuracy),
+            n_diverged_sets=len(data.sets),
+            table_bytes=(self.max_entries + 1) * entry_bits / 8,  # + catch-all
+            sbist_reduction=reduction,
+        )
 
 
 def _means(name: str, lert: np.ndarray, tested: np.ndarray,
@@ -218,7 +262,7 @@ def _ratio(hits, total) -> float:
 class _Sbist:
     """``SbistEngine`` over rows of unit-id orders, one row per error.
 
-    The draw methods consume ``ctx.rng`` in the specification's order:
+    The draw methods consume ``rng`` in the specification's order:
     per error, ``permutation(width)`` for its random tail, then at
     coverage below 1.0 one ``random()`` if the error is hard (its STL
     is reached before the run ends).  ``Generator.permuted`` over a
@@ -226,15 +270,10 @@ class _Sbist:
     per row, so at full coverage a whole fold draws at once.
     """
 
-    def __init__(self, ctx: ReactionContext):
-        self.rng = ctx.rng
-        self.coverage = ctx.stl.coverage
-        self.units = ctx.stl.units
-        self.latency = np.array([ctx.stl.latency(u) for u in self.units])
-
-    def ids(self, order: tuple[str, ...]) -> np.ndarray:
-        """Unit ids of a named unit order."""
-        return np.array([self.units.index(u) for u in order])
+    def __init__(self, stl: StlModel, rng: np.random.Generator):
+        self.rng = rng
+        self.coverage = stl.coverage
+        self.latency = np.array([stl.latency(u) for u in stl.units])
 
     def draw(self, rows: int, width: int,
              hard: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,3 +311,22 @@ class _Sbist:
         lert = np.where(found, cost[np.arange(len(orders)), at], cost[:, -1] + restart)
         return lert, np.where(found, at + 1, orders.shape[1])
 
+
+class _FixedOrder:
+    """One SBIST order for every error, scored by lookup.
+
+    An error whose faulty unit is found costs the order's latency prefix
+    sum at that unit's rank, and tests ``rank + 1`` units; any other
+    runs every STL and restarts.  That is :meth:`_Sbist.run` on the
+    order broadcast to every row, without the ``n x U`` cumsum.
+    """
+
+    def __init__(self, stl: StlModel, order: tuple[str, ...]):
+        self.rank = np.array([order.index(u) for u in stl.units])
+        self.cost = np.cumsum([stl.latency(u) for u in order])
+
+    def run(self, found: np.ndarray, faulty: np.ndarray,
+            restart: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = self.rank[faulty]
+        lert = np.where(found, self.cost[at], self.cost[-1] + restart)
+        return lert, np.where(found, at + 1, len(self.cost))

@@ -41,6 +41,7 @@ from .analysis.reports import (
     render_table3,
     render_table4,
 )
+from .core.table import check_top_k
 from .faults import DEFAULT_BATCH, CampaignConfig, ExecPlan, cached_campaign
 from .workloads import KERNELS, get_workload, run_kernel
 
@@ -470,6 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.plan = _exec_plan(args)
+        check_top_k(getattr(args, "top_k", None))
     except ValueError as exc:
         parser.error(str(exc))
     try:

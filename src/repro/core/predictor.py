@@ -23,6 +23,7 @@ from .table import (
     PredictionTable,
     TableEntry,
     build_default_entry,
+    check_top_k,
     rank_units,
     type_bit,
 )
@@ -76,9 +77,11 @@ def train_predictor(records: list[ErrorRecord], fine: bool = False,
         records: training errors (from the fault-injection campaign).
         fine: use the 13-unit taxonomy instead of the coarse 7-unit one.
         top_k: store only the K most likely units per entry (paper
-            Section V-C); None stores the full unit order.
+            Section V-C); None stores the full unit order.  A K below 1
+            raises ``ValueError``.
         stats: pre-computed signature statistics, if available.
     """
+    check_top_k(top_k)
     stats = stats if stats is not None else SignatureStats.from_records(records, fine)
     order = default_unit_order(fine)
     entries: list[tuple[DivergedSet, TableEntry]] = []
@@ -110,6 +113,7 @@ class DynamicPredictor(ErrorCorrelationPredictor):
 
     def __init__(self, table: PredictionTable, fine: bool,
                  stats: SignatureStats, top_k: int | None):
+        check_top_k(top_k)
         super().__init__(table, fine)
         self._stats = stats
         self._top_k = top_k

@@ -175,6 +175,16 @@ def table_from_payload(payload: dict) -> tuple[PredictionTable, bool]:
     return table, bool(payload["fine"])
 
 
+def check_top_k(top_k: int | None) -> None:
+    """Refuse a top-K width below 1; None (the full order) is valid.
+
+    A negative K would slice units off the end of the order and 0 would
+    predict nothing, so neither is a table the paper could build.
+    """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k!r}")
+
+
 def rank_units(scores: dict[str, float], default_order: tuple[str, ...],
                top_k: int | None) -> tuple[str, ...]:
     """Rank units by descending score; complete with the default order.

@@ -68,7 +68,7 @@ from urllib.parse import parse_qsl
 
 from ...core.predictor import train_predictor
 from ...core.signatures import SignatureStats
-from ...core.table import table_to_payload
+from ...core.table import check_top_k, table_to_payload
 from ..campaign import CampaignConfig
 from ..store import IncrementalResultStore
 from .ledger import DEFAULT_LEASE_TTL, CampaignLedger
@@ -136,13 +136,15 @@ class CampaignService:
             loop thread, so no extra locking is needed).
         fine: taxonomy for the trained prediction table.
         top_k: truncate served predictions to the K most likely units
-            (None serves the full order).
+            (None serves the full order; a K below 1 raises
+            ``ValueError``).
         lease_ttl: default lease TTL when a worker does not ask for one.
     """
 
     def __init__(self, ledger: CampaignLedger, fine: bool = False,
                  top_k: int | None = None,
                  lease_ttl: float = DEFAULT_LEASE_TTL):
+        check_top_k(top_k)
         self.ledger = ledger
         self.fine = fine
         self.top_k = top_k

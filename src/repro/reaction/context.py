@@ -54,16 +54,20 @@ def manifestation_order(result: CampaignResult, fine: bool) -> tuple[str, ...]:
     return tuple(sorted(rates, key=lambda u: -rates[u]))
 
 
+def restart_cycles(result: CampaignResult) -> dict[str, int]:
+    """Per-benchmark restart latency: the CPU reset plus one fault-free
+    run of the benchmark's task."""
+    return {bench: RESET_PENALTY_CYCLES + cycles
+            for bench, cycles in result.golden_cycles.items()}
+
+
 def build_context(result: CampaignResult, fine: bool = False,
                   seed: int = 0, coverage: float = 1.0) -> ReactionContext:
     """Construct the standard reaction context from a campaign."""
     return ReactionContext(
         stl=StlModel(fine=fine, coverage=coverage),
         fine=fine,
-        restart_cycles={
-            bench: RESET_PENALTY_CYCLES + cycles
-            for bench, cycles in result.golden_cycles.items()
-        },
+        restart_cycles=restart_cycles(result),
         manifest_order=manifestation_order(result, fine),
         rng=np.random.default_rng(seed),
     )

@@ -44,7 +44,10 @@ class TestParser:
         (["campaign", "--workers", "-3"], "workers"),
         (["work", "--url", "http://127.0.0.1:9", "--batch", "-1"], "batch"),
         (["serve", "--chunk-flops", "0"], "chunk_flops"),
-    ), ids=("batch", "workers", "work-batch", "serve-chunk"))
+        (["evaluate", "--top-k", "-1"], "top_k"),
+        (["serve", "--top-k", "0"], "top_k"),
+    ), ids=("batch", "workers", "work-batch", "serve-chunk", "evaluate-top-k",
+            "serve-top-k"))
     def test_out_of_range_execution_value_is_a_usage_error(
             self, tmp_path, monkeypatch, capsys, argv, field):
         """Nothing is clamped or run: the value is named, exit status 2."""
@@ -56,7 +59,7 @@ class TestParser:
         monkeypatch.setattr(http, "serve_forever", no_server)
         scoped = ["--ledger", str(tmp_path)] if argv[0] == "serve" else (
             ["--scale", "quick", "--cache", str(tmp_path)]
-            if argv[0] == "campaign" else [])
+            if argv[0] in ("campaign", "evaluate") else [])
         with pytest.raises(SystemExit) as excinfo:
             main(argv + scoped)
         assert excinfo.value.code == 2

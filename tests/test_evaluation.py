@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +28,8 @@ from repro.analysis import (
     kfold,
     topk_sweep,
 )
+from repro.analysis.evaluation import _FixedOrder, _Sbist
+from repro.bist import StlModel
 from repro.core import (
     ErrorCorrelationPredictor,
     SignatureStats,
@@ -46,8 +49,10 @@ from repro.reaction import (
     baseline_strategies,
     build_context,
     evaluate_strategy,
+    manifestation_order,
     merge_results,
 )
+from repro.reaction.context import restart_cycles
 
 GOLDEN = Path(__file__).parent / "golden" / "evaluation_medium.json"
 
@@ -198,6 +203,20 @@ class TestCoverageAblation:
         partial = evaluate_campaign(medium_campaign, seed=0, coverage=0.6)
         assert (partial.strategies["base-ascending"].mean_lert
                 >= full.strategies["base-ascending"].mean_lert)
+
+
+class TestTopKRange:
+    """A K below 1 is refused: -1 used to evaluate a table missing the
+    last unit (coarse location accuracy 1.0) and 0 an empty one."""
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_evaluate_campaign_rejects(self, medium_campaign, top_k):
+        with pytest.raises(ValueError, match=f"^top_k must be >= 1, got {top_k}$"):
+            evaluate_campaign(medium_campaign, top_k=top_k)
+
+    def test_topk_sweep_rejects_each_k(self, medium_campaign):
+        with pytest.raises(ValueError, match="^top_k must be >= 1, got 0$"):
+            topk_sweep(medium_campaign, ks=[1, 3, 0])
 
 
 # -- the specification: the record-at-a-time Figure 7 pipeline ------------------
@@ -380,6 +399,60 @@ class TestMatchesSpecification:
             assert data.hard[i] == r.kind.is_hard
             assert data.latency[i] == r.latency
             assert data.restart[i] == ctx.restart(r)
+
+
+class TestDatasetMatchesRecords:
+    """The columnar pieces equal their record-at-a-time definitions."""
+
+    @given(result=campaigns(), fine=st.booleans())
+    def test_encode_columns(self, result, fine):
+        records = result.records
+        restart = restart_cycles(result)
+        data = ErrorDataset.encode(records, fine, restart)
+        sets = sorted({r.diverged for r in records}, key=lambda s: (len(s), sorted(s)))
+        units = default_unit_order(fine)
+        assert list(data.sets) == sets
+        columns = {"set_id": [sets.index(r.diverged) for r in records],
+                   "unit_id": [units.index(r.unit_for(fine)) for r in records],
+                   "hard": [r.error_type is ErrorType.HARD for r in records],
+                   "latency": [r.latency for r in records],
+                   "restart": [restart[r.benchmark] for r in records]}
+        for name, expected in columns.items():
+            column = getattr(data, name)
+            assert column.dtype == (bool if name == "hard" else np.int64), name
+            assert column.tolist() == expected, name
+
+    @given(result=campaigns(), fine=st.booleans(), tie=st.integers(0, 3))
+    def test_manifestation_order(self, result, fine, tie):
+        """Equal to ``manifestation_order``, zero-injection units and
+        tied rates included.  With ``tie`` > 0 every unit that erred
+        gets ``tie`` injections per error (they all rate ``1 / tie``)
+        and every other unit none (they all rate 0)."""
+        if tie:
+            errors = Counter(r.unit for r in result.records)
+            injected = {(unit, kind): tie * errors[unit] if kind == "soft" else 0
+                        for unit, kind in result.injected}
+            result = dataclasses.replace(result, injected=injected)
+        data = ErrorDataset.encode(result.records, fine, restart_cycles(result))
+        assert data.manifestation_order(result.injected) == manifestation_order(result, fine)
+
+    @given(result=campaigns(), fine=st.booleans(), data=st.data())
+    def test_fixed_order_lookup(self, result, fine, data):
+        """Scoring one order by lookup equals ``_Sbist.run`` on the order
+        broadcast to every error, escapes (hard but not found) included."""
+        stl = StlModel(fine=fine)
+        order = data.draw(st.permutations(stl.units))
+        dataset = ErrorDataset.encode(result.records, fine, restart_cycles(result))
+        n = len(dataset)
+        escaped = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        found = dataset.hard & ~escaped
+        ids = np.array([stl.units.index(u) for u in order])
+        expected = _Sbist(stl, np.random.default_rng(0)).run(
+            np.broadcast_to(ids, (n, len(ids))), found, dataset.unit_id, dataset.restart)
+        got = _FixedOrder(stl, order).run(found, dataset.unit_id, dataset.restart)
+        for want, have in zip(expected, got):
+            assert have.dtype == want.dtype
+            assert have.tolist() == want.tolist()
 
 
 class TestGolden:

@@ -31,7 +31,8 @@ from repro.faults.campaign import schedule_faults
 from repro.faults.injector import InjectionEngine
 from repro.faults.models import Fault, FaultKind
 from repro.faults.parallel import schedule_rng
-from repro.workloads import KERNELS
+from repro.verify.progen import FUZZ_MEM_WORDS, PROLOGUE_LINES
+from repro.workloads import KERNELS, Workload
 from tests.conftest import replay_memory
 
 #: Registers the compact port tuple reads at the top of every step().
@@ -212,6 +213,35 @@ class TestPrunedInjectionSoundness:
             assert rec_a.diverged == rec_b.diverged
             assert rec_a.inject_cycle == t0
             assert rec_b.inject_cycle == t0 + 1
+
+
+#: A CSR written with ``csrw`` and read back with ``csrr`` four cycles
+#: later; the value read goes out on port 0.
+CSRR_PROGRAM = "\n".join((*PROLOGUE_LINES, "    addi r1, r0, 5", "    csrw r1, 2",
+                          *["    nop"] * 4, "    csrr r2, 2", "    out  r2, 0",
+                          "    halt")) + "\n"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Cpu._csr_read reads a CSR with getattr, which bypasses AccessTracer, "
+    "so golden read masks miss CSRR uses and pruning retires a soft flip "
+    "of scratch that csrr observes (cycles 7-11 here: pruned says masked, "
+    "unpruned detects at cycle 13 with diverged set {50})"))
+def test_csrr_read_keeps_a_soft_flip_live():
+    """A soft flip of ``scratch`` bit 0 at every cycle gives the same
+    outcome with pruning on and off, as the engine promises."""
+    workload = Workload(name="csrr_gap", description="csrw then csrr",
+                        source=CSRR_PROGRAM, stimulus=lambda seed: [0],
+                        reference=lambda values: [])
+    g = GoldenTrace(workload, mem_words=FUZZ_MEM_WORDS)
+    pruned = InjectionEngine(g, prune=True)
+    plain = InjectionEngine(g, prune=False)
+    differ = []
+    for cycle in range(g.n_cycles):
+        fault = Fault(FlopRef("scratch", 0), FaultKind.SOFT, cycle)
+        if pruned.inject(fault) != plain.inject(fault):
+            differ.append(cycle)
+    assert differ == []
 
 
 class TestDigestParity:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     DynamicPredictor,
+    SignatureStats,
     default_unit_order,
     location_accuracy,
     rank_units,
@@ -125,6 +126,13 @@ class TestTraining:
         record = rec("rf1", FaultKind.SOFT, {6, 7})
         assert predictor.predict_record(record) == predictor.predict(frozenset({6, 7}))
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, training, top_k):
+        """A negative K used to slice units off the default order and 0
+        to build empty entries; both are refused, naming the field."""
+        with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
+            train_predictor(training, top_k=top_k)
+
 
 class TestAccuracies:
     def test_location_accuracy_full_order_is_one(self, training):
@@ -172,6 +180,15 @@ class TestDynamicPredictor:
         pred = predictor.predict(key)
         assert not pred.from_default
         assert pred.units[0] == "DMC"
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, training, top_k):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            DynamicPredictor.train(training, top_k=top_k)
+        static = train_predictor(training)
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            DynamicPredictor(static.table, False, SignatureStats.from_records(training),
+                             top_k=top_k)
 
     def test_static_predictor_unaffected_by_later_records(self, training):
         static = train_predictor(training)

@@ -514,6 +514,14 @@ def test_http_503_while_training(tmp_path):
         handle.stop()
 
 
+@pytest.mark.parametrize("top_k", [0, -2])
+def test_service_rejects_top_k_below_one(tmp_path, top_k):
+    """``repro serve --top-k 0`` used to serve empty predictions."""
+    ledger = CampaignLedger(tmp_path, CRASH_CONFIG, chunk_flops=CRASH_CHUNK)
+    with pytest.raises(ValueError, match=f"^top_k must be >= 1, got {top_k}"):
+        CampaignService(ledger, top_k=top_k)
+
+
 def test_http_error_paths(trained_service):
     _service, handle = trained_service
     with ServiceClient(handle.base_url) as client:
