@@ -11,7 +11,7 @@ The behavioural classes here are what the gate-level cost model in
 from __future__ import annotations
 
 from ..cpu.core import NUM_SCS
-from ..lockstep.categories import diverged_set
+from ..lockstep.categories import diverged_set, dsr_set
 from .table import AddressMapper
 
 
@@ -42,7 +42,7 @@ class DivergenceStatusRegister:
     @property
     def as_set(self) -> frozenset[int]:
         """The diverged SC set currently latched."""
-        return frozenset(i for i in range(self.n_bits) if (self.value >> i) & 1)
+        return dsr_set(self.value & ((1 << self.n_bits) - 1))
 
 
 class PredictionTableAddressRegister:

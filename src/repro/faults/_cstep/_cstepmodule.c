@@ -910,7 +910,10 @@ cleanup:
  * hit the suffix masks promise.  The use/kill rule is
  * GoldenTrace._liveness's: a stale read is a use; a write is a use of
  * a register without full_write, and a kill (no stale read) of one
- * with it. */
+ * with it.  A scratch remembers the register and first cycle its
+ * suffixes were built for, and skips the pass when they serve: inject()
+ * triages one stuck-at at a time on every fast-forward, at increasing
+ * cycles of a lane, and builds its register's suffixes once. */
 
 enum {
     TRI_OUT_OF_RANGE = 0, TRI_SOFT_PRUNED = 1, TRI_NEVER_ACTIVE = 2,
@@ -931,27 +934,50 @@ typedef struct {
     int64_t max_observe;        /* -1: no cap */
 } TriageJob;
 
-/* Per-register scratch, n + 1 entries each (index n is the sentinel). */
+/* Per-register scratch, n + 1 entries each (index n is the sentinel).
+ * The suffixes at t depend only on golden rows t..n, so the ones held
+ * for register `reg` from cycle `lo` on serve any later cycle of it. */
 typedef struct {
     u32 *col, *or_all, *and_all, *or_use, *and_use;
     int64_t *next_use, *next_kill;
     uint8_t *use;
+    Py_ssize_t reg, lo;         /* what the suffixes hold; reg -1: none */
 } TriageScratch;
 
-static void triage_register(const TriageJob *j, TriageScratch *s,
-                            Py_ssize_t r, const int64_t *idx, Py_ssize_t count)
+#define TRIAGE_SCRATCH_BYTES(n) \
+    (((size_t)(n) + 1) * (5 * sizeof(u32) + 2 * sizeof(int64_t) \
+                          + sizeof(uint8_t)))
+
+/* Lay out a scratch of TRIAGE_SCRATCH_BYTES(n) bytes; it holds nothing. */
+static void triage_scratch(TriageScratch *s, void *buf, Py_ssize_t n)
+{
+    const size_t m = (size_t)n + 1;
+    s->next_use = (int64_t *)buf;
+    s->next_kill = s->next_use + m;
+    s->col = (u32 *)(s->next_kill + m);
+    s->or_all = s->col + m;
+    s->and_all = s->or_all + m;
+    s->or_use = s->and_all + m;
+    s->and_use = s->or_use + m;
+    s->use = (uint8_t *)(s->and_use + m);
+    s->reg = -1;
+    s->lo = n;
+}
+
+/* Register r's suffixes from cycle lo on, unless s holds them. */
+static void triage_suffixes(const TriageJob *j, TriageScratch *s,
+                            Py_ssize_t r, Py_ssize_t lo)
 {
     const Py_ssize_t n = j->n;
-    Py_ssize_t q, lo = n, t;
     const Py_ssize_t word = r / 64;
     const unsigned shift = (unsigned)(r % 64);
     const int full = j->full_write[r] != 0;
+    Py_ssize_t t;
 
-    for (q = 0; q < count; q++) {
-        int64_t c = j->cycle[idx[q]];
-        if (c >= 0 && c < n && c < lo)
-            lo = (Py_ssize_t)c;
-    }
+    if (s->reg == r && s->lo <= lo)
+        return;
+    s->reg = r;
+    s->lo = lo;
     s->next_use[n] = n;
     s->next_kill[n] = n;
     s->or_all[n] = 0;
@@ -975,7 +1001,20 @@ static void triage_register(const TriageJob *j, TriageScratch *s,
         s->or_use[t] = use ? (v | s->or_use[t + 1]) : s->or_use[t + 1];
         s->and_use[t] = use ? (v & s->and_use[t + 1]) : s->and_use[t + 1];
     }
+}
 
+static void triage_register(const TriageJob *j, TriageScratch *s,
+                            Py_ssize_t r, const int64_t *idx, Py_ssize_t count)
+{
+    const Py_ssize_t n = j->n;
+    Py_ssize_t q, lo = n, t;
+
+    for (q = 0; q < count; q++) {
+        int64_t c = j->cycle[idx[q]];
+        if (c >= 0 && c < n && c < lo)
+            lo = (Py_ssize_t)c;
+    }
+    triage_suffixes(j, s, r, lo);
     for (q = 0; q < count; q++) {
         const int64_t f = idx[q], c = j->cycle[f];
         int64_t act = -1, start = -1, end = -1;
@@ -1120,28 +1159,16 @@ static PyObject *py_triage(PyObject *self, PyObject *args)
      * within a register) and size the per-register scratch. */
     bucket = PyMem_Calloc((size_t)n_regs + 1, sizeof(Py_ssize_t));
     order = PyMem_Malloc((size_t)(n_faults ? n_faults : 1) * sizeof(int64_t));
-    {
-        size_t m = (size_t)j.n + 1;
-        scratch = PyMem_Malloc(m * (5 * sizeof(u32) + 2 * sizeof(int64_t)
-                                    + sizeof(uint8_t)));
-    }
+    scratch = PyMem_Malloc(TRIAGE_SCRATCH_BYTES(j.n));
     if (bucket == NULL || order == NULL || scratch == NULL) {
         PyErr_NoMemory();
         goto cleanup;
     }
     Py_BEGIN_ALLOW_THREADS
     {
-        size_t m = (size_t)j.n + 1;
         TriageScratch s;
         Py_ssize_t r;
-        s.next_use = (int64_t *)scratch;
-        s.next_kill = s.next_use + m;
-        s.col = (u32 *)(s.next_kill + m);
-        s.or_all = s.col + m;
-        s.and_all = s.or_all + m;
-        s.or_use = s.and_all + m;
-        s.and_use = s.or_use + m;
-        s.use = (uint8_t *)(s.and_use + m);
+        triage_scratch(&s, scratch, j.n);
         for (k = 0; k < n_faults; k++)
             bucket[j.reg[k] + 1]++;
         for (r = 0; r < n_regs; r++)
@@ -1458,9 +1485,7 @@ static PyObject *py_inject(PyObject *self, PyObject *args)
     }
 
     lane = PyMem_Malloc((size_t)(n_regs + 2 + mem_words) * sizeof(u32));
-    scratch = PyMem_Malloc(((size_t)n + 1) * (5 * sizeof(u32)
-                                              + 2 * sizeof(int64_t)
-                                              + sizeof(uint8_t)));
+    scratch = PyMem_Malloc(TRIAGE_SCRATCH_BYTES(n));
     if (lane == NULL || scratch == NULL) {
         PyErr_NoMemory();
         goto cleanup;
@@ -1474,17 +1499,9 @@ static PyObject *py_inject(PyObject *self, PyObject *args)
     x->stim_len = views[I_STIM].len / 4;
 
     {
-        const size_t m = (size_t)n + 1;
         TriageScratch s;
         TriageJob tj;
-        s.next_use = (int64_t *)scratch;
-        s.next_kill = s.next_use + m;
-        s.col = (u32 *)(s.next_kill + m);
-        s.or_all = s.col + m;
-        s.and_all = s.or_all + m;
-        s.or_use = s.and_all + m;
-        s.and_use = s.or_use + m;
-        s.use = (uint8_t *)(s.and_use + m);
+        triage_scratch(&s, scratch, n);
         memset(&tj, 0, sizeof(tj));
         tj.sm = (const u32 *)views[I_SM].buf;
         tj.rd = (const uint64_t *)views[I_RD].buf;

@@ -22,8 +22,11 @@ the simulation to the compiled kernel in :mod:`repro.faults._cstep`:
   goes through the dense opcode tables of
   :func:`repro.faults.kernels.cext_tables`;
 * the call returns each fault's detect cycle (or masked), its port
-  tuple at detection and its simulated span, from which this module
-  builds the error records and replays the equivalence hits.
+  tuple at detection and its simulated span.  One
+  :func:`~repro.lockstep.categories.diverged_words` call turns all of a
+  shard's detections into DSR words against the golden port rows, each
+  distinct word is unpacked once, and the shard's records share one
+  frozenset per diverged set; the spans replay the equivalence hits.
 
 Equivalence with the scalar engine (digest parity) is by construction:
 
@@ -63,7 +66,7 @@ import numpy as np
 
 from ..cpu.core import NUM_PORTS
 from ..cpu.units import FULL_WRITE_MASK, REG_INDEX
-from ..lockstep.categories import diverged_ports
+from ..lockstep.categories import diverged_words, dsr_set
 from . import kernels as _kernels
 from .golden import GoldenTrace
 from .injector import HARD_PRUNED, SIMULATE, SOFT_PRUNED, PruneStats
@@ -229,7 +232,13 @@ class BatchInjectionEngine:
 
     def _inject(self, queue: np.ndarray) -> None:
         """Simulate the faults ``queue`` names, ``batch`` per kernel call,
-        and record their detections and spans."""
+        and record their detections and spans.
+
+        A detection's diverged set is its DSR word against the golden
+        port row of its cycle (one ``diverged_words`` call for the
+        queue, the vectorised ``diverged_ports``), unpacked once per
+        distinct word, so records with one signature share its set.
+        """
         golden = self.golden
         count = len(queue)
         columns = (self._reg[queue], self._bit[queue],
@@ -250,17 +259,20 @@ class BatchInjectionEngine:
                 self.mask_check_stride, self.prune, max_observe)
         self._span[queue] = span
         detected = np.flatnonzero(detect >= 0)
-        seqs = queue[detected]
+        seqs, cycles = queue[detected], detect[detected]
+        words = diverged_words(ports[detected], golden.port_matrix[cycles])
         faults = self._faults
         name = golden.workload.name
-        g_ports = golden.port_tuples()
+        sets: dict[int, frozenset[int]] = {}
         outcomes = self._outcomes
-        for s, flop, kind, t0, tcur, out in zip(
+        for s, flop, kind, t0, tcur, word in zip(
                 seqs.tolist(), faults.flop[seqs].tolist(),
                 faults.kind[seqs].tolist(), faults.cycle[seqs].tolist(),
-                detect[detected].tolist(), ports[detected].tolist()):
-            out = tuple(out)
+                cycles.tolist(), words.tolist()):
+            diverged = sets.get(word)
+            if diverged is None:
+                diverged = sets[word] = dsr_set(word)
             outcomes[s] = ErrorRecord(
                 benchmark=name, flop=faults.flops[flop],
                 kind=FAULT_KINDS[kind], inject_cycle=t0, detect_cycle=tcur,
-                diverged=diverged_ports(out, g_ports[tcur]))
+                diverged=diverged)

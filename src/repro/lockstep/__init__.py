@@ -9,6 +9,8 @@ from .categories import (
     SignalCategory,
     diverged_ports,
     diverged_set,
+    diverged_words,
+    dsr_set,
     dsr_value,
     expand_ports,
 )
@@ -20,7 +22,8 @@ from .tmr import TmrLockstep
 __all__ = [
     "PORT_FIELDS", "SC_INDEX", "SIGNAL_CATEGORIES", "TOTAL_PORT_SIGNALS",
     "PortField", "SignalCategory",
-    "diverged_ports", "diverged_set", "dsr_value", "expand_ports",
+    "diverged_ports", "diverged_set", "diverged_words", "dsr_set",
+    "dsr_value", "expand_ports",
     "CheckerState", "LockstepChecker", "VotingChecker",
     "DmrLockstep", "TmrLockstep",
     "ModeSchedule", "ModeWindow", "sample_schedule",

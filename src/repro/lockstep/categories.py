@@ -18,12 +18,14 @@ a fixed bit field of exactly one compact entry, the expansion is
 injective per entry, so compact-tuple equality is equivalent to
 SC-tuple equality — per-cycle lockstep comparison runs on the compact
 tuples and only a divergence pays for the expansion.
+:func:`diverged_words` is the same expansion for a whole matrix of
+detections at once, as DSR words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from ..cpu.core import NUM_PORTS, NUM_SCS
 
@@ -181,19 +183,17 @@ _FIELD_SC_RUNS: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
-@lru_cache(maxsize=1 << 16)
 def diverged_ports(ports_a: tuple[int, ...], ports_b: tuple[int, ...]) -> frozenset[int]:
     """Diverged SC set of two *compact* port tuples.
 
     Equivalent to ``diverged_set(expand_ports(a), expand_ports(b))``
-    (tested property) — the lazy-expansion entry point the injection
-    engine and checkers use at the detection event.  Entries that
-    compare equal are skipped without expansion: a detection typically
-    differs in one or two of the 18 compact entries, so only their SC
-    runs are field-tested (via XOR — a ``split``-bit field diverges iff
-    its XOR field is nonzero).  Memoized: a campaign detects the same
-    handful of divergence patterns thousands of times, and the result
-    is an immutable frozenset, safe to share.
+    (tested property) — the lazy-expansion entry point the scalar
+    injection engine and the checkers use at the detection event, and
+    the specification of :func:`diverged_words`.  Entries that compare
+    equal are skipped without expansion: a detection typically differs
+    in one or two of the 18 compact entries, so only their SC runs are
+    field-tested (via XOR — a ``split``-bit field diverges iff its XOR
+    field is nonzero).
     """
     diverged = []
     for (a, b), (base, split, n_scs) in zip(
@@ -217,6 +217,42 @@ def diverged_set(outputs_a: tuple[int, ...], outputs_b: tuple[int, ...]) -> froz
     return frozenset(i for i, (a, b) in enumerate(zip(outputs_a, outputs_b)) if a != b)
 
 
+@cache
+def _sc_fields():
+    """Per bit of a 64-bit DSR word: the compact entry its SC is a field
+    of, and the field's bits within that entry (from ``_FIELD_SC_RUNS``).
+    Bits 62 and 63 test no bits, so they are always clear.  Built on
+    first use, like numpy's import here, so that importing this package
+    loads no numpy."""
+    import numpy as np
+
+    entry = [k for k, (_, _, n_scs) in enumerate(_FIELD_SC_RUNS)
+             for _ in range(n_scs)] + [0] * (64 - NUM_SCS)
+    mask = [((1 << split) - 1) << (j * split)
+            for _, split, n_scs in _FIELD_SC_RUNS
+            for j in range(n_scs)] + [0] * (64 - NUM_SCS)
+    return np.array(entry, dtype=np.intp), np.array(mask, dtype=np.uint32)
+
+
+def diverged_words(ports_a, ports_b):
+    """DSR words of row pairs of two ``(n, NUM_PORTS)`` port matrices.
+
+    Row ``i`` of the result equals
+    ``dsr_value(diverged_ports(tuple(ports_a[i]), tuple(ports_b[i])))``
+    (tested property): every SC's field of the XOR of its compact entry
+    is tested at once, and a row's 64 hit bits are packed into one
+    ``uint64``.  A fixed handful of numpy calls, whatever ``n``, so the
+    batch engine turns a whole shard's detections into words in one
+    call and unpacks each distinct word once (:func:`dsr_set`).
+    """
+    import numpy as np
+
+    entry, mask = _sc_fields()
+    delta = np.bitwise_xor(ports_a, ports_b)
+    hit = (delta[:, entry] & mask) != 0
+    return np.packbits(hit, bitorder="little").view("<u8")
+
+
 def dsr_value(diverged: frozenset[int]) -> int:
     """Pack a diverged SC set into the DSR's bit representation."""
     value = 0
@@ -224,3 +260,12 @@ def dsr_value(diverged: frozenset[int]) -> int:
         value |= 1 << idx
     return value
 
+
+def dsr_set(word: int) -> frozenset[int]:
+    """The diverged SC set a DSR word holds: :func:`dsr_value`'s inverse."""
+    bits = []
+    while word:
+        low = word & -word
+        bits.append(low.bit_length() - 1)
+        word ^= low
+    return frozenset(bits)

@@ -206,8 +206,8 @@ class VotingChecker:
         if len(outputs[0]) != NUM_SCS:
             voted = self.vote_ports(outputs)
         if voted is not None:
-            # Erring core = most diverged SCs vs the vote; the memoized
-            # XOR field test counts SCs without expanding equal entries.
+            # Erring core = most diverged SCs vs the vote; the XOR
+            # field test counts SCs without expanding equal entries.
             diffs_of = [len(diverged_ports(o, voted)) for o in outputs]
             diverged_from = checker_diverged
         else:

@@ -81,8 +81,10 @@ def _assert_engine_parity(golden, faults, cfg, prune=True, **batch_kwargs):
     engine = BatchInjectionEngine(golden, max_observe=cfg.max_observe,
                                   mask_check_stride=cfg.mask_check_stride,
                                   prune=prune, **batch_kwargs)
-    assert engine.inject_all(faults) == expected
+    outcomes = engine.inject_all(faults)
+    assert outcomes == expected
     assert engine.stats.as_dict() == scalar.stats.as_dict()
+    return outcomes, engine.stats
 
 
 @needs_cext
@@ -113,6 +115,77 @@ def test_unpruned_parity(ttsprk_golden):
     cfg = QUICK
     faults = _shard_faults(ttsprk_golden, range(6), cfg)
     _assert_engine_parity(ttsprk_golden, faults, cfg, prune=False, batch=8)
+
+
+# -- one signature pass per shard ----------------------------------------------
+
+@needs_cext
+def test_records_share_one_set_per_signature(ttsprk_golden):
+    """One inject_all unpacks each distinct DSR word once: its records
+    with equal diverged sets hold one frozenset between them."""
+    faults = _shard_faults(ttsprk_golden, range(24), QUICK)
+    outcomes, _ = _assert_engine_parity(ttsprk_golden, faults, QUICK)
+    ids: dict[frozenset[int], set[int]] = {}
+    for record in outcomes:
+        if record is not None:
+            ids.setdefault(record.diverged, set()).add(id(record.diverged))
+    assert sum(record is not None for record in outcomes) > len(ids) > 1
+    assert all(len(held) == 1 for held in ids.values())
+
+
+@needs_cext
+def test_shard_without_detections_keeps_parity(ttsprk_golden):
+    """A shard whose simulated faults are all masked, and an empty one,
+    give the scalar engine's outcomes and PruneStats: the signature
+    pass then runs on no rows."""
+    cfg = QUICK
+    scalar = InjectionEngine(ttsprk_golden, max_observe=cfg.max_observe,
+                             mask_check_stride=cfg.mask_check_stride)
+    masked = [fault for fault in _shard_faults(ttsprk_golden, range(48), cfg)
+              if triage_fault(ttsprk_golden, fault, cfg.prune,
+                              cfg.max_observe)[0] == SIMULATE
+              and scalar.inject(fault) is None]
+    assert len(masked) > 5
+    outcomes, stats = _assert_engine_parity(ttsprk_golden, masked, cfg)
+    assert outcomes == [None] * len(masked) and stats.sim_cycles > 0
+    assert _assert_engine_parity(ttsprk_golden, [], cfg)[0] == []
+
+
+@needs_cext
+def test_fast_forward_rebuilds_held_suffixes(monkeypatch, ttsprk_golden):
+    """In one kernel call, stuck-ats on rf4 re-converge at decreasing
+    cycles, between stuck-ats on mw_wen: each fast-forward's triage
+    must rebuild the liveness suffixes its scratch holds whenever they
+    are another register's, or this register's from a later cycle.
+    Records and PruneStats equal the scalar engine's."""
+    golden = ttsprk_golden
+    faults = [Fault(FlopRef("mw_wen", 0), FaultKind.STUCK1, 0),
+              Fault(FlopRef("rf4", 0), FaultKind.STUCK1, 900),
+              Fault(FlopRef("rf4", 3), FaultKind.STUCK0, 500),
+              Fault(FlopRef("mw_wen", 0), FaultKind.STUCK1, 700),
+              Fault(FlopRef("rf4", 6), FaultKind.STUCK0, 100)]
+    # The scalar engine asks first_active_use once in triage, then once
+    # per re-convergence, at the cycle the kernel's triage starts from.
+    asked: list[int] = []
+    first_active_use = golden.first_active_use
+    monkeypatch.setattr(golden, "first_active_use", lambda reg, bit, value, t: (
+        asked.append(t), first_active_use(reg, bit, value, t))[1])
+    scalar = InjectionEngine(golden, max_observe=None)
+    expected, converged = [], []
+    for fault in faults:
+        asked.clear()
+        expected.append(scalar.inject(fault))
+        converged.append(asked[1:])
+    assert all(converged)
+    rf4 = [cycles[0] for fault, cycles in zip(faults, converged)
+           if fault.flop.reg == "rf4"]
+    assert rf4 == sorted(rf4, reverse=True) and len(set(rf4)) == 3
+    # mw_wen's second fault first re-converges after the cycle rf4's
+    # suffixes were last built from.
+    assert rf4[1] <= converged[3][0]
+    engine = BatchInjectionEngine(golden, max_observe=None)
+    assert engine.inject_all(faults) == expected
+    assert engine.stats.as_dict() == scalar.stats.as_dict()
 
 
 # -- dynamic equivalence collapsing ------------------------------------------

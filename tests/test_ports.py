@@ -10,15 +10,21 @@ to each register's declared width.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.divergence import DivergenceStatusRegister
 from repro.cpu import Cpu, InputStream, Memory, NUM_PORTS, NUM_SCS, REGISTRY
 from repro.lockstep.categories import (
     PORT_FIELDS,
+    SC_INDEX,
     SIGNAL_CATEGORIES,
     diverged_ports,
     diverged_set,
+    diverged_words,
+    dsr_set,
+    dsr_value,
     expand_ports,
 )
 
@@ -110,3 +116,98 @@ class TestPortFieldMetadata:
                 for k in range(f.n_scs)
             )
             assert expand_ports(ports) == generic
+
+
+# -- DSR words: the vectorised diverged_ports ----------------------------------
+
+#: A compact port tuple, each entry within its visible width.
+ports_strategy = st.tuples(
+    *(st.integers(0, (1 << f.width) - 1) for f in PORT_FIELDS))
+
+
+@st.composite
+def port_pairs(draw):
+    """A port tuple and one that differs from it in a drawn subset of
+    its entries: none, one, some or all of them."""
+    a = draw(ports_strategy)
+    b = tuple(value ^ draw(st.integers(1, (1 << f.width) - 1))
+              if draw(st.booleans()) else value
+              for f, value in zip(PORT_FIELDS, a))
+    return a, b
+
+
+def _matrix(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.uint32).reshape(len(rows), NUM_PORTS)
+
+
+def _assert_words(pairs) -> list[int]:
+    """diverged_words of the pairs as matrices equals diverged_ports
+    row by row; returns the words."""
+    a_rows = [a for a, _ in pairs]
+    b_rows = [b for _, b in pairs]
+    words = diverged_words(_matrix(a_rows), _matrix(b_rows))
+    assert words.dtype == np.dtype("<u8") and words.shape == (len(pairs),)
+    assert words.tolist() == [dsr_value(diverged_ports(a, b))
+                              for a, b in pairs]
+    return words.tolist()
+
+
+class TestDivergedWords:
+    @given(pairs=st.lists(port_pairs(), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_diverged_ports(self, pairs):
+        _assert_words(pairs)
+
+    def test_no_rows(self):
+        assert _assert_words([]) == []
+
+    def test_equal_rows_give_zero(self):
+        rnd = random.Random(3)
+        rows = [tuple(rnd.randrange(1 << f.width) for f in PORT_FIELDS)
+                for _ in range(4)]
+        assert _assert_words([(row, row) for row in rows]) == [0] * 4
+
+    def test_each_field_alone_and_every_field(self):
+        """A row per entry differing in that entry's top visible bit
+        alone (the last SC of its run), one differing in its lowest bit,
+        and one differing in every bit of every entry."""
+        base = tuple(0 for _ in PORT_FIELDS)
+        pairs = []
+        for k, f in enumerate(PORT_FIELDS):
+            for bit in (f.width - 1, 0):
+                other = list(base)
+                other[k] = 1 << bit
+                pairs.append((base, tuple(other)))
+        full = tuple((1 << f.width) - 1 for f in PORT_FIELDS)
+        pairs.append((base, full))
+        words = _assert_words(pairs)
+        first = 0
+        for k, f in enumerate(PORT_FIELDS):
+            assert words[2 * k] == 1 << (first + f.n_scs - 1), f.name
+            assert words[2 * k + 1] == 1 << first, f.name
+            first += f.n_scs
+        assert words[-1] == (1 << NUM_SCS) - 1
+
+    def test_ev_br_is_the_top_bit(self):
+        """SC 61 (ev_br), the last entry's only SC, is the word's top
+        bit, and it survives the packing."""
+        assert SC_INDEX["ev_br"] == NUM_SCS - 1 == 61
+        base = tuple(0 for _ in PORT_FIELDS)
+        for value in (1, 2, 3):
+            other = base[:-1] + (value,)
+            assert _assert_words([(base, other), (other, base)]) == [1 << 61] * 2
+
+
+class TestDsrSet:
+    @given(bits=st.sets(st.integers(0, NUM_SCS - 1), max_size=NUM_SCS))
+    def test_inverts_dsr_value(self, bits):
+        s = frozenset(bits)
+        assert dsr_set(dsr_value(s)) == s
+        dsr = DivergenceStatusRegister()
+        dsr.value = dsr_value(s)
+        assert dsr.as_set == s
+
+    def test_as_set_keeps_the_register_width(self):
+        dsr = DivergenceStatusRegister(n_bits=8)
+        dsr.value = dsr_value(frozenset({2, 7, 8, 61}))
+        assert dsr.as_set == frozenset({2, 7})
