@@ -117,14 +117,14 @@ def test_pruning_speedup_report(report):
     """Quick-campaign pruning sweep; writes the root BENCH_campaign.json.
 
     workers=1 so the number is pure engine throughput, best-of-3 with
-    the golden traces pre-warmed so neither side pays simulation or
-    cache-load cost.  The scalar engine (``batch=0``), as in every
+    the golden traces pre-built so neither side pays for building
+    them.  The scalar engine (``batch=0``), as in every
     earlier entry of the trajectory.
     """
     config = CampaignConfig.quick()
     config_off = dataclasses.replace(config, prune=False)
     scalar = ExecPlan(batch=0)
-    run_campaign(config, plan=scalar)  # warm the golden cache
+    run_campaign(config, plan=scalar)  # build the golden traces
 
     def best_of(cfg, rounds=3):
         times, result = [], None
@@ -222,7 +222,7 @@ def test_batch_speedup_report(report):
     """
     if not cext_available():
         pytest.skip("compiled kernel unavailable")
-    run_campaign(BATCH_SWEEP_CONFIG)  # warm golden caches
+    run_campaign(BATCH_SWEEP_CONFIG)  # build the golden traces
 
     def timed(cfg, batch):
         start = time.perf_counter()

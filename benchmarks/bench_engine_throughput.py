@@ -83,8 +83,8 @@ def test_golden_trace_build(benchmark):
 
 
 def test_golden_trace_build_compiled(benchmark):
-    """The compiled build ``GoldenTrace.cached`` runs on a miss when the
-    kernel loaded: one ``_cstep.golden`` call plus the state hashes."""
+    """The build ``GoldenTrace.cached`` runs when the kernel loaded:
+    one ``_cstep.golden`` call plus the state hashes."""
     if not cext_available():
         pytest.skip(f"compiled kernel unavailable: {cext_build_error()}")
     trace = benchmark.pedantic(
@@ -104,23 +104,13 @@ def test_arch_trace_build(benchmark):
     minimum to median of repeated calls).  Against the Python build
     the cross-check is an order of magnitude cheaper, which made
     checking every trace ``GoldenTrace.cached`` returns affordable;
-    with the compiled build it is the larger share of a cold
-    ``GoldenTrace.cached``.
+    with the compiled build it is the larger share of a
+    ``GoldenTrace.cached`` call.
     """
     golden = GoldenTrace(KERNELS["ttsprk"])
     problems = benchmark.pedantic(cross_check, args=(golden,),
                                   rounds=5, iterations=1)
     assert problems == []
-
-
-def test_golden_trace_cache_load(benchmark, tmp_path):
-    GoldenTrace.cached(KERNELS["ttsprk"], cache_dir=tmp_path)  # populate
-
-    def load():
-        return GoldenTrace.cached(KERNELS["ttsprk"], cache_dir=tmp_path)
-
-    trace = benchmark(load)
-    assert trace.n_cycles > 0
 
 
 def test_injection_throughput(benchmark):

@@ -54,7 +54,7 @@ def test_service_overhead_and_lookup_latency(tmp_path, report):
     # Both campaigns run the scalar engine (batch=0), as in every
     # earlier entry, so the ledger overhead compares like with like.
     scalar = ExecPlan(batch=0)
-    run_campaign(SERVICE_CONFIG, plan=scalar)  # warm the golden cache
+    run_campaign(SERVICE_CONFIG, plan=scalar)  # build the golden traces
 
     def timed(fn, *args, **kwargs):
         start = time.perf_counter()

@@ -3,9 +3,13 @@
 All paper tables/figures are regenerated from ONE fault-injection
 campaign (cached on disk under ``.campaign_cache`` keyed by config +
 schema version), mirroring the paper's single 10M-injection dataset.
-Set ``REPRO_BENCH_SCALE=full`` for the exhaustive every-flop campaign,
-or ``quick`` for a seconds-scale smoke run; the default takes a couple
-of minutes on first use and is cached afterwards.
+Set ``REPRO_BENCH_SCALE=full`` to inject into every flop, 4 soft
+faults and one stuck-at per polarity each (129,300 injections; not the
+paper's exhaustive every-interval campaign), or ``quick`` for a
+seconds-scale smoke run.  A cold default-scale campaign takes about
+0.6 s in a fresh process on one worker of a 2-vCPU host with the
+compiled kernel (8-9 s on the scalar engine), and is cached
+afterwards.
 
 ``--workers N`` (or ``REPRO_BENCH_WORKERS=N``) fans the campaign out
 over N processes; ``0`` uses every core.  Results — and therefore the

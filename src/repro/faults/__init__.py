@@ -10,13 +10,7 @@ from .campaign import (
     sample_flops,
     schedule_faults,
 )
-from .golden import (
-    CAMPAIGN_MEM_WORDS,
-    GOLDEN_CACHE_ENV,
-    GoldenTrace,
-    LoggingMemory,
-    golden_cache_dir,
-)
+from .golden import CAMPAIGN_MEM_WORDS, GoldenTrace, LoggingMemory
 from .injector import InjectionEngine, PruneStats
 from .kernels import cext_available, cext_build_error, resolve_kernel
 from .parallel import (
@@ -43,8 +37,7 @@ __all__ = [
     "BatchInjectionEngine",
     "CampaignConfig", "CampaignResult", "cached_campaign", "records_digest",
     "run_campaign", "sample_flops", "schedule_faults",
-    "CAMPAIGN_MEM_WORDS", "GOLDEN_CACHE_ENV", "GoldenTrace", "LoggingMemory",
-    "golden_cache_dir",
+    "CAMPAIGN_MEM_WORDS", "GoldenTrace", "LoggingMemory",
     "InjectionEngine", "PruneStats",
     "cext_available", "cext_build_error", "resolve_kernel",
     "DEFAULT_BATCH", "ExecPlan", "Shard", "plan_shards", "resolve_chunk",

@@ -16,25 +16,17 @@ hash so the injection engine can gate exact state comparisons behind
 an integer check.
 
 :meth:`GoldenTrace.cached` is the one way a campaign gets a trace.  It
-loads it from the on-disk cache (``.golden_cache/`` by default, see
-:func:`golden_cache_dir`): an uncompressed ``.npz`` keyed by benchmark,
-stimulus seed, memory size and the campaign schema version, sealed by
-a sha256 over its entries.  On a miss it records the run in one call
-of the compiled kernel (``_cstep.golden``) when the kernel loaded, and
-with the Python build, ``GoldenTrace(...)``, the specification, when it
-did not; the two builds give equal arrays.  Every trace it returns has
-passed :func:`cross_check` against the ISA reference model, and any
-cache file that fails a check is discarded and simulated afresh.
+records the run in one call of the compiled kernel (``_cstep.golden``)
+when the kernel loaded, and with the Python build, ``GoldenTrace(...)``,
+the specification, when it did not; the two builds give equal arrays.
+Every trace it returns has passed :func:`cross_check` against the ISA
+reference model.  Nothing is written to disk: each process builds its
+own traces, once per (benchmark, seed) (``parallel._golden_for``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import threading
-import warnings
 from bisect import bisect_left
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +42,6 @@ from ..cpu.units import (
 )
 from ..verify.refmodel import RefModel
 from ..workloads.kernels import DEFAULT_SEED, Workload
-from .campaign import CAMPAIGN_SCHEMA_VERSION
 from .kernels import N_REGS, N_ROWS, cext_module, cext_tables
 
 _WORD_MASK = (1 << 64) - 1
@@ -87,16 +78,6 @@ CAMPAIGN_MEM_WORDS = 2048
 #: smaller stride trades checkpoint memory for faster ``memory_at``.
 MEMORY_CHECKPOINT_EVERY = 512
 
-#: Environment variable overriding the golden-trace cache directory.
-#: Unset -> ``.golden_cache``; empty / ``0`` / ``off`` / ``none`` ->
-#: caching disabled.
-GOLDEN_CACHE_ENV = "REPRO_GOLDEN_CACHE"
-
-DEFAULT_GOLDEN_CACHE_DIR = ".golden_cache"
-
-#: The cache file entry holding the sha256 of all the others.
-_CHECKSUM = "checksum"
-
 #: ``port_matrix`` column indices of the OUT port pair (see
 #: ``Cpu.step``'s return tuple): the latched OUT value and the toggle
 #: strobe an external actuator latch samples.
@@ -107,41 +88,6 @@ _IO_OUT_V_COL = 11
 #: trace (in-flight when HALT committed) — bounds the allowed prefix gap
 #: in :func:`cross_check`.
 _PIPELINE_DEPTH = 4
-
-
-def golden_cache_dir() -> Path | None:
-    """Resolve the on-disk golden-trace cache directory (None = off)."""
-    value = os.environ.get(GOLDEN_CACHE_ENV)
-    if value is None:
-        return Path(DEFAULT_GOLDEN_CACHE_DIR)
-    if value.strip().lower() in ("", "0", "off", "none"):
-        return None
-    return Path(value)
-
-
-def golden_cache_path(workload: Workload, seed: int, mem_words: int,
-                      cache_dir: Path | str | None = None) -> Path | None:
-    """The cache file of one trace (None when caching is off).
-
-    ``cache_dir=None`` uses :func:`golden_cache_dir`.
-    """
-    directory = Path(cache_dir) if cache_dir is not None else golden_cache_dir()
-    if directory is None:
-        return None
-    return directory / (
-        f"{workload.name}_s{seed}_m{mem_words}_v{CAMPAIGN_SCHEMA_VERSION}.npz")
-
-
-def _checksum(entries: dict[str, np.ndarray]) -> np.ndarray:
-    """sha256 over every entry but the checksum: name, dtype, shape and
-    bytes, in name order, as 32 uint8 values."""
-    h = hashlib.sha256()
-    for name in sorted(entries):
-        if name != _CHECKSUM:
-            array = np.ascontiguousarray(entries[name])
-            h.update(f"{name}\0{array.dtype.str}\0{array.shape}\0".encode())
-            h.update(array.tobytes())
-    return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
 class LoggingMemory(Memory):
@@ -277,7 +223,7 @@ class GoldenTrace:
                 port_matrix: np.ndarray, state_matrix: np.ndarray,
                 state_hashes: np.ndarray, read_mask: np.ndarray,
                 write_mask: np.ndarray, write_log) -> None:
-        """Set every attribute of a built or loaded trace."""
+        """Set every attribute of a built trace."""
         self.workload = workload
         self.seed = seed
         self.mem_words = mem_words
@@ -324,32 +270,25 @@ class GoldenTrace:
             self._state_hash_list = hashes
         return hashes
 
-    # -- disk cache ----------------------------------------------------------
+    # -- the campaign's build ------------------------------------------------
 
     @classmethod
     def cached(cls, workload: Workload, seed: int = DEFAULT_SEED,
-               max_cycles: int = 100_000, mem_words: int = CAMPAIGN_MEM_WORDS,
-               cache_dir: Path | str | None = None) -> "GoldenTrace":
-        """The cross-checked trace: loaded from the on-disk cache, or
-        simulated (and the cache file written) on a miss.
+               max_cycles: int = 100_000,
+               mem_words: int = CAMPAIGN_MEM_WORDS) -> "GoldenTrace":
+        """The cross-checked trace, built afresh on every call.
 
-        ``cache_dir=None`` uses :func:`golden_cache_dir` (which honours
-        ``REPRO_GOLDEN_CACHE``); with caching disabled the trace is
-        simulated.  A cache file that is unreadable, stale, damaged or
-        fails :func:`cross_check` is discarded with a warning, and the
-        trace is re-simulated and the file rewritten.  A simulated trace
-        that fails the cross-check raises ``RuntimeError``: that is a
-        pipeline regression, which no cache can paper over.
+        The compiled build (:meth:`_compiled`) runs when the kernel
+        loaded, the Python build otherwise.  A compiled build that fails
+        raises; it never falls back to the Python build.  A trace that
+        fails :func:`cross_check` raises ``RuntimeError``: that is a
+        pipeline regression.
 
-        A miss is simulated by the compiled build when the kernel
-        loaded, else by the Python build.  A compiled build that fails
-        raises; it never falls back to the Python build.
+        Nothing is kept here: a campaign process keeps one trace per
+        (benchmark, seed) in ``parallel._golden_for``.  The name
+        outlived the on-disk cache it once read because the benchmark
+        tracer (``perf/trace.py``) times this method by name.
         """
-        path = golden_cache_path(workload, seed, mem_words, cache_dir)
-        if path is not None and path.exists():
-            trace = cls._load_cached(path, workload, seed, mem_words)
-            if trace is not None:
-                return trace
         module = cext_module()
         if module is None:
             trace = cls(workload, seed, max_cycles, mem_words)
@@ -361,124 +300,7 @@ class GoldenTrace:
             raise RuntimeError(
                 f"golden trace for {workload.name!r} failed the "
                 f"architectural cross-check: " + "; ".join(problems))
-        if path is not None:
-            try:
-                trace.save_cache(path)
-            except OSError as exc:  # e.g. read-only checkout: cache is best-effort
-                warnings.warn(f"could not write golden-trace cache {path}: {exc}",
-                              RuntimeWarning, stacklevel=2)
         return trace
-
-    def save_cache(self, path: Path) -> None:
-        """Write this trace to ``path`` atomically (uncompressed npz).
-
-        The matrices and the write log are stored as uint64, the entry
-        dtypes of every schema-v4 cache file, and one more entry holds
-        the checksum of all the others.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entries = dict(
-            meta=np.array([CAMPAIGN_SCHEMA_VERSION, self.n_cycles,
-                           self.mem_words, len(REGISTRY), NUM_PORTS,
-                           self.seed], dtype=np.int64),
-            port_matrix=self.port_matrix.astype(np.uint64),
-            state_matrix=self.state_matrix.astype(np.uint64),
-            state_hashes=self.state_hashes,
-            read_mask=self.read_mask,
-            write_mask=self.write_mask,
-            write_log=self.write_log.astype(np.uint64),
-            stimulus=np.array(self.stimulus.values, dtype=np.uint64))
-        entries[_CHECKSUM] = _checksum(entries)
-        # Writer-unique temp + rename: pool workers, and threads of one
-        # process, may race to populate the same entry, and a crash must
-        # not leave a torn file.
-        tmp = path.with_name(
-            f"{path.stem}.tmp{os.getpid()}-{threading.get_ident()}.npz")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **entries)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-
-    @classmethod
-    def _load_cached(cls, path: Path, workload: Workload, seed: int,
-                     mem_words: int) -> "GoldenTrace | None":
-        """Load and validate a cached trace; None (plus warning) on failure."""
-        program = assemble(workload.source)
-        stimulus_values = workload.stimulus(seed)
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                data = dict(npz)
-            meta = data["meta"]
-            if meta.shape != (6,):
-                raise ValueError(f"bad meta shape {meta.shape}")
-            schema, n_cycles, cached_mem, n_regs, n_ports, cached_seed = (
-                int(v) for v in meta)
-            if schema != CAMPAIGN_SCHEMA_VERSION:
-                raise ValueError(f"schema v{schema} != v{CAMPAIGN_SCHEMA_VERSION}")
-            if cached_mem != mem_words or cached_seed != seed:
-                raise ValueError("mem_words/seed mismatch")
-            if n_regs != len(REGISTRY) or n_ports != NUM_PORTS:
-                raise ValueError("register/port schema mismatch")
-            port_matrix = data["port_matrix"]
-            state_matrix = data["state_matrix"]
-            state_hashes = data["state_hashes"]
-            write_log = data["write_log"]
-            stimulus = data["stimulus"]
-            if n_cycles <= 0 or port_matrix.shape != (n_cycles, NUM_PORTS):
-                raise ValueError(f"bad port matrix shape {port_matrix.shape}")
-            if state_matrix.shape != (n_cycles, len(REGISTRY)):
-                raise ValueError(f"bad state matrix shape {state_matrix.shape}")
-            if state_hashes.shape != (n_cycles,):
-                raise ValueError(f"bad hash vector shape {state_hashes.shape}")
-            if write_log.ndim != 2 or write_log.shape[1] != 3:
-                raise ValueError(f"bad write log shape {write_log.shape}")
-            # v4: per-cycle def/use masks.  Older cache files simply lack
-            # the keys (KeyError lands in the same discard path).
-            read_mask = data["read_mask"]
-            write_mask = data["write_mask"]
-            if read_mask.shape != (n_cycles, MASK_WORDS):
-                raise ValueError(f"bad read mask shape {read_mask.shape}")
-            if write_mask.shape != (n_cycles, MASK_WORDS):
-                raise ValueError(f"bad write mask shape {write_mask.shape}")
-            if stimulus.tolist() != list(stimulus_values):
-                raise ValueError("stimulus stream mismatch")
-            # Shapes and the stimulus cannot see damage inside the
-            # matrices (a zeroed mask drops records, a flipped state bit
-            # moves simulated cycles), so the entries carry a checksum.
-            if not np.array_equal(data.get(_CHECKSUM), _checksum(data)):
-                raise ValueError("missing or wrong checksum")
-            trace = cls.__new__(cls)
-            trace._attach(
-                workload, seed, mem_words, program,
-                InputStream(stimulus_values),
-                port_matrix=port_matrix.astype(np.uint32),
-                state_matrix=state_matrix.astype(np.uint32),
-                state_hashes=state_hashes, read_mask=read_mask,
-                write_mask=write_mask, write_log=write_log)
-            reset = Cpu(Memory(16), trace.stimulus,
-                        entry=program.entry).snapshot()
-            if trace.state_at(0) != reset:
-                raise ValueError("reset-state row mismatch")
-            # Tuple hashes are process-deterministic but not guaranteed
-            # stable across interpreter builds; stale hashes only cost
-            # performance (exact compares gate every decision), yet a
-            # cheap row-0 probe lets us restore the fast path anyway.
-            if hash(reset) != int(trace.state_hashes[0]):
-                trace.state_hashes = _state_hashes(trace.state_matrix)
-            problems = cross_check(trace)
-            if problems:
-                raise ValueError("failed the architectural cross-check: "
-                                 + "; ".join(problems))
-            return trace
-        except Exception as exc:
-            warnings.warn(
-                f"discarding unusable golden-trace cache {path}: {exc}",
-                RuntimeWarning, stacklevel=2)
-            return None
 
     # -- memory reconstruction & activation search ---------------------------
 
@@ -686,9 +508,9 @@ def cross_check(trace: GoldenTrace) -> list[str]:
     Runs :class:`~repro.verify.refmodel.RefModel` once on the trace's
     own program, stimulus and memory size, and returns a list of
     human-readable problems (empty = consistent).  The checks are
-    strong against the realistic failure modes — a stale cache file
-    the checksum cannot see, a pipeline regression — while staying
-    independent of micro-architectural timing:
+    strong against the realistic failure mode, a pipeline regression
+    in either build, while staying independent of micro-architectural
+    timing:
 
     * the strobe-sampled OUT stream recovered from the port matrix
       must equal the architectural OUT stream value for value;

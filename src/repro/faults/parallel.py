@@ -199,10 +199,10 @@ def plan_shards(benchmarks: tuple[str, ...], flops: list[FlopRef],
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-process golden-trace cache: (benchmark, seed) -> cross-checked
-#: trace.  Worker processes are reused across shards, so each
-#: benchmark's golden run is simulated (or loaded and cross-checked) at
-#: most once per process, for either engine.  Library callers may run
+#: Per-process golden traces: (benchmark, seed) -> cross-checked trace.
+#: Worker processes are reused across shards, so each benchmark's
+#: golden run is built and cross-checked at most once per process, for
+#: either engine; no trace is kept on disk.  Library callers may run
 #: shards from several threads of one process: a miss builds the trace
 #: under the lock, so threads that miss together simulate it once (a
 #: compiled build takes milliseconds and drops the GIL while it steps;

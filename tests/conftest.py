@@ -6,45 +6,26 @@ Also owns the test-harness policy knobs:
   loop) and ``ci`` (thorough, ``derandomize=True`` so CI draws a fixed
   deterministic example sequence).  Select with
   ``HYPOTHESIS_PROFILE=ci``; the GitHub workflow does.
-* **Golden-trace cache isolation** — an autouse session fixture points
-  ``REPRO_GOLDEN_CACHE`` at a per-session tmp dir, so running the test
-  suite never writes (or reads) the repo-level ``.golden_cache/``.
-* **Fuzz-artifact isolation** — likewise ``REPRO_FUZZ_ARTIFACTS`` is
-  pointed at a tmp dir so shrunken repros never land in the checkout.
+* **Fuzz-artifact isolation** — an autouse session fixture points
+  ``REPRO_FUZZ_ARTIFACTS`` at a per-session tmp dir, so shrunken
+  repros never land in the checkout.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.cpu import Cpu, InputStream, Memory, assemble
-from repro.cpu.units import REG_INDEX
 from repro.faults import CampaignConfig, ExecPlan, GoldenTrace, run_campaign
-from repro.faults import golden as golden_mod
-from repro.faults.golden import GOLDEN_CACHE_ENV
 from repro.workloads import KERNELS
 
 settings.register_profile("dev", max_examples=25, deadline=None)
 settings.register_profile("ci", max_examples=150, deadline=None,
                           derandomize=True, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_golden_cache(tmp_path_factory: pytest.TempPathFactory):
-    """Keep golden-trace caching on but out of the repo checkout."""
-    previous = os.environ.get(GOLDEN_CACHE_ENV)
-    os.environ[GOLDEN_CACHE_ENV] = str(tmp_path_factory.mktemp("golden_cache"))
-    yield
-    if previous is None:
-        os.environ.pop(GOLDEN_CACHE_ENV, None)
-    else:
-        os.environ[GOLDEN_CACHE_ENV] = previous
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -84,32 +65,6 @@ loop:
     st   r1, 0x400(r0)
     halt
 """
-
-
-def corrupt_golden_cache(path: Path, kind: str = "out") -> None:
-    """Damage a cached golden trace in place, every shape left valid.
-
-    ``"out"`` flips one OUT value and re-seals the checksum, a stale but
-    intact file that only the architectural cross-check catches;
-    ``"header"`` lengthens the cycle count in the header; ``"mask"``
-    zeroes a stretch of the read masks' first word and ``"state"`` flips
-    ``rf3`` bit 4 in a stretch of state rows, both leaving the checksum
-    stale.
-    """
-    with np.load(path) as data:
-        arrays = dict(data)
-    if kind == "out":
-        pm = arrays["port_matrix"]
-        toggle = int(np.nonzero(pm[1:, 11] != pm[:-1, 11])[0][0]) + 1
-        pm[toggle, 10] ^= 2
-        arrays["checksum"] = golden_mod._checksum(arrays)
-    elif kind == "header":
-        arrays["meta"][1] += 7
-    elif kind == "mask":
-        arrays["read_mask"][300:900, 0] = 0
-    else:
-        arrays["state_matrix"][200:1200, REG_INDEX["rf3"]] ^= 1 << 4
-    np.savez(path, **arrays)
 
 
 def replay_memory(golden: GoldenTrace, cycle: int,

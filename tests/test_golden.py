@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu import Cpu, Memory
 from repro.cpu.units import REG_INDEX
-from repro.faults import GOLDEN_CACHE_ENV, GoldenTrace, _cstep, kernels
+from repro.faults import GoldenTrace, _cstep, kernels
 from repro.lockstep.categories import expand_ports
 from repro.workloads import KERNELS
 from repro.workloads.kernels import Workload
@@ -65,12 +65,8 @@ def _no_compiled_build(*args, **kwargs):
 
 
 class TestBuildSeam:
-    """Which build ``GoldenTrace.cached`` runs on a miss (trace cache off):
-    the compiled one whenever the kernel loaded, with no fallback."""
-
-    @pytest.fixture(autouse=True)
-    def _cache_off(self, monkeypatch):
-        monkeypatch.setenv(GOLDEN_CACHE_ENV, "off")
+    """Which build ``GoldenTrace.cached`` runs: the compiled one whenever
+    the kernel loaded, with no fallback."""
 
     @needs_cext
     def test_kernel_build_never_runs_the_python_build(self, monkeypatch):

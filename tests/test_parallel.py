@@ -5,7 +5,6 @@ import os
 import pickle
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -27,10 +26,10 @@ from repro.faults import (
     schedule_faults,
     schedule_rng,
 )
-from repro.faults import GOLDEN_CACHE_ENV, _cstep, parallel
+from repro.faults import _cstep, parallel
 from repro.faults.parallel import execute_campaign
 from repro.faults.service import run_resumable_campaign
-from tests.conftest import corrupt_golden_cache
+from repro.workloads import KERNELS
 
 #: A campaign small enough to run several times per test.
 SMALL = CampaignConfig(benchmarks=("ttsprk",), soft_per_flop=1,
@@ -318,37 +317,12 @@ class TestCacheHardening:
         assert isinstance(result, CampaignResult)
 
 
-class TestGoldenCacheCorruption:
-    """Both engines read one cross-checked trace per process, so a
-    corrupt golden cache gives the same answer, only slower."""
-
-    @pytest.mark.parametrize("kind", ("out", "header", "mask", "state"))
-    @pytest.mark.parametrize("batch", (0, None), ids=("scalar", "default"))
-    def test_same_answer(self, tmp_path, monkeypatch, quick_campaign,
-                         kind, batch):
-        monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(parallel, "_GOLDEN_TRACES", {})
-        plan = ExecPlan(batch=batch)
-        run_campaign(SMALL, plan=plan)  # populates the cache
-        for path in tmp_path.glob("*.npz"):
-            corrupt_golden_cache(path, kind)
-        monkeypatch.setattr(parallel, "_GOLDEN_TRACES", {})
-        with pytest.warns(RuntimeWarning):
-            result = run_campaign(CampaignConfig.quick(), plan=plan)
-        assert result.digest() == quick_campaign.digest()
-        assert result.meta["pruning"] == quick_campaign.meta["pruning"]
-        assert result.injected == quick_campaign.injected
-        assert result.golden_cycles == quick_campaign.golden_cycles
-
-
 class TestGoldenTracePerProcess:
-    def test_threads_build_a_cold_trace_once(self, tmp_path, monkeypatch):
-        """Shards of one benchmark run from 4 threads of one process on
-        a cold cache simulate its trace once, and write the cache file
-        without a warning.  Every trace, compiled, Python-built or
-        loaded, is set up by ``_attach``, so counting its calls counts
-        both builds."""
-        monkeypatch.setenv(GOLDEN_CACHE_ENV, str(tmp_path))
+    def test_threads_build_a_cold_trace_once(self, monkeypatch):
+        """Shards of one benchmark run from 4 threads of one process
+        build its trace once.  Every trace, compiled or Python-built, is
+        set up by ``_attach``, so counting its calls counts both
+        builds."""
         builds = []
         attach = GoldenTrace._attach
 
@@ -357,8 +331,8 @@ class TestGoldenTracePerProcess:
             attach(self, *args, **kwargs)
 
         monkeypatch.setattr(GoldenTrace, "_attach", counting_attach)
-        # A seed no other test runs, so the process's own trace cache
-        # is cold for it too.
+        # A seed no other test runs, so the process holds no trace
+        # for it yet.
         config = dataclasses.replace(SMALL, seed=20181020)
         flops = sample_flops(config, sampling_rng(config.seed))
         shard = parallel.Shard(0, "ttsprk", 0, tuple(flops[:2]))
@@ -369,16 +343,28 @@ class TestGoldenTracePerProcess:
             barrier.wait()
             return parallel.run_shard(config, shard, plan)
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with ThreadPoolExecutor(4) as pool:
-                futures = [pool.submit(run) for _ in range(4)]
-                outcomes = [future.result() for future in futures]
-        assert [str(w.message) for w in caught
-                if issubclass(w.category, RuntimeWarning)] == []
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            outcomes = [future.result() for future in futures]
         assert len(builds) == 1
         assert all(outcome == outcomes[0] for outcome in outcomes)
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    def test_traces_never_reach_the_disk(self, tmp_path, monkeypatch):
+        """Traces live in process memory only: a cold campaign and a
+        ``GoldenTrace.cached`` call write nothing to the working
+        directory, nor where a leftover setting of the deleted on-disk
+        trace cache points."""
+        work, leftover = tmp_path / "work", tmp_path / "leftover"
+        work.mkdir()
+        leftover.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("REPRO_GOLDEN_CACHE", str(leftover))
+        monkeypatch.setattr(parallel, "_GOLDEN_TRACES", {})
+        result = run_campaign(CampaignConfig.quick())
+        trace = GoldenTrace.cached(KERNELS["ttsprk"])
+        assert result.n_injected > 0 and trace.n_cycles > 0
+        assert list(work.iterdir()) == []
+        assert list(leftover.iterdir()) == []
 
 
 class TestCli:
